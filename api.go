@@ -47,10 +47,7 @@
 // (LoadCheckpoint + SweepOptions.ResumeFrom), and both stream
 // incremental incumbents through a ProgressFunc. Failures use the
 // exported sentinel errors (ErrInvalidSpace, ErrNoFeasibleStart,
-// ErrCheckpointCorrupt) and support errors.Is. The legacy Optimize and
-// Exhaustive methods remain as deprecated context.Background() wrappers
-// with their historical semantics; new code should use the context
-// entrypoints.
+// ErrCheckpointCorrupt) and support errors.Is.
 package tesa
 
 import (
@@ -155,10 +152,6 @@ const (
 	WeightStationary = systolic.WeightStationary
 )
 
-// DefaultSurrogateBandC is the default guard band (Celsius) of the
-// fast-path surrogate pre-screen; see Options.SurrogateBandC.
-const DefaultSurrogateBandC = core.DefaultSurrogateBandC
-
 // NewEvaluator builds an evaluator for the workload under the given
 // options and constraints; zero-valued models are filled with the
 // calibrated 22 nm defaults.
@@ -200,8 +193,7 @@ func DefaultExperimentConfig() ExperimentConfig { return core.DefaultExperimentC
 
 // Sentinel errors of the search layer, matched with errors.Is. The
 // context-first entrypoints (Evaluator.OptimizeContext,
-// Evaluator.ExhaustiveContext) return them; the legacy Optimize and
-// Exhaustive wrappers preserve their historical results instead.
+// Evaluator.ExhaustiveContext) return them.
 var (
 	// ErrInvalidSpace marks an unsearchable design space or an
 	// off-space design point.
@@ -357,10 +349,10 @@ const ModelVersion = core.ModelVersion
 // Memoization (internal/memo). A MemoStore caches pipeline
 // sub-evaluations (systolic profiles, SRAM estimates, schedules,
 // coverage maps, whole DSE evaluations) under content-addressed keys.
-// Options.Memo gives each evaluator a private store; attach one
-// explicitly with Evaluator.UseMemo to share it across evaluators —
-// e.g. an exhaustive sweep and the annealer validating against it —
-// and warm it from disk with LoadMemoDir:
+// Every evaluator runs through one: a private store by default. Attach
+// one explicitly with Evaluator.UseMemo to share it across evaluators —
+// e.g. an exhaustive sweep and the annealer validating against it — and
+// warm it from disk with LoadMemoDir:
 //
 //	store := tesa.NewMemoStore()
 //	closeDisk, _ := tesa.LoadMemoDir(store, ".tesa-memo")

@@ -15,15 +15,15 @@
 //	            [-faults spec] [-max-failures 0] [-fail-fast]
 //	            [-stage-timeout 0] [-metrics] [-trace out.jsonl]
 //	            [-pprof addr] [-metrics-addr addr] [-manifest run.jsonl]
-//	            [-thermal-fast] [-surrogate-band 3]
+//	            [-thermal-fast]
 //	            [-surrogate] [-surrogate-k 8]
-//	            [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
+//	            [-memo-dir .tesa-memo] [-starts-parallel]
 //
 // -job runs a versioned jobspec document (tesa.jobspec/v1, kind
 // "pareto") instead of per-setting flags: the same file drives this
 // command, the library, and tesa-server to an identical front. Config
-// flags conflict with -job; operational flags (-progress, -memo*,
-// telemetry) compose with it.
+// flags conflict with -job; operational flags (-progress, -memo-dir,
+// -starts-parallel, telemetry) compose with it.
 //
 // -surrogate enables the learned ranking surrogate: an online model
 // trained from completed evaluations (and replayed from -memo-dir
@@ -34,17 +34,17 @@
 // neighborhood (0 = default).
 //
 // -thermal-fast runs every weight setting's search on the fast thermal
-// path (workspace CG, warm starts, surrogate pre-screen with a
-// -surrogate-band guard band); the traced front is unchanged, only
-// wall-clock time drops.
+// path (workspace CG, warm starts, closed-form pre-screen outside a
+// 3 C guard band); the traced front is unchanged, only wall-clock time
+// drops.
 //
-// -memo shares one content-addressed memo store across all weight
-// settings: the Eq. 6 weights enter the objective, not the pipeline
+// All weight settings share one content-addressed memo store: the
+// Eq. 6 weights enter the objective, not the pipeline
 // stages, so the frequency-independent sub-results (systolic profiles,
 // SRAM estimates, schedules, thermal coverage) computed for the first
 // weight are reused by every later one. -memo-dir persists the store
 // across invocations; -starts-parallel pools the annealing chains.
-// The traced front is identical with or without the flags.
+// The traced front is identical with or without either flag.
 //
 // With the telemetry flags, all weight settings share one hub, so the
 // -metrics summary aggregates stage timings across the whole front and
@@ -93,8 +93,7 @@ func main() {
 		maxFail   = flag.Int("max-failures", 0, "abort a weight setting once more than this many points are quarantined (0 = unlimited)")
 		failFast  = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
 		stageTO   = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast      = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		band      = flag.Float64("surrogate-band", tesa.DefaultSurrogateBandC, "surrogate pre-screen guard band in Celsius (with -thermal-fast)")
+		fast      = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		obs       = cli.ObservabilityFlags()
 		mf        = cli.MemoFlagsRegister()
 		jobPath   = cli.JobFlag()
@@ -104,8 +103,7 @@ func main() {
 	job, err := cli.ResolveJob(*jobPath, "pareto",
 		"tech", "freq", "fps", "temp", "front", "points", "pop", "gens",
 		"grid", "seed", "faults", "max-failures", "fail-fast",
-		"stage-timeout", "thermal-fast", "surrogate-band",
-		"surrogate", "surrogate-k")
+		"stage-timeout", "thermal-fast", "surrogate", "surrogate-k")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -150,7 +148,7 @@ func main() {
 		os.Exit(1)
 	}
 	finish := func(status string) {
-		if store != nil && obs.Metrics {
+		if obs.Metrics {
 			fmt.Fprintf(os.Stderr, "memo: %s\n", store.Stats())
 		}
 		sess.Finish(status)
@@ -166,7 +164,6 @@ func main() {
 	base.FreqHz = *freqMHz * 1e6
 	base.Grid = *grid
 	base.ThermalFast = *fast
-	base.SurrogateBandC = *band
 	base.Surrogate = *surrogate
 	base.SurrogateK = *surK
 	cons := tesa.DefaultConstraints()
@@ -226,11 +223,9 @@ func main() {
 			os.Exit(1)
 		}
 		ev.Instrument(tel)
-		if store != nil {
-			// One store across the whole front: the weight settings
-			// share every weight-independent sub-result.
-			ev.UseMemo(store)
-		}
+		// One store across the whole front: the weight settings share
+		// every weight-independent sub-result.
+		ev.UseMemo(store)
 		if err := cli.ApplyFaults(ev, *faultSpec, *stageTO); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -305,9 +300,7 @@ func runNSGA2(ctx context.Context, w tesa.Workload, opts tesa.Options, cons tesa
 		os.Exit(1)
 	}
 	ev.Instrument(tel)
-	if store != nil {
-		ev.UseMemo(store)
-	}
+	ev.UseMemo(store)
 	if err := cli.ApplyFaults(ev, faultSpec, stageTO); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -4,7 +4,7 @@
 //
 //	tesa-report [-table 3|4|5] [-fig 5|6] [-headline] [-validate] [-all]
 //	            [-grid 32] [-report-grid 88] [-seed 1]
-//	            [-thermal-fast] [-memo] [-surrogate]
+//	            [-thermal-fast] [-surrogate]
 //	            [-metrics] [-trace out.jsonl] [-pprof addr]
 //	            [-metrics-addr addr] [-manifest run.jsonl]
 //
@@ -17,12 +17,12 @@
 // figures, -metrics-addr serves the live exposition endpoints while
 // the (long) report runs, and -manifest records which sections ran.
 //
-// -thermal-fast runs the searches on the fast thermal path and -memo
-// shares one content-addressed memo store across every evaluator of
-// the run; both change wall-clock time only, not the reproduced
-// numbers. With -memo the -validate lines report the store's hit rate
-// (and the warm-start hit rate with -thermal-fast) next to the local
-// cache-hit rate. -surrogate turns on the learned ranking surrogate in
+// Every evaluator of the run shares one content-addressed memo store,
+// and -thermal-fast runs the searches on the fast thermal path; neither
+// changes the reproduced numbers, only wall-clock time. The -validate
+// lines report the store's hit rate next to the optimizer's cache-hit
+// rate (and the warm-start hit rate with -thermal-fast). -surrogate
+// turns on the learned ranking surrogate in
 // every evaluator; like the other speed knobs it reorders evaluation
 // only, and the -validate lines then report the surrogate.hit and
 // surrogate.rank counters (ranked decisions and candidates scored).
@@ -49,8 +49,7 @@ func main() {
 		grid       = flag.Int("grid", 32, "search-time thermal grid")
 		reportGrid = flag.Int("report-grid", 88, "reporting thermal grid (125 um cells)")
 		seed       = flag.Int64("seed", 1, "optimizer seed")
-		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		memoize    = flag.Bool("memo", false, "share one memo store across every evaluator of the run")
+		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate in every evaluator (reorders evaluation only)")
 		obs        = cli.ObservabilityFlags()
 	)
@@ -67,7 +66,6 @@ func main() {
 	cfg.ReportGrid = *reportGrid
 	cfg.Seed = *seed
 	cfg.ThermalFast = *fast
-	cfg.Memo = *memoize
 	cfg.Surrogate = *surrogate
 	cfg.Telemetry = sess.Tel
 	sess.Manifest.Set("space", cfg.Space.Fingerprint())
@@ -182,11 +180,8 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			line := fmt.Sprintf("%v: space=%d feasible=%d explored=%.1f%% cache-hits=%.1f%%",
-				c, v.SpaceSize, v.FeasibleCount, 100*v.ExploredFraction, 100*v.CacheHitRate)
-			if *memoize {
-				line += fmt.Sprintf(" memo-hits=%.1f%%", 100*v.MemoHitRate)
-			}
+			line := fmt.Sprintf("%v: space=%d feasible=%d explored=%.1f%% cache-hits=%.1f%% memo-hits=%.1f%%",
+				c, v.SpaceSize, v.FeasibleCount, 100*v.ExploredFraction, 100*v.CacheHitRate, 100*v.MemoHitRate)
 			if *fast {
 				line += fmt.Sprintf(" warm-hits=%.1f%%", 100*v.WarmStartHitRate)
 			}

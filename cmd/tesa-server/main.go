@@ -85,9 +85,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// The whole point of the service is cross-request warmth: the memo
-	// store is always on, -memo-dir adds persistence across restarts.
-	mf.Enable = true
+	// The whole point of the service is cross-request warmth: every job
+	// shares the run's memo store, -memo-dir adds persistence across
+	// restarts.
 	store, memoDone, err := mf.Store()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -193,7 +193,7 @@ func main() {
 		}
 	}
 
-	if obs.Metrics && store != nil {
+	if obs.Metrics {
 		fmt.Printf("memo: %+v\n", store.Stats().KindStats)
 	}
 	sess.Finish(status)

@@ -12,9 +12,9 @@
 //	           [-faults spec] [-max-failures 0] [-fail-fast]
 //	           [-stage-timeout 0] [-metrics] [-trace out.jsonl]
 //	           [-pprof addr] [-metrics-addr addr] [-manifest run.jsonl]
-//	           [-thermal-fast] [-surrogate-band 3]
+//	           [-thermal-fast]
 //	           [-surrogate] [-surrogate-k 8]
-//	           [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
+//	           [-memo-dir .tesa-memo] [-starts-parallel]
 //	tesa-sweep -coordinate :9090 -job spec.json
 //	           [-lease-ttl 10s] [-lease-shards 4] [-verify-frac 0.1]
 //	           [-checkpoint ledger.ckpt] [-resume ledger.ckpt]
@@ -24,11 +24,12 @@
 // "sweep") instead of per-setting flags: the same file drives this
 // command, the library, and tesa-server to bit-identical feasibility
 // counts and optima. Config flags conflict with -job; operational
-// flags (-progress, -checkpoint, -resume, -memo*, telemetry) compose.
+// flags (-progress, -checkpoint, -resume, -memo-dir, -starts-parallel,
+// telemetry) compose.
 //
 // -thermal-fast runs both the exhaustive sweep and the annealer on the
-// fast thermal path (workspace CG, warm starts, surrogate pre-screen
-// with a -surrogate-band guard band); feasibility decisions and the
+// fast thermal path (workspace CG, warm starts, closed-form pre-screen
+// outside a 3 C guard band); feasibility decisions and the
 // winning points are unchanged, only wall-clock time drops.
 //
 // -surrogate enables the learned ranking surrogate on both evaluators:
@@ -37,12 +38,12 @@
 // the annealer ranks its candidate moves. With -memo-dir, the model
 // warm-starts from the persisted evaluation corpus.
 //
-// -memo shares one content-addressed memo store between the exhaustive
-// sweep and the annealer, so the annealer's evaluations are served
-// from the sweep's results; -memo-dir persists the store across
-// invocations and -starts-parallel runs the annealing chains through a
-// worker pool. All three change wall-clock time only — the feasibility
-// counts, both optima, and the agreement verdict are identical.
+// The exhaustive sweep and the annealer share one content-addressed
+// memo store, so the annealer's evaluations are served from the sweep's
+// results; -memo-dir persists the store across invocations and
+// -starts-parallel runs the annealing chains through a worker pool.
+// Both change wall-clock time only — the feasibility counts, both
+// optima, and the agreement verdict are identical.
 //
 // By default the small validation space (64x64..128x128 arrays, coarse
 // ICS) is swept; -full sweeps the whole Table II space — the
@@ -118,8 +119,7 @@ func main() {
 		maxFailures = flag.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
 		failFast    = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
 		stageTO     = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast        = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		band        = flag.Float64("surrogate-band", tesa.DefaultSurrogateBandC, "surrogate pre-screen guard band in Celsius (with -thermal-fast)")
+		fast        = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		surrogate   = flag.Bool("surrogate", false, "learned ranking surrogate: order sweep shards and annealer moves best-predicted-first (results unchanged)")
 		surK        = flag.Int("surrogate-k", 0, "surrogate neighborhood size (0 = default; with -surrogate)")
 		coordinate  = flag.String("coordinate", "", "serve a distributed sweep coordinator on this address (requires -job)")
@@ -146,7 +146,7 @@ func main() {
 	job, err := cli.ResolveJob(*jobPath, "sweep",
 		"tech", "freq", "fps", "temp", "full", "grid", "seed", "shard",
 		"faults", "max-failures", "fail-fast", "stage-timeout",
-		"thermal-fast", "surrogate-band", "surrogate", "surrogate-k")
+		"thermal-fast", "surrogate", "surrogate-k")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -176,7 +176,7 @@ func main() {
 		os.Exit(1)
 	}
 	finish := func(status string) {
-		if store != nil && obs.Metrics {
+		if obs.Metrics {
 			fmt.Printf("memo: %s\n", store.Stats())
 		}
 		sess.Finish(status)
@@ -210,7 +210,6 @@ func main() {
 	opts.FreqHz = *freqMHz * 1e6
 	opts.Grid = *grid
 	opts.ThermalFast = *fast
-	opts.SurrogateBandC = *band
 	opts.Surrogate = *surrogate
 	opts.SurrogateK = *surK
 	cons := tesa.DefaultConstraints()
@@ -283,9 +282,7 @@ func main() {
 		os.Exit(1)
 	}
 	ex.Instrument(tel)
-	if store != nil {
-		ex.UseMemo(store)
-	}
+	ex.UseMemo(store)
 	if err := cli.ApplyFaults(ex, *faultSpec, *stageTO); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -332,11 +329,9 @@ func main() {
 		os.Exit(1)
 	}
 	op.Instrument(tel)
-	if store != nil {
-		// The same store the sweep filled: the annealer's evaluations
-		// are served from the exhaustive results.
-		op.UseMemo(store)
-	}
+	// The same store the sweep filled: the annealer's evaluations are
+	// served from the exhaustive results.
+	op.UseMemo(store)
 	if err := cli.ApplyFaults(op, *faultSpec, *stageTO); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

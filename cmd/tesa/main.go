@@ -9,20 +9,21 @@
 //	     [-faults spec] [-max-failures 0] [-fail-fast] [-stage-timeout 0]
 //	     [-metrics] [-trace out.jsonl] [-pprof addr]
 //	     [-metrics-addr addr] [-manifest run.jsonl]
-//	     [-thermal-fast] [-surrogate-band 3]
+//	     [-thermal-fast]
 //	     [-surrogate] [-surrogate-k 8]
-//	     [-memo] [-memo-dir .tesa-memo] [-starts-parallel]
+//	     [-memo-dir .tesa-memo] [-starts-parallel]
 //
 // -job runs a versioned jobspec document (tesa.jobspec/v1, kind
 // "optimize") instead of per-setting flags: the same file drives this
 // command, the library, and tesa-server to bit-identical results.
 // Config flags (-tech, -grid, ...) conflict with -job; operational
-// flags (-progress, -deadline, -memo*, the telemetry flags) compose
+// flags (-progress, -deadline, -memo-dir, -starts-parallel, the
+// telemetry flags) compose
 // with it, and an explicit -deadline overrides the spec's deadline_sec.
 //
 // -thermal-fast switches the search to the fast thermal path
-// (allocation-free workspace CG, warm-started solves, surrogate
-// pre-screening with a -surrogate-band guard band); reported tables
+// (allocation-free workspace CG, warm-started solves, closed-form
+// pre-screening outside a 3 C guard band); reported tables
 // always come from full-fidelity evaluations, so the flag changes
 // wall-clock time, not results.
 //
@@ -36,14 +37,14 @@
 // -surrogate-k tunes the model neighborhood and the per-step ranked
 // candidate count (0 = default).
 //
-// -memo memoizes pipeline sub-results (systolic profiles, SRAM
-// estimates, schedules, coverage maps, whole evaluations) in a
+// Pipeline sub-results (systolic profiles, SRAM estimates, schedules,
+// coverage maps, whole evaluations) are memoized in one
 // content-addressed store shared by all annealing chains; -memo-dir
-// additionally persists the store so repeated invocations with the
-// same models warm-start from disk. -starts-parallel runs the
-// annealing chains through a worker pool. All three change wall-clock
-// time only: the winning design point and every reported number are
-// identical with or without them.
+// persists the store so repeated invocations with the same models
+// warm-start from disk. -starts-parallel runs the annealing chains
+// through a worker pool. Both change wall-clock time only: the winning
+// design point and every reported number are identical with or without
+// them.
 //
 // The output reports the winning design point, its derived mesh and SRAM
 // capacity, and the full evaluation (peak temperature, power, cost, DRAM
@@ -100,8 +101,7 @@ func main() {
 		maxFail    = flag.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
 		failFast   = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
 		stageTO    = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, surrogate pre-screen")
-		band       = flag.Float64("surrogate-band", tesa.DefaultSurrogateBandC, "surrogate pre-screen guard band in Celsius (with -thermal-fast)")
+		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate: order candidate moves and seeds best-predicted-first (results unchanged)")
 		surK       = flag.Int("surrogate-k", 0, "surrogate neighborhood size and ranked-move candidate count (0 = default; with -surrogate)")
 		obs        = cli.ObservabilityFlags()
@@ -113,8 +113,8 @@ func main() {
 	job, err := cli.ResolveJob(*jobPath, "optimize",
 		"tech", "freq", "fps", "temp", "power", "interposer", "grid", "seed",
 		"alpha", "beta", "dataflow", "workload", "faults", "max-failures",
-		"fail-fast", "stage-timeout", "thermal-fast", "surrogate-band",
-		"surrogate", "surrogate-k")
+		"fail-fast", "stage-timeout", "thermal-fast", "surrogate",
+		"surrogate-k")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -145,7 +145,7 @@ func main() {
 	// finish finalizes the run manifest and flushes telemetry and the
 	// on-disk memo cache before any exit path (os.Exit skips defers).
 	finish := func(status string) {
-		if store != nil && obs.Metrics {
+		if obs.Metrics {
 			fmt.Printf("memo: %s\n", store.Stats())
 		}
 		sess.Finish(status)
@@ -177,7 +177,6 @@ func main() {
 	opts.Grid = *grid
 	opts.Alpha, opts.Beta = *alpha, *beta
 	opts.ThermalFast = *fast
-	opts.SurrogateBandC = *band
 	opts.Surrogate = *surrogate
 	opts.SurrogateK = *surK
 	cons := tesa.Constraints{FPS: *fps, PowerBudgetW: *powerW, TempBudgetC: *tempC, InterposerMM: *interposer}
@@ -209,9 +208,7 @@ func main() {
 		os.Exit(1)
 	}
 	ev.Instrument(tel)
-	if store != nil {
-		ev.UseMemo(store)
-	}
+	ev.UseMemo(store)
 	if err := cli.ApplyFaults(ev, *faultSpec, *stageTO); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -177,17 +177,12 @@ func (s *Session) Finish(status string) {
 	}
 }
 
-// MemoFlags bundles the cross-point memoization and parallel-annealing
-// flags of the search commands: -memo (share one content-addressed
-// store across every evaluator of the run), -memo-dir (persist it
-// across invocations), and -starts-parallel (run the annealing chains
-// through a worker pool with deterministic parallel start sampling).
+// MemoFlags bundles the memo-store and parallel-annealing flags of the
+// search commands: -memo-dir (persist the run's memo store across
+// invocations) and -starts-parallel (run the annealing chains through a
+// worker pool with deterministic parallel start sampling).
 type MemoFlags struct {
-	// Enable turns sub-evaluation memoization on (-memo). Off by
-	// default: without it the pipeline byte-for-byte matches the
-	// unmemoized build.
-	Enable bool
-	// Dir is the on-disk cache directory (-memo-dir, implies -memo).
+	// Dir is the on-disk cache directory (-memo-dir).
 	Dir string
 	// Parallel runs the multi-start annealing chains concurrently
 	// (-starts-parallel). Results are identical to the sequential
@@ -195,28 +190,21 @@ type MemoFlags struct {
 	Parallel bool
 }
 
-// MemoFlagsRegister registers -memo, -memo-dir, and -starts-parallel on
-// the default flag set and returns the struct they populate after
+// MemoFlagsRegister registers -memo-dir and -starts-parallel on the
+// default flag set and returns the struct they populate after
 // flag.Parse.
 func MemoFlagsRegister() *MemoFlags {
 	m := &MemoFlags{}
-	flag.BoolVar(&m.Enable, "memo", false, "memoize pipeline stages in a store shared across the whole run")
-	flag.StringVar(&m.Dir, "memo-dir", "", "persist the memo store in this directory across invocations (implies -memo)")
+	flag.StringVar(&m.Dir, "memo-dir", "", "persist the run's memo store in this directory across invocations")
 	flag.BoolVar(&m.Parallel, "starts-parallel", false, "run the annealing chains through a worker pool (identical results, less wall-clock)")
 	return m
 }
 
-// Store materializes the flags: nil when memoization is off, otherwise
-// a fresh shared store, warm-started from -memo-dir when one was given.
-// The returned closer flushes the on-disk cache (a no-op without
-// -memo-dir); call it before every exit path.
+// Store returns the run's memo store, which every evaluator the command
+// builds shares: a fresh in-memory store, warm-started from -memo-dir
+// when one was given. The returned closer flushes the on-disk cache (a
+// no-op without -memo-dir); call it before every exit path.
 func (m *MemoFlags) Store() (*tesa.MemoStore, func() error, error) {
-	if m.Dir != "" {
-		m.Enable = true
-	}
-	if !m.Enable {
-		return nil, func() error { return nil }, nil
-	}
 	s := tesa.NewMemoStore()
 	if m.Dir == "" {
 		return s, func() error { return nil }, nil

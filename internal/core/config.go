@@ -117,24 +117,16 @@ type Options struct {
 	// clearly-infeasible and clearly-feasible points skip the grid solve
 	// entirely. Off by default: the zero value reproduces the reference
 	// evaluation bit for bit. Feasibility decisions are preserved —
-	// surrogate skips fire only outside the SurrogateBandC guard band,
-	// and the fast tolerance keeps peaks within ~1e-3 C of the
-	// reference (see DESIGN.md, "Thermal solver").
+	// pre-screen skips fire only outside a 3 C guard band around the
+	// temperature budget (prescreenBandC), and the fast tolerance keeps
+	// peaks within ~1e-3 C of the reference (see DESIGN.md, "Thermal
+	// solver").
 	ThermalFast bool
-	// SurrogateBandC is the guard band in Celsius around the temperature
-	// budget inside which the surrogate pre-screen refuses to decide and
-	// falls through to the grid solve. A hot-skip requires the lumped
-	// underestimate to exceed budget+band; a cool-skip requires the
-	// column-bound overestimate to stay under budget-band. Larger bands
-	// are more conservative (fewer skips). Only consulted when
-	// ThermalFast is set; DefaultSurrogateBandC is the validated
-	// default.
-	SurrogateBandC float64
 	// Surrogate enables the learned search ranking (the CLIs' -surrogate
 	// flag): an online k-NN/RBF regressor over design-point feature
 	// vectors, trained incrementally from this process's completed
 	// evaluations (plus the memo store's corpus, including -memo-dir
-	// replays, when memoization is on), ranks annealer candidate moves,
+	// replays), ranks annealer candidate moves,
 	// multi-start seed pools, and sweep shard interiors
 	// best-predicted-first. Every proposal the ranking makes is still
 	// evaluated by the real pipeline and reported winners are always
@@ -147,40 +139,32 @@ type Options struct {
 	// annealer's candidate-move count; 0 selects the package default
 	// (surrogate.DefaultK). Only consulted when Surrogate is set.
 	SurrogateK int
-	// Memo enables the cross-point memoization layer (the CLIs'
-	// -memo flag): stage results (per-network systolic simulations, SRAM
-	// scalars, schedules, coverage maps) and whole-point DSE evaluations
-	// are served by content-addressed fingerprint from a store shared by
-	// every chain in the process. Every served value is one the plain
-	// pipeline would have computed bit-identically, so results are
-	// unchanged — off by default, like ThermalFast. NewEvaluator creates
-	// a private store; Evaluator.UseMemo attaches a shared one and
-	// LoadMemoDir adds cross-process persistence.
-	Memo bool
 }
 
-// DefaultSurrogateBandC is the default surrogate guard band (Celsius)
-// around the temperature budget: skips fire only when the closed-form
-// estimates clear the budget by this margin, absorbing the model error
-// the surrogates carry relative to the grid solver (the lumped estimate
-// trails the peak, the column bound leads it; see DESIGN.md).
-const DefaultSurrogateBandC = 3
+// prescreenBandC is the ThermalFast pre-screen's guard band (Celsius)
+// around the temperature budget: a hot skip requires the lumped
+// underestimate to exceed budget+band, a cool skip requires the
+// column-bound overestimate to stay under budget-band, and points inside
+// the band fall through to the grid solve. The band absorbs the model
+// error the closed-form estimates carry relative to the grid solver (the
+// lumped estimate trails the peak, the column bound leads it; see
+// DESIGN.md).
+const prescreenBandC = 3
 
 // DefaultOptions returns the evaluation configuration used by the
 // paper's experiments: 2-D chiplets, 400 MHz, output-stationary dataflow,
 // the 125 um HotSpot grid, and alpha = beta = 1.
 func DefaultOptions() Options {
 	return Options{
-		Tech:           Tech2D,
-		FreqHz:         400e6,
-		Dataflow:       systolic.OutputStationary,
-		Grid:           64,
-		Alpha:          1,
-		Beta:           1,
-		MinChiplets:    2,
-		RefCostUSD:     10,
-		RefDRAMWatts:   5,
-		SurrogateBandC: DefaultSurrogateBandC,
+		Tech:         Tech2D,
+		FreqHz:       400e6,
+		Dataflow:     systolic.OutputStationary,
+		Grid:         64,
+		Alpha:        1,
+		Beta:         1,
+		MinChiplets:  2,
+		RefCostUSD:   10,
+		RefDRAMWatts: 5,
 	}
 }
 
@@ -200,9 +184,6 @@ func (o Options) Validate() error {
 	}
 	if o.Tech != Tech2D && o.Tech != Tech3D {
 		return fmt.Errorf("core: unknown tech %d", int(o.Tech))
-	}
-	if o.SurrogateBandC < 0 {
-		return fmt.Errorf("core: negative surrogate guard band %g", o.SurrogateBandC)
 	}
 	if o.SurrogateK < 0 {
 		return fmt.Errorf("core: negative surrogate neighborhood %d", o.SurrogateK)

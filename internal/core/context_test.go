@@ -141,29 +141,6 @@ func TestOptimizeContextProgress(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersUnchanged: Optimize and Exhaustive keep their
-// historical contracts — in particular the (Found=false, nil error)
-// no-solution outcome that OptimizeContext reports as
-// ErrNoFeasibleStart.
-func TestLegacyWrappersUnchanged(t *testing.T) {
-	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	e.Cons.PowerBudgetW = 0.01
-	res, err := e.Optimize(tinySpace(), 1)
-	if err != nil {
-		t.Fatalf("legacy Optimize surfaced an error on no-solution: %v", err)
-	}
-	if res == nil || res.Found {
-		t.Fatalf("legacy Optimize no-solution result = %+v", res)
-	}
-
-	e2 := testEvaluator(t, Tech2D, 400, 15, 85)
-	e2.Cons.PowerBudgetW = 0.01
-	_, err = e2.OptimizeContext(context.Background(), tinySpace(), 1, nil)
-	if !errors.Is(err, ErrNoFeasibleStart) {
-		t.Fatalf("OptimizeContext no-solution err = %v, want ErrNoFeasibleStart", err)
-	}
-}
-
 // TestSentinelErrInvalidSpace: Validate failures and off-space design
 // points match ErrInvalidSpace.
 func TestSentinelErrInvalidSpace(t *testing.T) {

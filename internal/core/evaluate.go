@@ -132,7 +132,8 @@ func (ev *Evaluation) Compact() bool { return ev.compact }
 
 // Evaluator runs the TESA pipeline for design points of one workload
 // under one (Options, Constraints) setting, memoizing both the
-// performance simulations and whole-point evaluations — the paper's
+// performance simulations and whole-point evaluations in one memo store
+// (private unless UseMemo attaches a shared one) — the paper's
 // SCALE-Sim runs take minutes to hours per point, which is exactly why
 // the real tool-chain caches too.
 type Evaluator struct {
@@ -167,10 +168,14 @@ type Evaluator struct {
 	// temperature-rise field per thermal geometry class (see warmKey).
 	warm warmCache
 
-	// memo is the optional cross-point memoization store (nil =
-	// disabled); see UseMemo and Options.Memo. It may be shared across
-	// evaluators — keys carry configuration fingerprints.
+	// memo is the point and stage cache every evaluation runs through:
+	// a private store from NewEvaluator, or a shared one attached with
+	// UseMemo. Keys carry configuration fingerprints, so one store can
+	// serve any number of evaluators.
 	memo *memo.Store
+	// isolated is the private store an armed fault plan forces; see
+	// store.
+	isolated *memo.Store
 	// sur is the online learned search ranking (nil unless
 	// Options.Surrogate); surReplay guards the one-time corpus replay
 	// from the memo store, and surStats mirrors the surrogate.*
@@ -184,11 +189,11 @@ type Evaluator struct {
 	perfFP string   // performance-model (systolic/sched) fingerprint
 	netFPs []string // per-network content fingerprints
 
-	mu     sync.Mutex
-	cache  map[DesignPoint]*Evaluation
-	failed map[DesignPoint]*EvalError // quarantine ledger: poisoned points and why
-	hits   int                        // Evaluate calls served from the memo cache
-	misses int                        // Evaluate calls that ran the pipeline
+	mu      sync.Mutex
+	visited map[DesignPoint]struct{}   // points evaluated successfully (Explored)
+	failed  map[DesignPoint]*EvalError // quarantine ledger: poisoned points and why
+	hits    int                        // Evaluate calls that did not run the pipeline
+	misses  int                        // Evaluate calls that ran the pipeline
 }
 
 // Instrument attaches an observability hub: the pipeline records
@@ -215,13 +220,30 @@ func (e *Evaluator) Telemetry() *telemetry.Telemetry { return e.tel }
 // internal/faults and ParseFaults): at each stage boundary a matching
 // rule stalls, panics, fails, or poisons the stage output with NaN,
 // exercising exactly the recovery paths real pathological points take.
-// A nil or empty plan (the default) disables injection. Call before the
+// A nil or empty plan (the default) disables injection. An armed plan
+// switches the evaluator to a private store (see store). Call before the
 // first Evaluate.
 func (e *Evaluator) InjectFaults(plan *faults.Plan) {
 	if plan != nil && plan.Empty() {
 		plan = nil
 	}
 	e.injected = plan
+	e.isolated = nil
+	if plan != nil {
+		e.isolated = memo.NewStore()
+	}
+}
+
+// store returns the memo store this evaluator's pipeline reads and
+// writes, and is the one place the fault-injection policy is decided:
+// while a fault plan is armed, every evaluation runs against a private
+// store, so injected faults fire at this evaluator's own stage
+// boundaries and no injected run's results reach a shared store.
+func (e *Evaluator) store() *memo.Store {
+	if e.isolated != nil {
+		return e.isolated
+	}
+	return e.memo
 }
 
 // SetStageTimeout bounds each pipeline stage's wall time: a stage that
@@ -287,13 +309,11 @@ func NewEvaluator(w dnn.Workload, opts Options, cons Constraints, models Models)
 		Cons:     cons,
 		Models:   models,
 		sim:      systolic.NewSimulator(),
-		cache:    make(map[DesignPoint]*Evaluation),
-		failed:   make(map[DesignPoint]*EvalError),
-	}
-	if opts.Memo {
 		// A private store; callers that want cross-evaluator or
 		// cross-process sharing attach one with UseMemo / LoadMemoDir.
-		e.memo = memo.NewStore()
+		memo:    memo.NewStore(),
+		visited: make(map[DesignPoint]struct{}),
+		failed:  make(map[DesignPoint]*EvalError),
 	}
 	if opts.Surrogate {
 		e.sur = surrogate.New(opts.SurrogateK)
@@ -301,26 +321,29 @@ func NewEvaluator(w dnn.Workload, opts Options, cons Constraints, models Models)
 	return e, nil
 }
 
-// Explored returns the number of distinct design points evaluated so far
-// (used for the paper's "<15% of the space explored" claim).
+// Explored returns the number of distinct design points this evaluator
+// has evaluated successfully (used for the paper's "<15% of the space
+// explored" claim). It counts points, not pipeline runs: a point served
+// by a store another evaluator filled counts too.
 func (e *Evaluator) Explored() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.cache)
+	return len(e.visited)
 }
 
-// Evaluations returns the total number of Evaluate/EvaluateFull calls,
-// including the ones served from the memo cache. The gap between
-// Evaluations and Explored is the annealers' revisit traffic.
+// Evaluations returns the total number of Evaluate/EvaluateFull calls.
+// The gap between Evaluations and Explored is the annealers' revisit
+// traffic.
 func (e *Evaluator) Evaluations() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.hits + e.misses
 }
 
-// CacheHitRate returns the fraction of Evaluate calls served from the
-// memo cache (0 before the first call) — the single source of truth the
-// CLIs report instead of re-deriving it from Evaluations and Explored.
+// CacheHitRate returns the fraction of Evaluate calls that did not run
+// the pipeline — served by the memo store or the quarantine ledger (0
+// before the first call) — the single source of truth the CLIs report
+// instead of re-deriving it from Evaluations and Explored.
 func (e *Evaluator) CacheHitRate() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -366,61 +389,64 @@ func (e *Evaluator) EvaluateFullContext(ctx context.Context, p DesignPoint) (*Ev
 
 func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
 	e.mu.Lock()
-	if ev, ok := e.cache[p]; ok && (ev.Full || !full) {
-		e.hits++
-		e.mu.Unlock()
-		e.tel.Registry().Counter("evaluator.cache.hit").Inc()
-		return ev, nil
-	}
-	if ee, ok := e.failed[p]; ok {
+	ee, failed := e.failed[p]
+	e.mu.Unlock()
+	if failed {
 		// Failures are memoized too: the pipeline is deterministic, so
 		// retrying a poisoned point would only fail the same way again.
-		e.hits++
-		e.mu.Unlock()
-		e.tel.Registry().Counter("evaluator.cache.hit").Inc()
+		e.tally(false)
 		return nil, ee
 	}
-	e.misses++
-	e.mu.Unlock()
-	e.tel.Registry().Counter("evaluator.cache.miss").Inc()
-
-	var ev *Evaluation
-	var err error
-	if e.memo != nil && e.injected == nil {
-		// Shared-store path: whole-point results flow through the memo
-		// layer (single-flight across chains and evaluators, optionally
-		// persisted). Bypassed under fault injection — injected faults
-		// must fire at this evaluator's own stage boundaries, so only the
-		// stage-level memoization inside the pipeline applies there.
-		ev, err = e.sharedEvaluate(p, full)
-	} else {
-		ev, err = e.pipeline(p, full)
-	}
+	ev, ran, err := e.sharedEvaluate(p, full)
+	e.tally(ran)
 	if err != nil {
 		if ee, ok := asEvalError(err); ok {
 			e.quarantine(ee)
 		}
 		return nil, err
 	}
-	if ev.Feasible {
-		e.tel.Registry().Counter("evaluator.feasible").Inc()
-	} else {
-		e.tel.Registry().Counter("evaluator.infeasible").Inc()
+	if ran {
+		if ev.Feasible {
+			e.tel.Registry().Counter("evaluator.feasible").Inc()
+		} else {
+			e.tel.Registry().Counter("evaluator.infeasible").Inc()
+		}
 	}
 	e.mu.Lock()
-	e.cache[p] = ev
+	_, seen := e.visited[p]
+	e.visited[p] = struct{}{}
 	e.mu.Unlock()
-	// Completed evaluations train the search surrogate online (a no-op
-	// unless Options.Surrogate); see surrogate.go for what qualifies.
-	e.trainSurrogate(ev)
+	if !seen {
+		// A point's first evaluation trains the search surrogate online
+		// (a no-op unless Options.Surrogate); see surrogate.go for what
+		// qualifies.
+		e.trainSurrogate(ev)
+	}
 	return ev, nil
+}
+
+// tally counts one Evaluate call as a miss when it ran the pipeline and
+// as a hit otherwise.
+func (e *Evaluator) tally(ran bool) {
+	e.mu.Lock()
+	if ran {
+		e.misses++
+	} else {
+		e.hits++
+	}
+	e.mu.Unlock()
+	if ran {
+		e.tel.Registry().Counter("evaluator.cache.miss").Inc()
+	} else {
+		e.tel.Registry().Counter("evaluator.cache.hit").Inc()
+	}
 }
 
 // quarantine records a point-local evaluation failure in the ledger
 // (first writer wins when concurrent workers race on one point) and
-// bumps the failure counters. Quarantined points count as explored —
-// subsequent Evaluate calls return the memoized error without rerunning
-// the pipeline.
+// bumps the failure counters. Quarantined points do not count as
+// explored (Explored counts successful evaluations); subsequent Evaluate
+// calls return the memoized error without rerunning the pipeline.
 func (e *Evaluator) quarantine(ee *EvalError) {
 	e.mu.Lock()
 	if _, dup := e.failed[ee.Point]; dup {

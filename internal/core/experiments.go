@@ -33,19 +33,17 @@ type ExperimentConfig struct {
 	// numbers are unchanged; the validation study reports how many
 	// search decisions the model served.
 	Surrogate bool
-	// Memo shares one cross-point memoization store across every
-	// evaluator the experiment creates — the exhaustive sweep, the
-	// optimizer, per-corner runs and the fine-grid re-evaluations — so
-	// repeated sub-computations are paid once per experiment instead of
-	// once per evaluator. Results are unchanged (see Options.Memo).
-	Memo bool
 	// Telemetry, when non-nil, instruments every evaluator the
 	// experiment creates, so one hub aggregates stage timings and
 	// counters across all tables and figures of a report run.
 	Telemetry *telemetry.Telemetry
 
-	mu        sync.Mutex
-	corners   map[Corner]*TableVRow
+	mu      sync.Mutex
+	corners map[Corner]*TableVRow
+	// memoStore is shared by every evaluator the experiment creates —
+	// the exhaustive sweep, the optimizer, per-corner runs and the
+	// fine-grid re-evaluations — so repeated sub-computations are paid
+	// once per experiment instead of once per evaluator.
 	memoStore *memo.Store
 }
 
@@ -59,16 +57,14 @@ func (cfg *ExperimentConfig) store() *memo.Store {
 	return cfg.memoStore
 }
 
-// newEvaluator builds an evaluator for one corner's options, attaching
-// the shared memo store when Memo is set.
+// newEvaluator builds an evaluator for one corner's options on the
+// experiment's shared memo store.
 func (cfg *ExperimentConfig) newEvaluator(opts Options, cons Constraints) (*Evaluator, error) {
 	e, err := NewEvaluator(cfg.Workload, opts, cons, cfg.Models)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Memo {
-		e.UseMemo(cfg.store())
-	}
+	e.UseMemo(cfg.store())
 	e.Instrument(cfg.Telemetry)
 	return e, nil
 }
@@ -486,12 +482,13 @@ type ValidationResult struct {
 	// ExploredFraction is the share of the space the annealers touched
 	// (the paper reports <15%).
 	ExploredFraction float64
-	// CacheHitRate is the optimizer evaluator's memo-cache hit rate —
-	// how much of the annealers' revisit traffic the cache absorbed.
+	// CacheHitRate is the share of the optimizer evaluator's calls that
+	// did not run the pipeline — revisits and points the sweep already
+	// evaluated, served by the shared store.
 	CacheHitRate float64
 	// MemoHitRate is the shared memoization store's hit rate across both
-	// evaluators (zero unless ExperimentConfig.Memo is set) — how much
-	// cross-evaluator traffic the memo layer absorbed.
+	// evaluators — how much cross-evaluator traffic the memo layer
+	// absorbed.
 	MemoHitRate float64
 	// WarmStartHitRate is the thermal warm-start cache hit rate summed
 	// over both evaluators (zero unless ThermalFast ran grid solves).
@@ -532,9 +529,9 @@ func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Cor
 		return nil, err
 	}
 
-	// With Memo, the optimizer evaluator shares the sweep's store: every
-	// point the sweep touched is served without recomputation, which is
-	// exactly the cross-evaluator sharing the memo layer exists for.
+	// The optimizer evaluator shares the sweep's store: every point the
+	// sweep touched is served without recomputation, which is exactly
+	// the cross-evaluator sharing the memo layer exists for.
 	op, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
@@ -552,9 +549,7 @@ func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Cor
 		SpaceSize:        exRes.Total,
 		ExploredFraction: float64(opRes.Explored) / float64(exRes.Total),
 		CacheHitRate:     op.CacheHitRate(),
-	}
-	if cfg.Memo {
-		res.MemoHitRate = op.MemoStats().HitRate()
+		MemoHitRate:      op.MemoStats().HitRate(),
 	}
 	exHits, exMisses := ex.WarmStartStats()
 	opHits, opMisses := op.WarmStartStats()

@@ -92,7 +92,7 @@ func (c *warmCache) put(k warmKey, rises []float64) {
 // surrogatePrescreen is the fast path's pre-screen gate: before paying
 // for a grid solve it brackets the true peak temperature with the two
 // closed-form surrogates and skips the solve when the bracket clears
-// the budget by the guard band on either side.
+// the budget by the guard band (prescreenBandC) on either side.
 //
 //   - Hot skip: thermal.LumpedEstimate rounds the spatial peak toward
 //     the mean, so lumped > budget+band certifies a genuine temperature
@@ -118,7 +118,7 @@ func (c *warmCache) put(k warmKey, rises []float64) {
 //     (half-resolution) grid. The same super-solution argument bounds
 //     the coarse fixed point by u; the guard band then covers the
 //     coarse-to-full discretization transfer (measured below 2 C at
-//     grid 24 vs 12 across the test sweep, inside the 3 C default
+//     grid 24 vs 12 across the test sweep, inside the 3 C
 //     band). One coarse solve costs about an eighth of the full-grid
 //     leakage fixed point it replaces. u is capped at the runaway
 //     classification limit so a certified-cool point can never be one
@@ -128,25 +128,24 @@ func (c *warmCache) put(k warmKey, rises []float64) {
 // tags ThermalFidelity "surrogate-hot" / "surrogate-cool"; a true
 // return means the grid ladder should not run. Points inside the band —
 // where the surrogates cannot decide — fall through to the grid solve,
-// so at the default band no feasible point is ever wrongly rejected
+// so no feasible point is ever wrongly rejected
 // (and no infeasible point wrongly accepted); the fastpath tests sweep
 // the design space to verify both directions.
 func (e *Evaluator) surrogatePrescreen(ev *Evaluation, phases []phasePower, place *floorplan.Placement, domainMM float64, est sram.Estimate) bool {
-	band := e.Opts.SurrogateBandC
 	coarse := e.Opts.Grid / 2
 	if coarse < 8 {
 		coarse = 8
 	}
 	hot := thermalFidelity{name: "surrogate-hot", grid: coarse, lumped: true}
 	if err := e.thermalAttempt(ev, phases, place, domainMM, est, hot); err == nil {
-		if ev.Runaway || ev.PeakTempC > e.Cons.TempBudgetC+band || ev.TotalPowerW > e.Cons.PowerBudgetW {
+		if ev.Runaway || ev.PeakTempC > e.Cons.TempBudgetC+prescreenBandC || ev.TotalPowerW > e.Cons.PowerBudgetW {
 			ev.ThermalFidelity = hot.name
 			e.tel.Registry().Counter("thermal.fidelity." + hot.name).Inc()
 			e.tel.Registry().Counter("thermal.surrogate.skip.hot").Inc()
 			return true
 		}
 	}
-	pin := e.Cons.TempBudgetC - band
+	pin := e.Cons.TempBudgetC - prescreenBandC
 	if pin > runawayLimitC {
 		pin = runawayLimitC
 	}

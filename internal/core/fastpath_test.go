@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 	"tesa/internal/telemetry"
 )
 
-// fastEvaluator mirrors testEvaluator with the ThermalFast path enabled
-// at the default guard band.
+// fastEvaluator mirrors testEvaluator with the ThermalFast path
+// enabled.
 func fastEvaluator(t *testing.T, tech Tech, freqMHz, fps, budgetC float64) *Evaluator {
 	t.Helper()
 	opts := DefaultOptions()
@@ -38,7 +39,7 @@ func gateSpace() Space {
 }
 
 // TestSurrogateGateSoundness is the gate-correctness satellite: across
-// the design sub-space, at the default guard band, the fast path makes
+// the design sub-space, at the pre-screen guard band, the fast path makes
 // exactly the same feasibility decision as the reference evaluation on
 // every point — no feasible point is wrongly skipped (hot) and no
 // infeasible point wrongly admitted (cool) — and grid-solved fast
@@ -126,12 +127,12 @@ func TestSurrogateGateFullModeBypass(t *testing.T) {
 func TestFastPathIdenticalWinner(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := fastEvaluator(t, Tech2D, 400, 15, 85)
-	fastRes, err := fast.Optimize(space, 3)
+	fastRes, err := fast.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +161,12 @@ func TestFastPathIdenticalWinner(t *testing.T) {
 	}
 }
 
-// TestWarmStartCacheHits: with the surrogate gate held open (an
-// impossibly wide band), consecutive same-geometry evaluations hit the
-// warm-start cache, and the cached guess does not change the result
+// TestWarmStartCacheHits: consecutive same-geometry reporting-mode
+// evaluations (which never pre-screen, so every point grid-solves) hit
+// the warm-start cache, and the cached guess does not change the result
 // beyond the solver contract.
 func TestWarmStartCacheHits(t *testing.T) {
 	fast := fastEvaluator(t, Tech2D, 400, 15, 85)
-	fast.Opts.SurrogateBandC = 1e6 // gate never decides: every point grid-solves
 	tel := telemetry.New(nil)
 	fast.Instrument(tel)
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
@@ -175,11 +175,11 @@ func TestWarmStartCacheHits(t *testing.T) {
 	// class, distinct design points (no memo-cache interference).
 	points := []DesignPoint{{ArrayDim: 196, ICSUM: 250}, {ArrayDim: 196, ICSUM: 500}, {ArrayDim: 196, ICSUM: 750}}
 	for _, p := range points {
-		fev, err := fast.Evaluate(p)
+		fev, err := fast.EvaluateFull(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rev, err := ref.Evaluate(p)
+		rev, err := ref.EvaluateFull(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,14 +196,5 @@ func TestWarmStartCacheHits(t *testing.T) {
 	}
 	if misses < 1 {
 		t.Errorf("warm-start cache never missed (%d hits, %d misses) — first evaluation should miss", hits, misses)
-	}
-}
-
-// TestSurrogateBandValidation: a negative guard band is rejected.
-func TestSurrogateBandValidation(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SurrogateBandC = -1
-	if err := opts.Validate(); err == nil {
-		t.Error("negative surrogate band accepted")
 	}
 }

@@ -283,6 +283,10 @@ func TestFailureMemoized(t *testing.T) {
 	if e.Evaluations() != 2 || e.CacheHitRate() != 0.5 {
 		t.Errorf("evaluations=%d hitRate=%.2f, want the retry served from cache", e.Evaluations(), e.CacheHitRate())
 	}
+	// Explored counts successful evaluations only.
+	if n := e.Explored(); n != 0 {
+		t.Errorf("explored %d after a quarantined retry, want 0", n)
+	}
 }
 
 // TestDegradedThermalRetry walks the fidelity ladder: each additional

@@ -3,33 +3,15 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"tesa/internal/dnn"
 	"tesa/internal/memo"
 	"tesa/internal/telemetry"
 )
-
-// memoEvaluator mirrors testEvaluator with Options.Memo enabled (a
-// fresh private store).
-func memoEvaluator(t *testing.T, tech Tech, freqMHz, fps, budgetC float64) *Evaluator {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.Tech = tech
-	opts.FreqHz = freqMHz * 1e6
-	opts.Grid = 24
-	opts.Memo = true
-	cons := DefaultConstraints()
-	cons.FPS = fps
-	cons.TempBudgetC = budgetC
-	e, err := NewEvaluator(dnn.ARVRWorkload(), opts, cons, Models{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 // recordJSON canonicalizes every scalar a DSE consumer reads (via the
 // persisted-record encoding, whose jf wrapper makes NaN/Inf
@@ -43,85 +25,130 @@ func recordJSON(t *testing.T, ev *Evaluation) string {
 	return string(raw)
 }
 
-// TestMemoEvaluationsBitIdentical: every evaluation served through the
-// memo store is bit-identical to the plain pipeline's — all scalars
-// (compared through the NaN-safe record encoding) and the structural
-// outputs (schedule, placement) alike, in both DSE and reporting mode.
-func TestMemoEvaluationsBitIdentical(t *testing.T) {
-	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	mem := memoEvaluator(t, Tech2D, 400, 15, 85)
-	if mem.Memo() == nil {
-		t.Fatal("Options.Memo did not attach a store")
+// freshEvaluation evaluates p (DSE mode, or reporting mode when full)
+// on a brand-new evaluator, so nothing it computes was served by a store
+// entry another point or evaluator filled: the reference every
+// store-served path must match.
+func freshEvaluation(t *testing.T, p DesignPoint, full bool) (*Evaluation, error) {
+	t.Helper()
+	e := testEvaluator(t, Tech2D, 400, 15, 85)
+	if full {
+		return e.EvaluateFull(p)
 	}
-	for _, p := range gateSpace().Enumerate() {
-		rev, rerr := ref.Evaluate(p)
-		mev, merr := mem.Evaluate(p)
-		if (rerr == nil) != (merr == nil) {
-			t.Fatalf("%v: error disagreement: ref %v, memo %v", p, rerr, merr)
+	return e.Evaluate(p)
+}
+
+// TestMemoEvaluationsBitIdentical: every evaluation served through a
+// memo store is bit-identical to a fresh evaluator's — one evaluator
+// whose store is warm with every earlier point's stage results, a peer
+// served whole evaluations from that store, and a store replayed from
+// disk — all scalars (compared through the NaN-safe record encoding)
+// and, where the evaluation carries them, the structural outputs
+// (schedule, placement), in both DSE and reporting mode.
+func TestMemoEvaluationsBitIdentical(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "memo")
+	store := memo.NewStore()
+	closeDisk, err := LoadMemoDir(store, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := testEvaluator(t, Tech2D, 400, 15, 85)
+	warm.UseMemo(store)
+	pts := gateSpace().Enumerate()
+	refs := make(map[DesignPoint]*Evaluation, len(pts))
+	for _, p := range pts {
+		rev, rerr := freshEvaluation(t, p, false)
+		wev, werr := warm.Evaluate(p)
+		if (rerr == nil) != (werr == nil) {
+			t.Fatalf("%v: error disagreement: fresh %v, warm store %v", p, rerr, werr)
 		}
 		if rerr != nil {
 			continue
 		}
-		if a, b := recordJSON(t, rev), recordJSON(t, mev); a != b {
-			t.Errorf("%v: DSE evaluation diverged:\nref  %s\nmemo %s", p, a, b)
+		refs[p] = rev
+		if a, b := recordJSON(t, rev), recordJSON(t, wev); a != b {
+			t.Errorf("%v: DSE evaluation diverged:\nfresh %s\nwarm  %s", p, a, b)
 		}
-		if !reflect.DeepEqual(rev.Schedule, mev.Schedule) {
+		if !reflect.DeepEqual(rev.Schedule, wev.Schedule) {
 			t.Errorf("%v: schedule diverged", p)
 		}
-		if !reflect.DeepEqual(rev.Placement, mev.Placement) {
+		if !reflect.DeepEqual(rev.Placement, wev.Placement) {
 			t.Errorf("%v: placement diverged", p)
 		}
 	}
+	if err := closeDisk(); err != nil {
+		t.Fatal(err)
+	}
 	// Stage-level sharing must have fired across the sweep.
-	st := mem.MemoStats()
-	if st.Hits == 0 {
+	if st := warm.MemoStats(); st.Hits == 0 {
 		t.Fatalf("store never hit: %+v", st)
 	}
-	// A second evaluator sharing the store is served whole evaluations
-	// (within one evaluator, repeats stop at the local cache instead).
-	p := gateSpace().Enumerate()[0]
+
+	// A second evaluator sharing the store is served whole evaluations.
+	p := pts[0]
 	peer := testEvaluator(t, Tech2D, 400, 15, 85)
-	peer.UseMemo(mem.Memo())
-	before := mem.MemoStats().Kinds["eval"].Hits
+	peer.UseMemo(store)
+	before := store.Stats().Kinds["eval"].Hits
 	pev, err := peer.Evaluate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.MemoStats().Kinds["eval"].Hits == before {
+	if store.Stats().Kinds["eval"].Hits == before {
 		t.Error("peer evaluation did not hit the eval store")
 	}
-	if rev, err := ref.Evaluate(p); err == nil {
-		if recordJSON(t, pev) != recordJSON(t, rev) {
-			t.Error("store-served evaluation diverged from the reference")
+	if rev := refs[p]; rev != nil && recordJSON(t, pev) != recordJSON(t, rev) {
+		t.Error("store-served evaluation diverged from the fresh one")
+	}
+
+	// A store replayed from disk serves compact records carrying the
+	// same scalars.
+	replayed := memo.NewStore()
+	closeReplay, err := LoadMemoDir(replayed, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeReplay()
+	disk := testEvaluator(t, Tech2D, 400, 15, 85)
+	disk.UseMemo(replayed)
+	for p, rev := range refs {
+		dev, err := disk.Evaluate(p)
+		if err != nil {
+			t.Fatalf("%v: replayed evaluation failed: %v", p, err)
+		}
+		if !dev.Compact() {
+			t.Errorf("%v: not served from the replayed record", p)
+		}
+		if a, b := recordJSON(t, rev), recordJSON(t, dev); a != b {
+			t.Errorf("%v: replayed evaluation diverged:\nfresh %s\ndisk  %s", p, a, b)
 		}
 	}
 
 	// Reporting mode: full evaluations agree too, and upgrade the store
 	// entry rather than being served by a DSE record.
-	rfull, err := ref.EvaluateFull(p)
+	rfull, err := freshEvaluation(t, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mfull, err := mem.EvaluateFull(p)
+	wfull, err := warm.EvaluateFull(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := recordJSON(t, rfull), recordJSON(t, mfull); a != b {
-		t.Errorf("full evaluation diverged:\nref  %s\nmemo %s", a, b)
+	if a, b := recordJSON(t, rfull), recordJSON(t, wfull); a != b {
+		t.Errorf("full evaluation diverged:\nfresh %s\nwarm  %s", a, b)
 	}
-	if mfull.Compact() {
-		t.Error("full evaluation reported compact")
+	if wfull.Compact() || !wfull.Full {
+		t.Error("full evaluation served by a DSE record")
 	}
 }
 
 // TestMemoOptimizeIdenticalTrajectory: the optimizer's whole trajectory
 // — winner, objective, evaluation and exploration counts, and every
-// per-start result — is identical with memoization off, on, and on
-// with pooled parallel chains.
+// per-start result — is identical on a fresh evaluator, with pooled
+// parallel chains, and on a store another run already filled.
 func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +157,20 @@ func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	}
 
 	runs := []struct {
-		name string
-		opt  *OptimizeOptions
+		name  string
+		store *memo.Store
+		opt   *OptimizeOptions
 	}{
-		{"memo", nil},
-		{"memo+parallel", &OptimizeOptions{Parallel: 4}},
+		{"parallel", nil, &OptimizeOptions{Parallel: 4}},
+		{"warm store", ref.Memo(), nil},
+		{"warm store+parallel", ref.Memo(), &OptimizeOptions{Parallel: 4}},
 	}
 	for _, run := range runs {
-		mem := memoEvaluator(t, Tech2D, 400, 15, 85)
-		res, err := mem.OptimizeContext(context.Background(), space, 3, run.opt)
+		e := testEvaluator(t, Tech2D, 400, 15, 85)
+		if run.store != nil {
+			e.UseMemo(run.store)
+		}
+		res, err := e.OptimizeContext(context.Background(), space, 3, run.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +199,19 @@ func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	}
 }
 
-// TestMemoFaultMatrixTrajectory: with a fault-injection plan armed, the
-// memoized run takes the exact same trajectory as the plain one —
-// injection decisions fire at stage boundaries per point, the
-// eval-level store is bypassed, and the quarantine ledgers match —
-// across a stack of fault specs.
+// TestMemoFaultMatrixTrajectory: an evaluator with a fault-injection
+// plan armed takes the exact same trajectory whether or not a shared
+// store (warm from a clean run) is attached — the plan forces a private
+// store, so injection decisions fire at this evaluator's stage
+// boundaries and the quarantine ledgers match — across a stack of fault
+// specs and both chain schedules.
 func TestMemoFaultMatrixTrajectory(t *testing.T) {
 	space := tinySpace()
+	clean := testEvaluator(t, Tech2D, 400, 15, 85)
+	if _, err := clean.OptimizeContext(context.Background(), space, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	shared := clean.Memo()
 	for _, spec := range []string{
 		"panic@sched:dim=184",
 		"nan@thermal:dim=192,ics=0",
@@ -184,11 +222,12 @@ func TestMemoFaultMatrixTrajectory(t *testing.T) {
 		refRes, rerr := ref.OptimizeContext(context.Background(), space, 3, nil)
 
 		for _, parallel := range []int{0, 4} {
-			mem := memoEvaluator(t, Tech2D, 400, 15, 85)
-			mem.InjectFaults(injectPlan(t, spec))
-			res, err := mem.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{Parallel: parallel})
+			e := testEvaluator(t, Tech2D, 400, 15, 85)
+			e.UseMemo(shared)
+			e.InjectFaults(injectPlan(t, spec))
+			res, err := e.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{Parallel: parallel})
 			if (rerr == nil) != (err == nil) {
-				t.Fatalf("%q/parallel=%d: error disagreement: ref %v, memo %v", spec, parallel, rerr, err)
+				t.Fatalf("%q/parallel=%d: error disagreement: private %v, shared %v", spec, parallel, rerr, err)
 			}
 			if res.Found != refRes.Found {
 				t.Fatalf("%q/parallel=%d: found disagreement", spec, parallel)
@@ -201,10 +240,57 @@ func TestMemoFaultMatrixTrajectory(t *testing.T) {
 					spec, parallel, res.Evaluations, res.Quarantined, refRes.Evaluations, refRes.Quarantined)
 			}
 			if !reflect.DeepEqual(res.Poisoned, refRes.Poisoned) {
-				t.Errorf("%q/parallel=%d: quarantine ledger diverged:\nmemo %v\nref  %v",
+				t.Errorf("%q/parallel=%d: quarantine ledger diverged:\nshared  %v\nprivate %v",
 					spec, parallel, res.Poisoned, refRes.Poisoned)
 			}
 		}
+	}
+}
+
+// TestFaultPlanKeepsSharedStoreClean: a clean evaluator fills a shared
+// store with point p; a second evaluator attached to the same store with
+// a panic@cost plan armed on p must still run p's pipeline, fire the
+// fault and quarantine p, and the shared store's entry for p — and the
+// store as a whole — must be unchanged afterwards.
+func TestFaultPlanKeepsSharedStoreClean(t *testing.T) {
+	p := DesignPoint{ArrayDim: 192, ICSUM: 500}
+	store := memo.NewStore()
+	clean := testEvaluator(t, Tech2D, 400, 15, 85)
+	clean.UseMemo(store)
+	ev, err := clean.Evaluate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ev.Fits {
+		t.Fatalf("%v does not fit: the cost stage would never run", p)
+	}
+	key := clean.evalKey(p)
+	before, ok := store.Get(key)
+	if !ok {
+		t.Fatal("clean evaluation left no store entry")
+	}
+	entries := store.Len()
+
+	faulty := testEvaluator(t, Tech2D, 400, 15, 85)
+	faulty.UseMemo(store)
+	faulty.InjectFaults(injectPlan(t, fmt.Sprintf("panic@cost:dim=%d,ics=%d", p.ArrayDim, p.ICSUM)))
+	_, err = faulty.Evaluate(p)
+	ee, ok := asEvalError(err)
+	if !ok || !errors.Is(err, ErrStagePanic) || ee.Stage != stageCost {
+		t.Fatalf("err = %v, want an injected panic at the cost stage", err)
+	}
+	if n := faulty.QuarantinedCount(); n != 1 {
+		t.Errorf("quarantined %d, want 1", n)
+	}
+	after, ok := store.Get(key)
+	if !ok || after != before {
+		t.Error("the faulty run replaced the shared store's entry")
+	}
+	if recordJSON(t, after.(*Evaluation)) != recordJSON(t, ev) {
+		t.Error("the shared store's entry changed")
+	}
+	if n := store.Len(); n != entries {
+		t.Errorf("shared store grew from %d to %d entries during the faulty run", entries, n)
 	}
 }
 
@@ -224,7 +310,7 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.UseMemo(coldStore)
-	coldRes, err := cold.Optimize(space, 3)
+	coldRes, err := cold.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +334,7 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 	warm.UseMemo(warmStore)
 	tel := telemetry.New(nil)
 	warm.Instrument(tel)
-	warmRes, err := warm.Optimize(space, 3)
+	warmRes, err := warm.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +369,7 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 func TestMemoSharedStoreConcurrentEvaluators(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -238,26 +237,6 @@ func (e *Evaluator) sampleFeasibleStartRanked(ctx context.Context, space Space, 
 		}
 	}
 	return best, found
-}
-
-// Optimize runs the paper's multi-start simulated annealing over the
-// design space (Fig. 4) to completion, without cancellation. It is a
-// context.Background() wrapper over OptimizeContext that preserves the
-// legacy no-solution contract: a run that finds no feasible start
-// returns (result with Found=false, nil error) rather than
-// ErrNoFeasibleStart, so existing callers and examples behave
-// unchanged.
-//
-// Deprecated: use OptimizeContext, which adds cancellation, deadlines,
-// progress streaming, failure policies, and parallel starts, and makes
-// the no-solution case explicit via ErrNoFeasibleStart. This wrapper
-// remains for compatibility and will not grow new capabilities.
-func (e *Evaluator) Optimize(space Space, seed int64) (*OptimizeResult, error) {
-	res, err := e.OptimizeContext(context.Background(), space, seed, nil)
-	if errors.Is(err, ErrNoFeasibleStart) {
-		return res, nil
-	}
-	return res, err
 }
 
 // OptimizeContext runs the paper's multi-start simulated annealing over

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"tesa/internal/dnn"
@@ -22,7 +24,7 @@ func tinySpace() Space {
 // the MSA returns one and its objective matches a fresh evaluation.
 func TestOptimizeFindsFeasible(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	res, err := e.Optimize(tinySpace(), 3)
+	res, err := e.OptimizeContext(context.Background(), tinySpace(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestOptimizeFindsFeasible(t *testing.T) {
 func TestOptimizeAgreesWithExhaustive(t *testing.T) {
 	space := tinySpace()
 	ex := testEvaluator(t, Tech2D, 400, 15, 85)
-	exRes, err := ex.Exhaustive(space)
+	exRes, err := ex.ExhaustiveContext(context.Background(), space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestOptimizeAgreesWithExhaustive(t *testing.T) {
 		t.Fatal("exhaustive search found nothing")
 	}
 	op := testEvaluator(t, Tech2D, 400, 15, 85)
-	opRes, err := op.Optimize(space, 5)
+	opRes, err := op.OptimizeContext(context.Background(), space, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,8 @@ func TestOptimizeAgreesWithExhaustive(t *testing.T) {
 }
 
 // TestOptimizeReportsNoSolution: with an impossible power budget the
-// optimizer reports the paper's "solution does not exist" outcome.
+// optimizer reports the paper's "solution does not exist" outcome — a
+// Found=false result with an error wrapping ErrNoFeasibleStart.
 func TestOptimizeReportsNoSolution(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Grid = 24
@@ -77,12 +80,12 @@ func TestOptimizeReportsNoSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Optimize(tinySpace(), 1)
-	if err != nil {
-		t.Fatal(err)
+	res, err := e.OptimizeContext(context.Background(), tinySpace(), 1, nil)
+	if !errors.Is(err, ErrNoFeasibleStart) {
+		t.Fatalf("no-solution err = %v, want ErrNoFeasibleStart", err)
 	}
-	if res.Found {
-		t.Errorf("found %v under a 10 mW budget", res.Best.Point)
+	if res == nil || res.Found {
+		t.Errorf("no-solution result = %+v, want Found=false", res)
 	}
 }
 
@@ -91,7 +94,7 @@ func TestOptimizeReportsNoSolution(t *testing.T) {
 func TestExhaustiveCountsFeasible(t *testing.T) {
 	space := Space{ArrayDims: []int{196, 220, 244}, ICSUMs: []int{200, 800}}
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	res, err := e.Exhaustive(space)
+	res, err := e.ExhaustiveContext(context.Background(), space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestExhaustiveCountsFeasible(t *testing.T) {
 func TestOptimizeDeterministic(t *testing.T) {
 	run := func() DesignPoint {
 		e := testEvaluator(t, Tech2D, 400, 15, 85)
-		res, err := e.Optimize(tinySpace(), 11)
+		res, err := e.OptimizeContext(context.Background(), tinySpace(), 11, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

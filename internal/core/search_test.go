@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestRandomSearchFindsFeasible: at a reasonable budget, random search
 // finds some feasible point on a feasible space.
@@ -45,7 +48,7 @@ func TestGreedyAtLeastAsGoodAsItsStart(t *testing.T) {
 func TestSearchStrategiesOrdering(t *testing.T) {
 	space := tinySpace()
 	eAnneal := testEvaluator(t, Tech2D, 400, 15, 85)
-	annealRes, err := eAnneal.Optimize(space, 7)
+	annealRes, err := eAnneal.OptimizeContext(context.Background(), space, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

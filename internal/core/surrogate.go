@@ -65,13 +65,13 @@ func (e *Evaluator) trainSurrogate(ev *Evaluation) {
 // replay is lazy (first ranking consult) so it runs after LoadMemoDir
 // has seeded the store.
 func (e *Evaluator) warmSurrogate() {
-	if e.sur == nil || e.memo == nil {
+	if e.sur == nil {
 		return
 	}
 	e.surReplay.Do(func() {
 		e.fingerprints()
 		prefix := "eval:" + e.cfgFP + "|"
-		e.memo.Range(prefix, func(_ string, v any) bool {
+		e.store().Range(prefix, func(_ string, v any) bool {
 			if ev, ok := v.(*Evaluation); ok {
 				e.trainSurrogate(ev)
 			}

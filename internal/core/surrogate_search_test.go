@@ -38,7 +38,7 @@ func rankedEvaluator(t *testing.T, tech Tech, freqMHz, fps, budgetC float64) *Ev
 func TestRankedOptimizeIdenticalWinner(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Optimize(space, 3)
+	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRankedOptimizeIdenticalWinner(t *testing.T) {
 	}
 
 	sur := rankedEvaluator(t, Tech2D, 400, 15, 85)
-	surRes, err := sur.Optimize(space, 3)
+	surRes, err := sur.OptimizeContext(context.Background(), space, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRankedOptimizeIdenticalWinner(t *testing.T) {
 func TestRankedSweepIdenticalResult(t *testing.T) {
 	space := gateSpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.Exhaustive(space)
+	refRes, err := ref.ExhaustiveContext(context.Background(), space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRankedSweepIdenticalResult(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	surRes, err := sur.Exhaustive(space)
+	surRes, err := sur.ExhaustiveContext(context.Background(), space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSurrogateReplayFromDiskTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	writer.UseMemo(writerStore)
-	if _, err := writer.Exhaustive(space); err != nil {
+	if _, err := writer.ExhaustiveContext(context.Background(), space, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := closeWriter(); err != nil {

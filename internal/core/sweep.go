@@ -77,23 +77,13 @@ type SweepOptions struct {
 	RunID string
 }
 
-// Exhaustive evaluates every design vector in the space in parallel and
-// returns the global optimum of Eq. (6) — a context.Background(),
-// option-free wrapper over ExhaustiveContext. The paper uses this on a
-// small validation sub-space to certify the optimizer (Sec. IV-A); it
-// is also how the "an exhaustive evaluation can take multiple days"
-// claim is quantified against the annealer's <15% exploration.
+// ExhaustiveContext evaluates every design vector in the space and
+// returns the global optimum of Eq. (6). The paper uses this on a small
+// validation sub-space to certify the optimizer (Sec. IV-A); it is also
+// how the "an exhaustive evaluation can take multiple days" claim is
+// quantified against the annealer's <15% exploration.
 //
-// Deprecated: use ExhaustiveContext, which adds cancellation, sharded
-// checkpointing and resume, progress streaming, and failure policies.
-// This wrapper remains for compatibility and will not grow new
-// capabilities.
-func (e *Evaluator) Exhaustive(space Space) (*ExhaustiveResult, error) {
-	return e.ExhaustiveContext(context.Background(), space, nil)
-}
-
-// ExhaustiveContext sweeps the space with a shard-based worker pool:
-// the enumeration is cut into contiguous shards, GOMAXPROCS workers
+// The sweep runs on a shard-based worker pool: the enumeration is cut into contiguous shards, GOMAXPROCS workers
 // drain a shard queue, and each worker observes ctx between
 // evaluations. Cancellation therefore stops the sweep within one
 // evaluation's latency, joins every worker, and returns ctx.Err();

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,8 +10,8 @@ import (
 	"tesa/internal/telemetry"
 )
 
-// TestEvaluatorHitRateAccessors: Evaluations counts every lookup,
-// CacheHitRate the memoized fraction.
+// TestEvaluatorHitRateAccessors: Evaluations counts every call,
+// CacheHitRate the fraction that did not run the pipeline.
 func TestEvaluatorHitRateAccessors(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 30, 85)
 	if e.Evaluations() != 0 || e.CacheHitRate() != 0 {
@@ -71,7 +72,7 @@ func TestOptimizeEmitsTrace(t *testing.T) {
 	tel := telemetry.New(telemetry.NewJSONLSink(&buf))
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
 	e.Instrument(tel)
-	res, err := e.Optimize(ValidationSpace(), 1)
+	res, err := e.OptimizeContext(context.Background(), ValidationSpace(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,10 +111,8 @@ type Options struct {
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  *float64 `json:"beta,omitempty"`
 	// ThermalFast enables the fast thermal path (workspace CG, warm
-	// starts, surrogate pre-screen); results are unchanged.
+	// starts, closed-form pre-screen); results are unchanged.
 	ThermalFast *bool `json:"thermal_fast,omitempty"`
-	// SurrogateBandC is the pre-screen guard band in Celsius.
-	SurrogateBandC *float64 `json:"surrogate_band_c,omitempty"`
 	// Surrogate enables the learned ranking surrogate: an online model
 	// over completed evaluations that orders candidate moves, seeds, and
 	// sweep shards best-predicted-first. Results are unchanged — every

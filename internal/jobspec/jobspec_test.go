@@ -65,6 +65,8 @@ func TestParseStrict(t *testing.T) {
 			`{"version":"tesa.jobspec/v1","kind":"optimize","kinds":"x"}`, "unknown field"},
 		{"unknown nested field",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"freq_ghz":1}}`, "unknown field"},
+		{"removed pre-screen band",
+			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"surrogate_band_c":3}}`, "unknown field"},
 		{"missing version", `{"kind":"optimize"}`, "missing version"},
 		{"wrong version", `{"version":"tesa.jobspec/v0","kind":"optimize"}`, "unsupported version"},
 		{"missing kind", `{"version":"tesa.jobspec/v1"}`, "missing kind"},

@@ -120,9 +120,6 @@ func (s *Spec) Resolve(baseDir string) (*Resolved, error) {
 		if o.ThermalFast != nil {
 			r.Opts.ThermalFast = *o.ThermalFast
 		}
-		if o.SurrogateBandC != nil {
-			r.Opts.SurrogateBandC = *o.SurrogateBandC
-		}
 		if o.Surrogate != nil {
 			r.Opts.Surrogate = *o.Surrogate
 		}

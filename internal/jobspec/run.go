@@ -13,9 +13,9 @@ import (
 // Runtime is the process-level state a job executes against. All fields
 // are optional: the zero Runtime runs the job isolated and unobserved.
 type Runtime struct {
-	// Store is the shared memoization store (nil = no memoization).
-	// tesa-server passes its process-wide store here so concurrent jobs
-	// hit each other's warm entries.
+	// Store is the shared memoization store (nil = a private store per
+	// job). tesa-server passes its process-wide store here so concurrent
+	// jobs hit each other's warm entries.
 	Store *memo.Store
 	// Tel is the shared observability hub (nil = disabled).
 	Tel *telemetry.Telemetry
@@ -43,6 +43,9 @@ func Run(ctx context.Context, r *Resolved, rt Runtime) (*Result, error) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Deadline)
 		defer cancel()
+	}
+	if rt.Store == nil {
+		rt.Store = memo.NewStore()
 	}
 	switch r.Kind {
 	case KindSweep:
