@@ -34,11 +34,11 @@ func main() {
 		dim      = flag.Int("dim", 200, "systolic array dimension")
 		freqMHz  = flag.Float64("freq", 400, "operating frequency in MHz")
 		channels = flag.Int("channels", 0, "DRAM channels (0 = provision from peak bandwidth)")
-		obs      = cli.ObservabilityFlags()
+		obs      = cli.ObservabilityFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	sess, err := obs.Setup("tesa-cycles", os.Stdout)
+	sess, err := obs.Setup("tesa-cycles", os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

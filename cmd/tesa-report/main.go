@@ -51,11 +51,11 @@ func main() {
 		seed       = flag.Int64("seed", 1, "optimizer seed")
 		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate in every evaluator (reorders evaluation only)")
-		obs        = cli.ObservabilityFlags()
+		obs        = cli.ObservabilityFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	sess, err := obs.Setup("tesa-report", os.Stdout)
+	sess, err := obs.Setup("tesa-report", os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

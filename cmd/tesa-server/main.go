@@ -23,7 +23,7 @@
 //
 // -distrib additionally hosts a distributed sweep coordinator
 // (internal/distrib) for the given jobspec under /v1/distrib/ on the
-// same listener: tesa-sweep -worker http://host:8080/v1/distrib
+// same listener: tesa sweep -worker http://host:8080/v1/distrib
 // processes lease shards from it, and the coordinator's verification
 // re-executions share the server's process-wide memo store.
 // -distrib-checkpoint appends the merged ledger — byte-compatible with
@@ -75,12 +75,12 @@ func main() {
 		drainTO = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for jobs to wind down on shutdown")
 		dSpec   = flag.String("distrib", "", "host a distributed sweep coordinator for this jobspec under /v1/distrib/")
 		dCkpt   = flag.String("distrib-checkpoint", "", "append the distributed sweep's merged ledger to this JSONL file")
-		obs     = cli.ObservabilityFlags()
-		mf      = cli.MemoFlagsRegister()
+		obs     = cli.ObservabilityFlags(flag.CommandLine)
+		mf      = cli.MemoFlagsRegister(flag.CommandLine)
 	)
 	flag.Parse()
 
-	sess, err := obs.Setup("tesa-server", os.Stdout)
+	sess, err := obs.Setup("tesa-server", os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

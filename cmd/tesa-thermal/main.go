@@ -37,11 +37,11 @@ func main() {
 		tempC   = flag.Float64("temp", 75, "thermal budget in Celsius")
 		grid    = flag.Int("grid", 88, "thermal grid cells per side")
 		csvPath = flag.String("csv", "", "also write the temperature field as CSV")
-		obs     = cli.ObservabilityFlags()
+		obs     = cli.ObservabilityFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	sess, err := obs.Setup("tesa-thermal", os.Stdout)
+	sess, err := obs.Setup("tesa-thermal", os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,69 +1,81 @@
-// Command tesa runs the TESA optimizer for one constraint corner and
-// prints the chosen MCM.
+// Command tesa is TESA's design-space exploration front end: one
+// command whose subcommands map one-to-one onto the jobspec kinds that
+// tesa-server runs.
 //
 // Usage:
 //
-//	tesa [-job spec.json]
-//	     [-tech 2d|3d] [-freq 400] [-fps 30] [-temp 75] [-power 15]
-//	     [-interposer 8] [-grid 32] [-seed 1] [-alpha 1] [-beta 1]
-//	     [-faults spec] [-max-failures 0] [-fail-fast] [-stage-timeout 0]
-//	     [-metrics] [-trace out.jsonl] [-pprof addr]
-//	     [-metrics-addr addr] [-manifest run.jsonl]
-//	     [-thermal-fast]
-//	     [-surrogate] [-surrogate-k 8]
-//	     [-memo-dir .tesa-memo] [-starts-parallel]
+//	tesa [optimize] [flags]   multi-start annealer for one constraint corner
+//	tesa sweep [flags]        exhaustive sweep vs the annealer (Sec. IV-A)
+//	tesa pareto [flags]       cost/DRAM-power front (CSV on stdout)
+//	tesa sim [flags]          dynamic multi-tenant scenario for one point
 //
-// -job runs a versioned jobspec document (tesa.jobspec/v1, kind
-// "optimize") instead of per-setting flags: the same file drives this
-// command, the library, and tesa-server to bit-identical results.
-// Config flags (-tech, -grid, ...) conflict with -job; operational
-// flags (-progress, -deadline, -memo-dir, -starts-parallel, the
-// telemetry flags) compose
-// with it, and an explicit -deadline overrides the spec's deadline_sec.
+// A bare `tesa [flags]` is `tesa optimize`. Run `tesa <kind> -h` for a
+// subcommand's flags.
 //
-// -thermal-fast switches the search to the fast thermal path
-// (allocation-free workspace CG, warm-started solves, closed-form
-// pre-screening outside a 3 C guard band); reported tables
-// always come from full-fidelity evaluations, so the flag changes
-// wall-clock time, not results.
+// Every subcommand builds a versioned jobspec (tesa.jobspec/v1) from its
+// config flags, or loads one with -job, resolves it, and executes it
+// through jobspec.Execute — the executor tesa-server and the library
+// use — so a spec means the same run everywhere. Config flags (-tech,
+// -grid, ...) conflict with -job; operational flags (-progress,
+// -deadline, -checkpoint, -memo-dir, -starts-parallel, the telemetry
+// flags) compose with it, and an explicit -deadline overrides the spec's
+// deadline_sec. The spec's policies (faults, stage timeout, failure
+// bounds) and deadline apply in every subcommand.
 //
-// -surrogate enables the learned ranking surrogate: an online k-NN/RBF
-// model over completed evaluations (trained in-process and replayed
-// from -memo-dir segments at startup) that scores candidate annealing
-// moves and seed pools, so the search evaluates predicted-good points
-// first. Every proposal still runs the real pipeline and the winner is
-// always a full-fidelity evaluation — the flag reduces how many full
-// evaluations reaching the optimum takes, not what is reported.
-// -surrogate-k tunes the model neighborhood and the per-step ranked
-// candidate count (0 = default).
+// optimize prints the winning MCM, its mesh, SRAM capacity, full
+// evaluation, schedule and floorplan. -workload runs a JSON workload
+// instead of the built-in AR/VR one.
 //
-// Pipeline sub-results (systolic profiles, SRAM estimates, schedules,
-// coverage maps, whole evaluations) are memoized in one
-// content-addressed store shared by all annealing chains; -memo-dir
-// persists the store so repeated invocations with the same models
-// warm-start from disk. -starts-parallel runs the annealing chains
-// through a worker pool. Both change wall-clock time only: the winning
-// design point and every reported number are identical with or without
-// them.
+// sweep evaluates the validation space (64x64..128x128 arrays; -full
+// for the whole Table II space) and checks that the annealer, sharing
+// the sweep's memo store, matches the global optimum. Its defaults are
+// 15 fps and 85 C. -checkpoint appends one crash-safe JSONL record per
+// completed shard and -resume continues from one (both may name the
+// same file); the checkpoint header carries the run id of the -manifest
+// records. Distributed mode (internal/distrib): `tesa sweep -coordinate
+// addr -job spec.json` serves the lease-based sweep protocol, `tesa
+// sweep -worker url` executes leased shards; the coordinator's
+// -checkpoint ledger resumes in either mode or locally. A worker's
+// -faults may add worker-level rules (crash@shard, stall@shard,
+// lie@shard); a worker caught lying exits 4.
 //
-// The output reports the winning design point, its derived mesh and SRAM
-// capacity, and the full evaluation (peak temperature, power, cost, DRAM
-// power, per-chiplet schedule).
+// pareto sweeps the Eq. (6) weights (-front weights, -points settings)
+// or evolves an NSGA-II population front over cost, DRAM power and peak
+// temperature (-front nsga2, -pop, -gens). Stdout is pure CSV; every
+// summary goes to stderr.
 //
-// Observability: -metrics prints an end-of-run summary (per-stage
-// latency percentiles, evals/sec, cache hit rate), -trace streams
-// annealer-level JSONL events, -pprof serves net/http/pprof,
-// -metrics-addr serves live /metrics (Prometheus text), /debug/vars,
-// /progress and /debug/pprof while the search runs, and -manifest
-// writes the run manifest (command, flags, space fingerprint, seeds,
-// quarantine tallies, wall/CPU time) as JSONL start/end records.
+// sim drives one design point (-dim, -ics) through seeded
+// -tenant name:network:kind:rateRPS:slaSec traffic (kind poisson,
+// diurnal or mmpp; richer shapes through -job), coupling per-chiplet
+// queues to the transient thermal solver and a DVFS governor tripping at
+// -trip (0 = the -temp budget). -draws N scores the point over N seeded
+// scenario draws, -events writes the bit-reproducible event log, -json
+// prints the wire-form result.
+//
+// -thermal-fast searches on the fast thermal path and -surrogate ranks
+// candidate moves with the learned k-NN model (-surrogate-k); both
+// change how fast the optimum is reached, and reported numbers always
+// come from full-fidelity evaluations. All evaluators of a run share one
+// content-addressed memo store; -memo-dir persists it across runs.
+// -starts-parallel runs the annealing chains through a worker pool: the
+// winning objective is identical; equal-objective ties may resolve to a
+// different point.
+//
+// Observability: -metrics prints an end-of-run summary, -trace streams
+// JSONL events, -pprof serves net/http/pprof, -metrics-addr serves live
+// /metrics, /debug/vars, /progress and /debug/pprof, and -manifest
+// writes the run manifest as JSONL start/end records.
 //
 // Failure handling: a design point whose evaluation fails (panic, NaN,
-// diverged thermal solve, timeout) is quarantined and the search
-// continues around it; a run that still finds a solution but quarantined
-// points prints a failure summary and exits 4. -max-failures bounds the
-// quarantine count, -fail-fast aborts on the first failure, and -faults
-// (or TESA_FAULTS) injects deterministic faults for chaos testing.
+// diverged solve, stage timeout) is quarantined and the search goes on
+// around it. -max-failures bounds the quarantine, -fail-fast aborts on
+// the first failure, and -faults (default $TESA_FAULTS) injects
+// deterministic faults.
+//
+// Exit codes: 0 ok; 1 error; 2 usage or spec error; 3 no feasible
+// solution, sweep disagreement, or a sim point that does not fit; 4
+// completed with quarantined points; 130 interrupted (SIGINT/SIGTERM or
+// deadline).
 package main
 
 import (
@@ -71,238 +83,338 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"strings"
+	"path/filepath"
 	"syscall"
 	"time"
 
 	"tesa"
 	"tesa/internal/cli"
+	"tesa/internal/jobspec"
 )
 
 func main() {
-	var (
-		tech       = flag.String("tech", "2d", "integration technology: 2d or 3d")
-		freqMHz    = flag.Float64("freq", 400, "operating frequency in MHz")
-		fps        = flag.Float64("fps", 30, "latency constraint in frames per second")
-		tempC      = flag.Float64("temp", 75, "thermal budget in Celsius")
-		powerW     = flag.Float64("power", 15, "power budget in watts")
-		interposer = flag.Float64("interposer", 8, "interposer side in mm")
-		grid       = flag.Int("grid", 32, "thermal grid cells per side during search")
-		seed       = flag.Int64("seed", 1, "optimizer seed")
-		alpha      = flag.Float64("alpha", 1, "Eq. 6 weight on MCM cost")
-		beta       = flag.Float64("beta", 1, "Eq. 6 weight on DRAM power")
-		dataflow   = flag.String("dataflow", "os", "systolic dataflow: os or ws")
-		workload   = flag.String("workload", "", "JSON workload file (default: the built-in AR/VR workload)")
-		progress   = flag.Bool("progress", false, "stream incumbent improvements to stderr")
-		deadline   = flag.Duration("deadline", 0, "abort the search after this duration (0 = none)")
-		faultSpec  = flag.String("faults", os.Getenv("TESA_FAULTS"), "fault-injection spec, e.g. panic@thermal:rate=0.05 (default $TESA_FAULTS)")
-		maxFail    = flag.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
-		failFast   = flag.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
-		stageTO    = flag.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
-		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate: order candidate moves and seeds best-predicted-first (results unchanged)")
-		surK       = flag.Int("surrogate-k", 0, "surrogate neighborhood size and ranked-move candidate count (0 = default; with -surrogate)")
-		obs        = cli.ObservabilityFlags()
-		mf         = cli.MemoFlagsRegister()
-		jobPath    = cli.JobFlag()
-	)
-	flag.Parse()
-
-	job, err := cli.ResolveJob(*jobPath, "optimize",
-		"tech", "freq", "fps", "temp", "power", "interposer", "grid", "seed",
-		"alpha", "beta", "dataflow", "workload", "faults", "max-failures",
-		"fail-fast", "stage-timeout", "thermal-fast", "surrogate",
-		"surrogate-k")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	// SIGINT/SIGTERM (and -deadline, or the spec's deadline_sec) cancel
-	// the context; the annealers observe it between evaluations and wind
-	// down promptly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if dl := cli.JobDeadline(job, *deadline); dl > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, dl)
-		defer cancel()
-	}
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	sess, err := obs.Setup("tesa", os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// subcommands maps each subcommand to its constructor, which registers
+// the subcommand's flags on c and returns its body.
+var subcommands = map[string]func(c *command) func(ctx context.Context) error{
+	jobspec.KindOptimize: optimizeCmd,
+	jobspec.KindSweep:    sweepCmd,
+	jobspec.KindPareto:   paretoCmd,
+	jobspec.KindSim:      simCmd,
+}
+
+// run executes one tesa command line (without the program name) and
+// returns its exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	kind := jobspec.KindOptimize
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		kind, args = args[0], args[1:]
 	}
-	tel := sess.Tel
-	store, memoDone, err := mf.Store()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// finish finalizes the run manifest and flushes telemetry and the
-	// on-disk memo cache before any exit path (os.Exit skips defers).
-	finish := func(status string) {
-		if obs.Metrics {
-			fmt.Printf("memo: %s\n", store.Stats())
+	c := newCommand(kind, stdout, stderr)
+	body := subcommands[kind](c)
+	c.args = args
+	if err := c.fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		sess.Finish(status)
-		if err := memoDone(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		return 2 // the flag set has reported the error
+	}
+	return c.exit(body(ctx))
+}
+
+// command is one subcommand invocation: its flags, output streams, and
+// the observability session and memo store it runs under.
+type command struct {
+	kind           string
+	fs             *flag.FlagSet
+	args           []string
+	stdout, stderr io.Writer
+	// sum receives the -metrics summaries: stdout, or stderr where
+	// stdout is CSV.
+	sum io.Writer
+	// config names the flags that configure the job: they build the
+	// spec and conflict with -job.
+	config   map[string]bool
+	jobPath  *string
+	obs      *cli.Observability
+	memo     *cli.MemoFlags // nil without the search flags
+	progress *bool          // nil without the search flags
+	sess     *cli.Session
+	store    *tesa.MemoStore
+	memoDone func() error
+}
+
+func newCommand(kind string, stdout, stderr io.Writer) *command {
+	fs := flag.NewFlagSet("tesa "+kind, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tesa [optimize|sweep|pareto|sim] [flags]\n\nflags of tesa %s:\n", kind)
+		fs.PrintDefaults()
+	}
+	return &command{kind: kind, fs: fs, stdout: stdout, stderr: stderr, sum: stdout}
+}
+
+// jobFlags are the config flags the subcommands share. The policy and
+// search-speed fields are nil for sim, which takes its policies from a
+// -job spec only.
+type jobFlags struct {
+	tech                      *string
+	freq, fps, temp           *float64
+	grid                      *int
+	seed                      *int64
+	fast, surrogate, failFast *bool
+	surK, maxFail             *int
+	faults                    *string
+	stageTO                   *time.Duration
+}
+
+// jobFlags registers the shared config flags with the subcommand's
+// defaults; search adds the policy and search-speed flags.
+func (c *command) jobFlags(fps, temp float64, grid int, search bool) *jobFlags {
+	fs := c.fs
+	f := &jobFlags{
+		tech: fs.String("tech", "2d", "integration technology: 2d or 3d"),
+		freq: fs.Float64("freq", 400, "operating frequency in MHz"),
+		fps:  fs.Float64("fps", fps, "latency constraint in frames per second"),
+		temp: fs.Float64("temp", temp, "thermal budget in Celsius"),
+		grid: fs.Int("grid", grid, "thermal grid cells per side"),
+		seed: fs.Int64("seed", 1, "optimizer or scenario seed"),
+	}
+	if search {
+		f.faults = fs.String("faults", os.Getenv("TESA_FAULTS"), "fault-injection spec, e.g. panic@thermal:rate=0.05 (default $TESA_FAULTS)")
+		f.maxFail = fs.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
+		f.failFast = fs.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
+		f.stageTO = fs.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
+		f.fast = fs.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
+		f.surrogate = fs.Bool("surrogate", false, "learned ranking surrogate: evaluate predicted-good candidates first (results unchanged)")
+		f.surK = fs.Int("surrogate-k", 0, "surrogate neighborhood size and ranked-move candidate count (0 = default)")
+	}
+	return f
+}
+
+// spec builds the kind's spec from the shared config flags.
+func (f *jobFlags) spec(kind string) *jobspec.Spec {
+	s := &jobspec.Spec{
+		Version:     jobspec.Version,
+		Kind:        kind,
+		Options:     &jobspec.Options{Tech: f.tech, FreqMHz: f.freq, Grid: f.grid},
+		Constraints: &jobspec.Constraints{FPS: f.fps, TempC: f.temp},
+		Seed:        f.seed,
+	}
+	if f.fast != nil {
+		s.Options.ThermalFast, s.Options.Surrogate, s.Options.SurrogateK = f.fast, f.surrogate, f.surK
+		s.Policies = &jobspec.Policies{
+			MaxFailures: *f.maxFail,
+			FailFast:    *f.failFast,
+			// Round up so a sub-millisecond budget stays armed.
+			StageTimeoutMS: int((*f.stageTO + time.Millisecond - 1) / time.Millisecond),
+			Faults:         *f.faults,
 		}
 	}
+	return s
+}
 
-	opts := tesa.DefaultOptions()
-	switch strings.ToLower(*tech) {
-	case "2d":
-		opts.Tech = tesa.Tech2D
-	case "3d":
-		opts.Tech = tesa.Tech3D
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tech %q\n", *tech)
-		os.Exit(2)
+// operational closes the config flags — every flag registered so far
+// configures the job — and registers -job, the telemetry flags and,
+// for the search subcommands, -progress and the memo flags.
+func (c *command) operational(search bool) {
+	c.config = map[string]bool{}
+	c.fs.VisitAll(func(f *flag.Flag) { c.config[f.Name] = true })
+	c.jobPath = c.fs.String("job", "", "run this jobspec JSON file (tesa.jobspec/v1); conflicts with the config flags")
+	c.obs = cli.ObservabilityFlags(c.fs)
+	if search {
+		c.memo = cli.MemoFlagsRegister(c.fs)
+		c.progress = c.fs.Bool("progress", false, "stream live progress to stderr")
 	}
-	switch strings.ToLower(*dataflow) {
-	case "os":
-		opts.Dataflow = tesa.OutputStationary
-	case "ws":
-		opts.Dataflow = tesa.WeightStationary
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataflow %q\n", *dataflow)
-		os.Exit(2)
-	}
-	opts.FreqHz = *freqMHz * 1e6
-	opts.Grid = *grid
-	opts.Alpha, opts.Beta = *alpha, *beta
-	opts.ThermalFast = *fast
-	opts.Surrogate = *surrogate
-	opts.SurrogateK = *surK
-	cons := tesa.Constraints{FPS: *fps, PowerBudgetW: *powerW, TempBudgetC: *tempC, InterposerMM: *interposer}
+}
 
-	w := tesa.ARVRWorkload()
-	if *workload != "" {
-		data, err := os.ReadFile(*workload)
+// usageError marks a command-line or spec error (exit 2).
+type usageError struct{ error }
+
+// exitError ends a run whose output is printed with an exit code and
+// manifest status.
+type exitError struct {
+	code   int
+	status string
+}
+
+func (e *exitError) Error() string { return e.status }
+
+var (
+	errNoSolution  = &exitError{3, "no-solution"}
+	errQuarantined = &exitError{cli.ExitQuarantined, "ok-quarantined"}
+)
+
+// resolve materializes the job: the -job spec, or the one fromFlags
+// builds from the config flags. Every failure is a usage error.
+func (c *command) resolve(fromFlags func() (*jobspec.Spec, error)) (*jobspec.Resolved, error) {
+	path := *c.jobPath
+	if path == "" {
+		spec, err := fromFlags()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return nil, usageError{err}
 		}
-		if w, err = tesa.UnmarshalWorkload(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		r, err := spec.Resolve("")
+		if err != nil {
+			return nil, usageError{err}
 		}
+		return r, nil
 	}
-	space := tesa.DefaultSpace()
-	if job != nil {
-		// The spec is the configuration: everything the config flags
-		// would have assembled comes from the resolved job instead.
-		opts, cons, w, space = job.Opts, job.Cons, job.Workload, job.Space
-		*seed = job.Seed
-		*maxFail, *failFast, *stageTO = job.MaxFailures, job.FailFast, job.StageTimeout
-		*faultSpec = job.Faults
+	var clash []string
+	c.fs.Visit(func(f *flag.Flag) {
+		if c.config[f.Name] {
+			clash = append(clash, "-"+f.Name)
+		}
+	})
+	if len(clash) > 0 {
+		return nil, usageError{fmt.Errorf("config flags %v conflict with -job (the spec is the configuration; edit it instead)", clash)}
 	}
-	ev, err := tesa.NewEvaluator(w, opts, cons, tesa.Models{})
+	spec, err := jobspec.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, usageError{err}
 	}
-	ev.Instrument(tel)
-	ev.UseMemo(store)
-	if err := cli.ApplyFaults(ev, *faultSpec, *stageTO); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if spec.Kind != c.kind {
+		return nil, usageError{fmt.Errorf("-job: %s is a %q job; this command runs %q jobs", path, spec.Kind, c.kind)}
 	}
-	sess.Manifest.Set("space", space.Fingerprint())
-	sess.Manifest.Set("seed", *seed)
-	sess.Manifest.Set("workload", w.Name)
-	if *faultSpec != "" {
-		sess.Manifest.Set("faults", *faultSpec)
+	// Relative workload_file paths resolve against the spec's directory.
+	r, err := spec.Resolve(filepath.Dir(path))
+	if err != nil {
+		return nil, usageError{err}
 	}
+	return r, nil
+}
 
-	fmt.Printf("TESA: %s MCM at %.0f MHz for the %d-DNN %s workload\n", opts.Tech, opts.FreqHz/1e6, len(w.Networks), w.Name)
-	fmt.Printf("constraints: %.0f fps, %.0f W, %.0f C, %.0fx%.0f mm interposer\n\n",
-		cons.FPS, cons.PowerBudgetW, cons.TempBudgetC, cons.InterposerMM, cons.InterposerMM)
+// start opens the run's observability session and memo store and
+// records the job (nil in sweep worker mode) in the manifest.
+func (c *command) start(r *jobspec.Resolved) error {
+	sess, err := c.obs.Setup("tesa "+c.kind, c.args, c.sum)
+	if err != nil {
+		return err
+	}
+	c.sess = sess
+	if c.memo != nil {
+		if c.store, c.memoDone, err = c.memo.Store(); err != nil {
+			return err
+		}
+	}
+	if r == nil {
+		return nil
+	}
+	m := sess.Manifest
+	if r.Kind == jobspec.KindSim {
+		m.Set("point", fmt.Sprintf("%dx%d@%d", r.SimPoint.ArrayDim, r.SimPoint.ArrayDim, r.SimPoint.ICSUM))
+		m.Set("draws", r.SimDraws)
+	} else {
+		m.Set("space", r.Space.Fingerprint())
+	}
+	m.Set("seed", r.Seed)
+	m.Set("workload", r.Workload.Name)
+	if r.Faults != "" {
+		m.Set("faults", r.Faults)
+	}
+	return nil
+}
 
-	optOpt := &tesa.OptimizeOptions{MaxFailures: *maxFail, FailFast: *failFast, Parallel: mf.StartWorkers()}
-	if *progress {
-		optOpt.Progress = func(p tesa.Progress) {
-			if p.Improved && p.Incumbent != nil {
-				fmt.Fprintf(os.Stderr, "incumbent after %d evaluations: %v, objective %.4f  [%.1fs]\n",
-					p.Done, p.Incumbent.Point, p.Incumbent.Objective, p.Elapsed.Seconds())
+// runtime is the jobspec runtime of one execution: the run's store and
+// telemetry, the annealer pool, and the progress stream.
+func (c *command) runtime() jobspec.Runtime {
+	rt := jobspec.Runtime{Store: c.store, Tel: c.sess.Tel}
+	var progress tesa.ProgressFunc
+	if c.memo != nil {
+		rt.Parallel = c.memo.StartWorkers()
+		if *c.progress {
+			progress = progressPrinter(c.stderr)
+		}
+	}
+	rt.Progress = c.sess.Progress(progress)
+	return rt
+}
+
+// execute runs the job through jobspec.Execute; when the run aborts on
+// -max-failures it prints the quarantine ledger first.
+func (c *command) execute(ctx context.Context, r *jobspec.Resolved, rt jobspec.Runtime) (*jobspec.Outcome, error) {
+	out, err := jobspec.Execute(ctx, r, rt)
+	if errors.Is(err, tesa.ErrTooManyFailures) && out.Evaluator != nil {
+		cli.FailureSummary(c.stderr, out.Evaluator.QuarantineLedger())
+	}
+	return out, err
+}
+
+// exit reports err, finalizes the session with the matching manifest
+// status, and returns the exit code.
+func (c *command) exit(err error) int {
+	code, status := 0, "ok"
+	var ex *exitError
+	var usage usageError
+	switch {
+	case err == nil:
+	case errors.As(err, &ex):
+		code, status = ex.code, ex.status
+	case errors.As(err, &usage):
+		fmt.Fprintln(c.stderr, err)
+		code, status = 2, "error"
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		fmt.Fprintf(c.stderr, "interrupted: %v\n", err)
+		code, status = 130, "interrupted"
+	default:
+		fmt.Fprintln(c.stderr, err)
+		code, status = 1, "error"
+	}
+	if c.sess != nil {
+		if c.obs.Metrics && c.store != nil {
+			fmt.Fprintf(c.sum, "memo: %s\n", c.store.Stats())
+		}
+		c.sess.Finish(status)
+		if c.memoDone != nil {
+			if err := c.memoDone(); err != nil {
+				fmt.Fprintln(c.stderr, err)
 			}
 		}
 	}
-	optOpt.Progress = sess.Progress(optOpt.Progress)
+	return code
+}
 
-	start := time.Now()
-	res, err := ev.OptimizeContext(ctx, space, *seed, optOpt)
-	switch {
-	case errors.Is(err, tesa.ErrNoFeasibleStart):
-		// res carries the exploration counters; reported below.
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintf(os.Stderr, "search aborted: %v\n", err)
-		finish("interrupted")
-		os.Exit(130)
-	case err != nil:
-		if errors.Is(err, tesa.ErrTooManyFailures) {
-			cli.FailureSummary(os.Stderr, ev.QuarantineLedger())
+// quarantined is the exit error of a completed run: errQuarantined when
+// any design point was quarantined, nil otherwise.
+func quarantined(n int) error {
+	if n > 0 {
+		return errQuarantined
+	}
+	return nil
+}
+
+// progressPrinter renders Progress updates as stderr status lines: every
+// new incumbent, plus completion ticks at ~5% steps when the total is
+// known.
+func progressPrinter(w io.Writer) tesa.ProgressFunc {
+	lastTick := -1
+	return func(p tesa.Progress) {
+		tick := -1
+		pct := ""
+		if p.Total > 0 {
+			tick = 20 * p.Done / p.Total // 5% buckets
+			pct = fmt.Sprintf(" (%.0f%%)", 100*float64(p.Done)/float64(p.Total))
 		}
-		fmt.Fprintln(os.Stderr, err)
-		finish("error")
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-
-	if !res.Found {
-		fmt.Printf("SOLUTION DOES NOT EXIST under these constraints\n")
-		fmt.Printf("(explored %d of %d design vectors in %.1fs)\n", res.Explored, space.Size(), elapsed.Seconds())
-		fmt.Println("remedial options: relax the thermal budget, reduce frequency, or enlarge the interposer")
-		cli.FailureSummary(os.Stderr, res.Poisoned)
-		finish("no-solution")
-		os.Exit(3)
-	}
-
-	best := res.Best
-	fmt.Printf("winning MCM:  %v\n", best.Point)
-	fmt.Printf("mesh:         %v (%d chiplets)\n", best.Mesh, best.Mesh.Count())
-	fmt.Printf("chiplet:      %.2f x %.2f mm (array %.2f mm2, SRAM %.2f mm2)\n",
-		best.Chiplet.WidthMM, best.Chiplet.HeightMM, best.Chiplet.ArrayMM2, best.Chiplet.SRAMMM2)
-	fmt.Printf("peak temp:    %.2f C (budget %.0f C)\n", best.PeakTempC, cons.TempBudgetC)
-	fmt.Printf("power:        %.2f W total (%.2f dynamic + %.2f leakage; budget %.0f W)\n",
-		best.TotalPowerW, best.DynamicPowerW, best.LeakageW, cons.PowerBudgetW)
-	fmt.Printf("latency:      %.1f ms makespan (%.2fx of the %.0f fps budget)\n",
-		best.MakespanSec*1e3, best.LatencyFactor, cons.FPS)
-	fmt.Printf("MCM cost:     $%.2f (dies $%.2f, interposer $%.2f, bonding $%.2f, stacking $%.2f)\n",
-		best.MCMCost.Total, best.MCMCost.ChipletDies, best.MCMCost.Interposer, best.MCMCost.Bonding, best.MCMCost.Stacking)
-	fmt.Printf("DRAM power:   %.2f W over %d channels\n", best.DRAMPowerW, best.DRAMChannels)
-	fmt.Printf("throughput:   %.2f TOPS effective, %.2f TOPS peak\n", best.OPS/1e12, best.PeakOPS/1e12)
-	fmt.Printf("objective:    %.4f (Eq. 6, alpha=%.2g beta=%.2g)\n\n", best.Objective, opts.Alpha, opts.Beta)
-
-	fmt.Println("schedule (non-preemptive, corner-first):")
-	for c, dnns := range best.Schedule.ChipletDNNs {
-		fmt.Printf("  chiplet %d:", c)
-		for _, d := range dnns {
-			fmt.Printf(" %s", w.Networks[d].Name)
+		if !p.Improved && tick == lastTick {
+			return
 		}
-		fmt.Println()
+		lastTick = tick
+		line := fmt.Sprintf("%s: %d", p.Phase, p.Done)
+		if p.Total > 0 {
+			line += fmt.Sprintf("/%d", p.Total)
+		}
+		line += pct
+		if p.Incumbent != nil {
+			line += fmt.Sprintf("  best %v obj %.4f", p.Incumbent.Point, p.Incumbent.Objective)
+		}
+		fmt.Fprintf(w, "%s  [%.1fs]\n", line, p.Elapsed.Seconds())
 	}
-	fmt.Printf("\nsearch: %d evaluations, %d distinct points (%.1f%% of the space, %.1f%% cache hits), %.1fs\n",
-		res.Evaluations, res.Explored, 100*float64(res.Explored)/float64(space.Size()),
-		100*res.CacheHitRate, elapsed.Seconds())
-	if res.Screened > 0 {
-		fmt.Printf("fast path: %d candidates rejected by the surrogate pre-screen without a grid solve\n", res.Screened)
-	}
-	if hits, misses, ranked := ev.SurrogateStats(); hits+misses > 0 {
-		fmt.Printf("surrogate: %d ranked decisions (%d candidates scored), %d cold fallbacks\n",
-			hits, ranked, misses)
-	}
-	fmt.Println()
-	fmt.Print(tesa.FloorplanASCII(best))
-	cli.FailureSummary(os.Stderr, res.Poisoned)
-	if res.Quarantined > 0 {
-		finish("ok-quarantined")
-		os.Exit(cli.ExitQuarantined)
-	}
-	finish("ok")
 }

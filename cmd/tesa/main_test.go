@@ -1,0 +1,333 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"tesa/internal/jobspec"
+)
+
+// specDir holds the reference jobspecs.
+const specDir = "../../internal/jobspec/testdata"
+
+// runTesa runs one command line in-process and returns its exit code,
+// stdout and stderr.
+func runTesa(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// elapsed matches the "%.1fs" wall-clock fields of the text reports.
+var elapsed = regexp.MustCompile(`\b\d+\.\ds\b`)
+
+// TestGoldenStdout pins each subcommand's stdout and exit code to the
+// output of the standalone binaries it replaced, recorded in
+// testdata/<name>.golden; only elapsed-seconds fields are masked.
+func TestGoldenStdout(t *testing.T) {
+	t.Setenv("TESA_FAULTS", "")
+	cases := []struct {
+		name string
+		exit int
+		args []string
+	}{
+		{"optimize", 0, []string{"-grid", "8"}},
+		{"nosolution", 3, []string{"-grid", "8", "-temp", "40"}},
+		{"sweep", 0, []string{"sweep", "-grid", "8"}},
+		{"pareto", 0, []string{"pareto", "-grid", "8", "-points", "3"}},
+		{"nsga2", 0, []string{"pareto", "-grid", "8", "-front", "nsga2", "-pop", "8", "-gens", "2"}},
+		{"sim", 0, []string{"sim", "-grid", "16", "-fps", "15", "-duration", "1", "-dt", "0.1", "-seed", "42", "-draws", "2",
+			"-tenant", "ar:MobileNet:diurnal:10:0.1", "-tenant", "vr:ResNet-50:poisson:5:0.1"}},
+		{"simjob", 0, []string{"sim", "-job", filepath.Join(specDir, "sim.json"), "-json"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runTesa(t, c.args...)
+			if code != c.exit {
+				t.Errorf("exit %d, want %d; stderr:\n%s", code, c.exit, stderr)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, wantS := elapsed.ReplaceAllString(stdout, "N.Ns"), elapsed.ReplaceAllString(string(want), "N.Ns")
+			if got != wantS {
+				t.Errorf("stdout drifted from testdata/%s.golden:\n got:\n%s\nwant:\n%s", c.name, got, wantS)
+			}
+		})
+	}
+}
+
+// TestUsageErrorsExit2 covers the command-line and spec errors of every
+// subcommand: each exits 2 before running anything.
+func TestUsageErrorsExit2(t *testing.T) {
+	spec := func(kind string) string { return filepath.Join(specDir, kind+".json") }
+	cases := map[string][]string{
+		"optimize clash":  {"-job", spec("optimize"), "-grid", "8"},
+		"sweep clash":     {"sweep", "-job", spec("sweep"), "-temp", "80"},
+		"pareto clash":    {"pareto", "-job", spec("pareto"), "-points", "3"},
+		"sim clash":       {"sim", "-job", spec("sim"), "-dim", "100"},
+		"sim bad tenant":  {"sim", "-tenant", "ar:MobileNet"},
+		"sim no tenant":   {"sim"},
+		"wrong kind":      {"sweep", "-job", spec("sim")},
+		"unknown flag":    {"pareto", "-nope"},
+		"bad front":       {"pareto", "-front", "hull"},
+		"bad faults":      {"-faults", "melt@thermal"},
+		"worker with job": {"sweep", "-worker", "http://127.0.0.1:1", "-job", spec("sweep")},
+		"coordinate only": {"sweep", "-coordinate", "127.0.0.1:0"},
+	}
+	for name, args := range cases {
+		if code, _, stderr := runTesa(t, args...); code != 2 {
+			t.Errorf("%s: exit %d, want 2; stderr:\n%s", name, code, stderr)
+		}
+	}
+	if code, _, _ := runTesa(t, "sim", "-h"); code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+}
+
+// TestChaosSweepResume runs a sweep under TESA_FAULTS: it completes with
+// quarantined points (exit 4), and a resume from its checkpoint credits
+// every shard, re-evaluates nothing, and exits 4 again.
+func TestChaosSweepResume(t *testing.T) {
+	t.Setenv("TESA_FAULTS", "panic@sched:rate=0.1,seed=7;nan@cost:rate=0.05,seed=11")
+	ckpt := filepath.Join(t.TempDir(), "chaos.ckpt")
+	if code, _, stderr := runTesa(t, "sweep", "-grid", "8", "-checkpoint", ckpt); code != 4 {
+		t.Fatalf("chaos sweep: exit %d, want 4; stderr:\n%s", code, stderr)
+	}
+	code, stdout, stderr := runTesa(t, "sweep", "-grid", "8", "-checkpoint", ckpt, "-resume", ckpt)
+	if code != 4 {
+		t.Fatalf("chaos resume: exit %d, want 4; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "(0 points evaluated, ") {
+		t.Errorf("resume re-evaluated points:\n%s", stdout)
+	}
+}
+
+// TestParetoStdoutIsCSV keeps pareto's stdout machine-readable: with the
+// telemetry and memo summaries on, every stdout line is a CSV row of the
+// header's width and the summaries land on stderr.
+func TestParetoStdoutIsCSV(t *testing.T) {
+	t.Setenv("TESA_FAULTS", "")
+	code, stdout, stderr := runTesa(t, "pareto", "-grid", "8", "-points", "2", "-metrics")
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "alpha,beta,") {
+		t.Fatalf("want a header and 2 rows, got:\n%s", stdout)
+	}
+	for _, l := range lines {
+		if n := strings.Count(l, ","); n != 10 {
+			t.Errorf("non-CSV stdout line (%d commas): %q", n, l)
+		}
+	}
+	for _, want := range []string{"telemetry summary", "memo: "} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// TestManifestJoinsCheckpoint checks the run manifest of a traced sweep:
+// a start and an end record, the end record carrying status, wall time
+// and the thermal stage histogram, and its run id stamped into the
+// checkpoint header.
+func TestManifestJoinsCheckpoint(t *testing.T) {
+	t.Setenv("TESA_FAULTS", "")
+	dir := t.TempDir()
+	manifest, ckpt := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.ckpt")
+	code, _, stderr := runTesa(t, "sweep", "-grid", "8", "-manifest", manifest, "-checkpoint", ckpt,
+		"-trace", filepath.Join(dir, "trace.jsonl"))
+	if code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	var end struct {
+		Run     string  `json:"run"`
+		Status  string  `json:"status"`
+		WallSec float64 `json:"wall_sec"`
+		Metrics struct {
+			Histograms map[string]any `json:"histograms"`
+		} `json:"metrics"`
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		phase, _ := rec["phase"].(string)
+		phases = append(phases, phase)
+		if phase == "end" {
+			if err := json.Unmarshal([]byte(line), &end); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if strings.Join(phases, ",") != "start,end" {
+		t.Fatalf("manifest phases %v, want start,end", phases)
+	}
+	if end.Status != "ok" || end.WallSec <= 0 || end.Metrics.Histograms["stage.thermal"] == nil {
+		t.Errorf("end record incomplete: %+v", end)
+	}
+	f, err := os.Open(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Scan()
+	var header struct {
+		Run string `json:"run"`
+	}
+	if err := json.Unmarshal(sc.Bytes(), &header); err != nil {
+		t.Fatal(err)
+	}
+	if header.Run == "" || header.Run != end.Run {
+		t.Errorf("checkpoint run id %q, manifest end record %q", header.Run, end.Run)
+	}
+}
+
+// simSpec writes the reference sim spec, edited by mod, to a temp file
+// and returns its path and resolved form.
+func simSpec(t *testing.T, mod func(*jobspec.Spec)) (string, *jobspec.Resolved) {
+	t.Helper()
+	spec, err := jobspec.Load(filepath.Join(specDir, "sim.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod(spec)
+	data, err := spec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sim.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := spec.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, r
+}
+
+// TestSimHonoursSpecPolicies runs sim specs through the subcommand the
+// way jobspec.Run runs them: an armed fault plan fails the run with
+// Run's error, and deadline_sec cancels it (exit 130).
+func TestSimHonoursSpecPolicies(t *testing.T) {
+	path, r := simSpec(t, func(s *jobspec.Spec) { s.Policies = &jobspec.Policies{Faults: "panic@systolic"} })
+	_, runErr := jobspec.Run(context.Background(), r, jobspec.Runtime{})
+	if runErr == nil {
+		t.Fatal("the fault plan did not fire under jobspec.Run")
+	}
+	code, _, stderr := runTesa(t, "sim", "-job", path)
+	if code != 1 || !strings.Contains(stderr, runErr.Error()) {
+		t.Errorf("faulted sim: exit %d, stderr %q; want exit 1 with %q", code, stderr, runErr)
+	}
+
+	path, _ = simSpec(t, func(s *jobspec.Spec) { s.DeadlineSec = 1e-6 })
+	if code, _, stderr := runTesa(t, "sim", "-job", path); code != 130 {
+		t.Errorf("deadline_sec sim: exit %d, want 130; stderr:\n%s", code, stderr)
+	}
+}
+
+// shellWords splits one shell command line into words, honouring single
+// and double quotes and dropping a trailing comment.
+func shellWords(line string) []string {
+	var words []string
+	var cur strings.Builder
+	in, quote := false, rune(0)
+	for _, r := range line {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			cur.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, in = r, true
+		case r == '#' && !in:
+			return words
+		case r == ' ' || r == '\t':
+			if in {
+				words = append(words, cur.String())
+				cur.Reset()
+				in = false
+			}
+		default:
+			cur.WriteRune(r)
+			in = true
+		}
+	}
+	if in {
+		words = append(words, cur.String())
+	}
+	return words
+}
+
+// TestDocCommandsParse parses every `tesa …` command in the code blocks
+// of README.md and EXPERIMENTS.md against its subcommand's flag set, so
+// the docs cannot drift from the flags.
+func TestDocCommandsParse(t *testing.T) {
+	n := 0
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inBlock, cont := false, ""
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inBlock, cont = !inBlock, ""
+				continue
+			}
+			if !inBlock {
+				continue
+			}
+			line = cont + strings.TrimSpace(line)
+			if strings.HasSuffix(line, `\`) {
+				cont = strings.TrimSuffix(line, `\`) + " "
+				continue
+			}
+			cont = ""
+			words := shellWords(line)
+			for len(words) > 0 && strings.Contains(words[0], "=") {
+				words = words[1:] // environment assignments
+			}
+			switch {
+			case len(words) >= 3 && words[0] == "go" && words[1] == "run" && words[2] == "./cmd/tesa":
+				words = words[3:]
+			case len(words) >= 1 && (words[0] == "tesa" || words[0] == "./tesa"):
+				words = words[1:]
+			default:
+				continue
+			}
+			kind := jobspec.KindOptimize
+			if len(words) > 0 && subcommands[words[0]] != nil {
+				kind, words = words[0], words[1:]
+			}
+			c := newCommand(kind, &bytes.Buffer{}, &bytes.Buffer{})
+			subcommands[kind](c)
+			if err := c.fs.Parse(words); err != nil {
+				t.Errorf("%s: %q: %v", doc, line, err)
+			}
+			n++
+		}
+	}
+	t.Logf("parsed %d tesa commands", n)
+	if n < 10 {
+		t.Errorf("found only %d tesa commands in the docs", n)
+	}
+}

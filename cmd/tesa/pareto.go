@@ -1,0 +1,105 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"tesa"
+	"tesa/internal/cli"
+	"tesa/internal/jobspec"
+)
+
+// paretoCmd is `tesa pareto`: the Eq. (6) weight sweep or the NSGA-II
+// population front, as CSV on stdout.
+func paretoCmd(c *command) func(ctx context.Context) error {
+	f := c.jobFlags(30, 75, 32, true)
+	front := c.fs.String("front", "weights", "front engine: weights (Eq. 6 sweep) or nsga2 (multi-objective population)")
+	points := c.fs.Int("points", 9, "number of weight settings to sweep (weights front)")
+	pop := c.fs.Int("pop", 0, "NSGA-II population size (0 = default; nsga2 front)")
+	gens := c.fs.Int("gens", 0, "NSGA-II generations (0 = default; nsga2 front)")
+	c.operational(true)
+	// The summaries go to stderr so the CSV on stdout stays clean.
+	c.sum = c.stderr
+
+	return func(ctx context.Context) error {
+		r, err := c.resolve(func() (*jobspec.Spec, error) {
+			s := f.spec(jobspec.KindPareto)
+			s.Pareto = &jobspec.Pareto{Front: *front}
+			if *front == "nsga2" {
+				s.Pareto.Pop, s.Pareto.Gens = *pop, *gens
+			} else {
+				s.Pareto.Points = *points
+			}
+			return s, nil
+		})
+		if err != nil {
+			return err
+		}
+		if err := c.start(r); err != nil {
+			return err
+		}
+		c.sess.Manifest.Set("front", r.ParetoFront)
+		out, err := c.execute(ctx, r, c.runtime())
+		if r.ParetoFront == "nsga2" {
+			if err != nil {
+				return err
+			}
+			return c.printNSGA2(out)
+		}
+
+		// Rows for the settings swept before an interruption stay valid.
+		fmt.Fprintln(c.stdout, "alpha,beta,arrayDim,sramKBper,icsUM,meshRows,meshCols,peakC,powerW,costUSD,dramW")
+		seen := map[tesa.DesignPoint]bool{}
+		for _, w := range out.Weights {
+			if !w.Res.Found {
+				fmt.Fprintf(c.stderr, "alpha=%.2f beta=%.2f: no solution\n", w.Alpha, w.Beta)
+				continue
+			}
+			b := w.Res.Best
+			marker := ""
+			if seen[b.Point] {
+				marker = " (dup)"
+			}
+			seen[b.Point] = true
+			fmt.Fprintf(c.stdout, "%.3f,%.3f,%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f%s\n",
+				w.Alpha, w.Beta, b.Point.ArrayDim, b.Point.SRAMKB(), b.Point.ICSUM,
+				b.Mesh.Rows, b.Mesh.Cols, b.PeakTempC, b.TotalPowerW, b.MCMCost.Total, b.DRAMPowerW, marker)
+		}
+		if err != nil {
+			return err
+		}
+		ledger := out.Poisoned()
+		cli.FailureSummary(c.stderr, ledger)
+		return quarantined(len(ledger))
+	}
+}
+
+// printNSGA2 prints the full-fidelity non-dominated front over cost,
+// DRAM power and peak temperature as CSV. An infinite crowding distance
+// (an objective-extreme member) prints as "inf".
+func (c *command) printNSGA2(out *jobspec.Outcome) error {
+	ledger := out.Poisoned()
+	if len(out.Front) == 0 {
+		fmt.Fprintln(c.stderr, "no feasible configuration: the front is empty")
+		cli.FailureSummary(c.stderr, ledger)
+		return nil
+	}
+	fmt.Fprintln(c.stdout, "arrayDim,sramKBper,icsUM,meshRows,meshCols,peakC,powerW,costUSD,dramW,crowding")
+	for _, m := range out.Front {
+		b := m.Eval
+		crowding := fmt.Sprintf("%.4f", m.Crowding)
+		if math.IsInf(m.Crowding, 1) {
+			crowding = "inf"
+		}
+		fmt.Fprintf(c.stdout, "%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%s\n",
+			b.Point.ArrayDim, b.Point.SRAMKB(), b.Point.ICSUM,
+			b.Mesh.Rows, b.Mesh.Cols, b.PeakTempC, b.TotalPowerW, b.MCMCost.Total, b.DRAMPowerW, crowding)
+	}
+	if hits, misses, ranked := out.Evaluator.SurrogateStats(); hits+misses > 0 {
+		fmt.Fprintf(c.stderr, "surrogate: %d ranked decisions, %d cold fallbacks, %d candidates scored\n",
+			hits, misses, ranked)
+	}
+	cli.FailureSummary(c.stderr, ledger)
+	return quarantined(len(ledger))
+}

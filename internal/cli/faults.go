@@ -1,13 +1,12 @@
-// Package cli shares the fault-injection and failure-reporting plumbing
-// of the tesa command-line tools: the -faults/TESA_FAULTS spec, the
-// per-stage timeout, and the quarantine summary with its distinct exit
-// code.
+// Package cli shares the observability, memo-store and failure-reporting
+// plumbing of the tesa command-line tools: the telemetry and manifest
+// flags, the -memo-dir/-starts-parallel flags, and the quarantine
+// summary with its distinct exit code.
 package cli
 
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"tesa"
 )
@@ -21,24 +20,6 @@ const ExitQuarantined = 4
 // maxSummaryLines caps the per-point lines of a failure summary; large
 // ledgers are truncated with a count.
 const maxSummaryLines = 20
-
-// ApplyFaults compiles spec (the -faults flag, defaulting to the
-// TESA_FAULTS environment variable) into an injection plan and arms ev
-// with it plus the per-stage wall-clock budget. An empty spec and a zero
-// timeout are no-ops.
-func ApplyFaults(ev *tesa.Evaluator, spec string, stageTimeout time.Duration) error {
-	plan, err := tesa.ParseFaults(spec)
-	if err != nil {
-		return err
-	}
-	if plan != nil {
-		ev.InjectFaults(plan)
-	}
-	if stageTimeout > 0 {
-		ev.SetStageTimeout(stageTimeout)
-	}
-	return nil
-}
 
 // FailureSummary prints the quarantine ledger, capped at
 // maxSummaryLines entries. It prints nothing for an empty ledger.

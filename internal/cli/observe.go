@@ -29,19 +29,21 @@ type Observability struct {
 	// manifest still exists and rides the trace stream and /debug/vars,
 	// but gets no file of its own).
 	ManifestPath string
+
+	fs *flag.FlagSet
 }
 
 // ObservabilityFlags registers -metrics, -trace, -pprof, -metrics-addr,
-// and -manifest on the default flag set and returns the struct they
-// populate after flag.Parse.
-func ObservabilityFlags() *Observability {
-	o := &Observability{}
-	flag.BoolVar(&o.Metrics, "metrics", false, "print an end-of-run telemetry summary")
-	flag.StringVar(&o.Trace, "trace", "", "write a JSONL event trace to this file")
-	flag.StringVar(&o.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.StringVar(&o.MetricsAddr, "metrics-addr", "",
+// and -manifest on fs and returns the struct they populate after
+// fs.Parse.
+func ObservabilityFlags(fs *flag.FlagSet) *Observability {
+	o := &Observability{fs: fs}
+	fs.BoolVar(&o.Metrics, "metrics", false, "print an end-of-run telemetry summary")
+	fs.StringVar(&o.Trace, "trace", "", "write a JSONL event trace to this file")
+	fs.StringVar(&o.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&o.MetricsAddr, "metrics-addr", "",
 		"serve live /metrics (Prometheus), /debug/vars, /progress and /debug/pprof on this address (e.g. localhost:9090)")
-	flag.StringVar(&o.ManifestPath, "manifest", "", "write the run manifest (start and end records) as JSONL to this file")
+	fs.StringVar(&o.ManifestPath, "manifest", "", "write the run manifest (start and end records) as JSONL to this file")
 	return o
 }
 
@@ -71,18 +73,20 @@ type Session struct {
 // the telemetry hub and exposition server (per the flags), plus a run
 // manifest whose phase-"start" record is written immediately — to the
 // -manifest file, the -trace stream, and /debug/vars, whichever exist.
-// command names the binary for the manifest; sum is where Finish prints
-// the -metrics summary (stdout for most commands, stderr for CSV
-// emitters). Call Finish before every exit path — os.Exit skips defers.
-func (o *Observability) Setup(command string, sum io.Writer) (*Session, error) {
+// command names the command and args its command line for the manifest,
+// which also records every flag explicitly set on the flag set; sum is
+// where Finish prints the -metrics summary (stdout for most commands,
+// stderr for CSV emitters). Call Finish before every exit path —
+// os.Exit skips defers.
+func (o *Observability) Setup(command string, args []string, sum io.Writer) (*Session, error) {
 	tel, srv, telDone, err := telemetry.Setup(o.Trace, o.Pprof, o.MetricsAddr, o.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{Tel: tel, Server: srv, o: o, sum: sum, telDone: telDone}
-	s.Manifest = telemetry.NewManifest(command, os.Args[1:])
+	s.Manifest = telemetry.NewManifest(command, args)
 	flags := map[string]string{}
-	flag.Visit(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
+	o.fs.Visit(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
 	if len(flags) > 0 {
 		s.Manifest.Set("flags", flags)
 	}
@@ -185,18 +189,19 @@ type MemoFlags struct {
 	// Dir is the on-disk cache directory (-memo-dir).
 	Dir string
 	// Parallel runs the multi-start annealing chains concurrently
-	// (-starts-parallel). Results are identical to the sequential
-	// schedule; only wall-clock time changes.
+	// (-starts-parallel). The winning objective is identical to the
+	// sequential schedule; equal-objective ties may resolve to a
+	// different point.
 	Parallel bool
 }
 
-// MemoFlagsRegister registers -memo-dir and -starts-parallel on the
-// default flag set and returns the struct they populate after
-// flag.Parse.
-func MemoFlagsRegister() *MemoFlags {
+// MemoFlagsRegister registers -memo-dir and -starts-parallel on fs and
+// returns the struct they populate after fs.Parse.
+func MemoFlagsRegister(fs *flag.FlagSet) *MemoFlags {
 	m := &MemoFlags{}
-	flag.StringVar(&m.Dir, "memo-dir", "", "persist the run's memo store in this directory across invocations")
-	flag.BoolVar(&m.Parallel, "starts-parallel", false, "run the annealing chains through a worker pool (identical results, less wall-clock)")
+	fs.StringVar(&m.Dir, "memo-dir", "", "persist the run's memo store in this directory across invocations")
+	fs.BoolVar(&m.Parallel, "starts-parallel", false,
+		"run the annealing chains through a worker pool (identical objective; equal-objective ties may resolve to a different point)")
 	return m
 }
 

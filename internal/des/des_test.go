@@ -132,7 +132,7 @@ func testScenario(seed int64) (Scenario, Platform) {
 
 // TestEngineDeterminism runs the same seeded scenario twice and demands
 // bit-identical event logs and envelopes (the CI sim smoke re-checks
-// this end to end through tesa-sim).
+// this end to end through tesa sim).
 func TestEngineDeterminism(t *testing.T) {
 	run := func() (*Result, []byte) {
 		sc, pl := testScenario(42)

@@ -29,7 +29,7 @@ var ErrWorkerCrashed = errors.New("distrib: injected worker crash")
 type WorkerConfig struct {
 	// Coord is the coordinator's base URL — the mount point of its
 	// Handler (e.g. http://host:9090/v1/distrib behind tesa-server, or
-	// the bare address of a tesa-sweep -coordinate process).
+	// the bare address of a tesa sweep -coordinate process).
 	Coord string
 	// Name identifies the worker to the coordinator; "" generates one.
 	Name string

@@ -1,10 +1,9 @@
 // Package jobspec defines the versioned JSON job specification shared
-// by the tesa CLIs and tesa-server: one schema describes an optimize,
-// sweep, pareto, or sim run — workload, evaluation options,
+// by the tesa command and tesa-server: one schema describes an
+// optimize, sweep, pareto, or sim run — workload, evaluation options,
 // constraints, design space or scenario, and failure policies — so a
-// job file handed to `tesa -job`, `tesa-sweep -job`, `tesa-pareto
-// -job`, `tesa-sim -job`, or POSTed to `tesa-server` means exactly the
-// same run everywhere.
+// job file handed to `tesa <kind> -job` or POSTed to `tesa-server`
+// means exactly the same run everywhere.
 //
 // The schema is strict and versioned: decoding rejects unknown fields
 // (a typo fails loudly instead of silently falling back to a default)
@@ -24,7 +23,8 @@
 // Every omitted field takes the paper's default (DefaultOptions,
 // DefaultConstraints, the per-kind default space), so the empty-ish
 // spec above is a complete job description. Spec.Resolve materializes
-// the spec into the core types and Run executes it.
+// the spec into the core types, Execute runs it on its engine, and Run
+// projects the outcome into the wire-form Result.
 package jobspec
 
 import (
@@ -61,7 +61,7 @@ const (
 type Spec struct {
 	// Version must equal the package's Version constant.
 	Version string `json:"version"`
-	// Kind selects the engine: "optimize", "sweep", or "pareto".
+	// Kind selects the engine: "optimize", "sweep", "pareto", or "sim".
 	Kind string `json:"kind"`
 
 	// Workload selection — at most one of the three. WorkloadRef names a

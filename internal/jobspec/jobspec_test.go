@@ -413,3 +413,44 @@ func TestRunDeadline(t *testing.T) {
 		t.Errorf("deadline_sec did not cancel the job: %v", err)
 	}
 }
+
+// TestParallelStartsKeepObjective pins what the annealer's worker pool
+// (Runtime.Parallel, the CLIs' -starts-parallel) preserves on tinySpec:
+// the winning objective is identical under the legacy schedule and every
+// pool width, and the winning point is identical across pool widths.
+// Equal-objective ties may resolve to a different point than the legacy
+// schedule (here 200/1000 vs 200/500).
+func TestParallelStartsKeepObjective(t *testing.T) {
+	spec, err := Parse([]byte(tinySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := spec.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy, pooled *Best
+	for _, parallel := range []int{0, 1, 2, 4} {
+		res, err := Run(context.Background(), r, Runtime{Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found {
+			t.Fatalf("parallel=%d found nothing", parallel)
+		}
+		b := res.Best
+		switch {
+		case parallel == 0:
+			legacy = b
+		case pooled == nil:
+			pooled = b
+		case b.ArrayDim != pooled.ArrayDim || b.ICSUM != pooled.ICSUM:
+			t.Errorf("parallel=%d picked %d/%d, parallel=1 picked %d/%d",
+				parallel, b.ArrayDim, b.ICSUM, pooled.ArrayDim, pooled.ICSUM)
+		}
+		if b.Objective != legacy.Objective {
+			t.Errorf("parallel=%d objective %v, legacy schedule %v", parallel, b.Objective, legacy.Objective)
+		}
+		t.Logf("parallel=%d: %d/%d peak %.2f C objective %v", parallel, b.ArrayDim, b.ICSUM, b.PeakTempC, b.Objective)
+	}
+}

@@ -19,8 +19,9 @@ import (
 const defaultThermalDtSec = 0.05
 
 // Resolved is a spec materialized into the core types: defaults filled,
-// workload loaded, axes validated. It is the unit the executors (Run,
-// the CLIs, tesa-server) consume.
+// workload loaded, axes validated. It is the unit Execute and Run
+// consume, whether called by the tesa command, tesa-server or the
+// library.
 type Resolved struct {
 	// Kind is the validated job kind.
 	Kind string
@@ -255,7 +256,7 @@ func (s *Spec) resolveWorkload(baseDir string) (dnn.Workload, error) {
 }
 
 // resolveSpace materializes the space section; absent, each kind gets
-// its CLI default — the Table II space for optimize and pareto, the
+// its default — the Table II space for optimize and pareto, the
 // exhaustively-enumerable validation space for sweep.
 func (s *Spec) resolveSpace() (core.Space, error) {
 	if s.Space == nil {

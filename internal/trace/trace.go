@@ -185,7 +185,7 @@ type StageStats struct {
 
 // stagePrefix is the metric namespace of the per-stage histograms;
 // simPrefix is the namespace of the dynamic-workload simulation spans
-// (sim.run, sim.distribution) emitted by tesa-sim and sim jobs.
+// (sim.run, sim.distribution) emitted by tesa sim and sim jobs.
 const (
 	stagePrefix = "stage."
 	simPrefix   = "sim."
