@@ -15,13 +15,8 @@ package tesa_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -363,260 +358,4 @@ func BenchmarkOptimizeTelemetryExposed(b *testing.B) {
 	benchOptimizeTelemetry(b, tel)
 	close(stop)
 	wg.Wait()
-}
-
-// emitBench appends one JSONL record for this benchmark invocation to
-// the file named by TESA_BENCH_JSON (no-op when unset), mirroring the
-// helper in internal/thermal's benchmarks so one artifact collects both
-// the solver micro-benchmarks and the end-to-end sweep numbers.
-func emitBench(b *testing.B, extra map[string]any) {
-	path := os.Getenv("TESA_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	b.Cleanup(func() {
-		rec := map[string]any{
-			"bench":     b.Name(),
-			"n":         b.N,
-			"ns_per_op": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		}
-		for k, v := range extra {
-			rec[k] = v
-		}
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("bench json: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := json.NewEncoder(f).Encode(rec); err != nil {
-			b.Logf("bench json: %v", err)
-		}
-	})
-}
-
-// benchSweepThermal runs the full multi-start optimizer over the
-// validation space on one thermal path and records the winner, so the
-// reference/fast pair in BENCH_thermal.json can be checked for both the
-// speedup and the identical winning design point.
-func benchSweepThermal(b *testing.B, fast bool, label string) {
-	opts := tesa.DefaultOptions()
-	opts.Grid = 32
-	opts.ThermalFast = fast
-	cons := tesa.DefaultConstraints()
-	cons.FPS = 15
-	cons.TempBudgetC = 85
-	var winner string
-	var screened int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev, err := tesa.NewEvaluator(tesa.ARVRWorkload(), opts, cons, tesa.Models{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := ev.OptimizeContext(context.Background(), tesa.ValidationSpace(), 1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Found {
-			b.Fatal("no feasible configuration on the validation space")
-		}
-		winner = fmt.Sprint(res.Best.Point)
-		screened = res.Screened
-	}
-	b.Logf("%s: winner %s, %d screened", label, winner, screened)
-	emitBench(b, map[string]any{"path": label, "winner": winner, "screened": screened})
-}
-
-// BenchmarkSweepThermal is the end-to-end acceptance benchmark of the
-// fast thermal path: same search, same seed, reference ladder vs
-// -thermal-fast. Run with -benchtime 1x for a single timed sweep each.
-func BenchmarkSweepThermal(b *testing.B) {
-	b.Run("reference", func(b *testing.B) { benchSweepThermal(b, false, "reference") })
-	b.Run("fast", func(b *testing.B) { benchSweepThermal(b, true, "fast") })
-}
-
-// benchSweepEval runs the full default-corner optimization (the
-// acceptance corner of the memoization work: DefaultSpace, 30 fps,
-// 15 W, 75 C, seed 1, fast thermal path) on one configuration and
-// records the winner with its exact reported numbers, so the
-// private-store / memo-cold / memo-warm triple in BENCH_eval.json can be
-// checked for both the speedup and the identical result. Without a
-// memoDir the evaluator keeps its private in-memory store.
-func benchSweepEval(b *testing.B, label, memoDir string, parallel bool) {
-	opts := tesa.DefaultOptions()
-	opts.ThermalFast = true
-	cons := tesa.DefaultConstraints()
-	var rec map[string]any
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev, err := tesa.NewEvaluator(tesa.ARVRWorkload(), opts, cons, tesa.Models{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		memoDone := func() error { return nil }
-		if memoDir != "" {
-			store := tesa.NewMemoStore()
-			if memoDone, err = tesa.LoadMemoDir(store, memoDir); err != nil {
-				b.Fatal(err)
-			}
-			ev.UseMemo(store)
-		}
-		optOpt := &tesa.OptimizeOptions{}
-		if parallel {
-			optOpt.Parallel = runtime.NumCPU()
-		}
-		start := time.Now()
-		res, err := ev.OptimizeContext(context.Background(), tesa.DefaultSpace(), 1, optOpt)
-		elapsed := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Found {
-			b.Fatal("no feasible configuration at the default corner")
-		}
-		if err := memoDone(); err != nil {
-			b.Fatal(err)
-		}
-		// The identical-result gate compares the winner and the exact
-		// reported objective/cost/latency; the temperature at the CLI's
-		// 2-decimal precision (warm-started CG state may move its last
-		// bits).
-		rec = map[string]any{
-			"path":          label,
-			"parallel":      parallel,
-			"winner":        fmt.Sprint(res.Best.Point),
-			"objective":     res.Best.Objective,
-			"cost_usd":      res.Best.MCMCost.Total,
-			"latency_ms":    res.Best.MakespanSec * 1e3,
-			"temp_c":        fmt.Sprintf("%.2f", res.Best.PeakTempC),
-			"evals_per_sec": float64(res.Evaluations) / elapsed.Seconds(),
-		}
-		st := ev.MemoStats()
-		rec["memo_hit_rate"] = st.HitRate()
-		rec["memo_loaded"] = st.Loaded
-	}
-	b.Logf("%s: winner %v, objective %v", label, rec["winner"], rec["objective"])
-	emitBench(b, rec)
-}
-
-// benchSweepSearch runs the validation-corner optimization (grid 32,
-// 15 fps, 85 C, seed 1, fast thermal path) against a shared memo corpus
-// and records how many distinct design points the search touched before
-// first adopting its final winner, so the plain/ranked pair in
-// BENCH_search.json can be checked for the identical winner and the
-// surrogate's evals-to-optimum saving. The corpus leg is a cold plain
-// search whose memo segments both measured legs then load, so the memo
-// layer serves both identically and the only delta between "plain" and
-// "ranked" is the learned ranking itself (which warms by replaying the
-// corpus before the run).
-func benchSweepSearch(b *testing.B, label, memoDir string, ranked bool) {
-	opts := tesa.DefaultOptions()
-	opts.Grid = 32
-	opts.ThermalFast = true
-	opts.Surrogate = ranked
-	// A wider candidate pool than the default: with a corpus-warmed model
-	// each annealing move picks the best of 16 scored candidates, which is
-	// what converts ranking accuracy into fewer evaluations.
-	opts.SurrogateK = 16
-	cons := tesa.DefaultConstraints()
-	cons.FPS = 15
-	cons.TempBudgetC = 85
-	var rec map[string]any
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev, err := tesa.NewEvaluator(tesa.ARVRWorkload(), opts, cons, tesa.Models{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		store := tesa.NewMemoStore()
-		memoDone, err := tesa.LoadMemoDir(store, memoDir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ev.UseMemo(store)
-		type improvement struct {
-			explored  int
-			objective float64
-		}
-		var improvements []improvement
-		optOpt := &tesa.OptimizeOptions{
-			// One chain at a time: identical results for the plain path by
-			// construction (see OptimizeOptions.Parallel), and a
-			// deterministic online-training order for the ranked one.
-			Parallel: 1,
-			Progress: func(p tesa.Progress) {
-				if p.Improved {
-					improvements = append(improvements, improvement{ev.Explored(), p.Incumbent.Objective})
-				}
-			},
-		}
-		res, err := ev.OptimizeContext(context.Background(), tesa.ValidationSpace(), 1, optOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Found {
-			b.Fatal("no feasible configuration on the validation space")
-		}
-		// evals-to-best is the explored count at the first incumbent that
-		// reached the winning objective — not at the last improvement,
-		// which can be a later tie-break churn between equal-objective
-		// points.
-		evalsToBest := 0
-		for _, im := range improvements {
-			if im.objective <= res.Best.Objective*(1+1e-9) {
-				evalsToBest = im.explored
-				break
-			}
-		}
-		if evalsToBest == 0 {
-			b.Fatal("no incumbent ever reached the winning objective")
-		}
-		if err := memoDone(); err != nil {
-			b.Fatal(err)
-		}
-		hits, misses, scored := ev.SurrogateStats()
-		rec = map[string]any{
-			"path":           label,
-			"winner":         fmt.Sprint(res.Best.Point),
-			"objective":      res.Best.Objective,
-			"evals_to_best":  evalsToBest,
-			"explored":       res.Explored,
-			"ranked":         res.Ranked,
-			"surrogate_hit":  hits,
-			"surrogate_miss": misses,
-			"surrogate_rank": scored,
-		}
-	}
-	b.Logf("%s: winner %v, %v points explored to first-hit the winning objective (%v total)",
-		label, rec["winner"], rec["evals_to_best"], rec["explored"])
-	emitBench(b, rec)
-}
-
-// BenchmarkSweepSearch is the acceptance benchmark of the learned
-// ranking surrogate: same corner, same seed, same warm memo corpus,
-// surrogate off vs on. The ranked leg must re-derive the identical
-// winner while touching at least 2x fewer design points before first
-// hitting it. Run with -benchtime 1x so the corpus leg really seeds the
-// segments the measured legs load.
-func BenchmarkSweepSearch(b *testing.B) {
-	dir := filepath.Join(b.TempDir(), "memo")
-	b.Run("corpus", func(b *testing.B) { benchSweepSearch(b, "corpus", dir, false) })
-	b.Run("plain", func(b *testing.B) { benchSweepSearch(b, "plain", dir, false) })
-	b.Run("ranked", func(b *testing.B) { benchSweepSearch(b, "ranked", dir, true) })
-}
-
-// BenchmarkSweepEval is the end-to-end acceptance benchmark of the
-// memoization layer: the same default-corner fast-path search on the
-// evaluator's private in-memory store with sequential chains, then
-// memo-cold (fresh persistent store, pooled chains), then memo-warm
-// (second invocation over the same -memo-dir). The warm leg must
-// re-derive the identical winner at least 5x faster than the
-// private-store leg. Run with -benchtime 1x so the cold leg really is
-// cold and the warm leg really reloads the cold leg's segments.
-func BenchmarkSweepEval(b *testing.B) {
-	dir := filepath.Join(b.TempDir(), "memo")
-	b.Run("private-store", func(b *testing.B) { benchSweepEval(b, "private-store", "", false) })
-	b.Run("memo-cold", func(b *testing.B) { benchSweepEval(b, "memo-cold", dir, true) })
-	b.Run("memo-warm", func(b *testing.B) { benchSweepEval(b, "memo-warm", dir, true) })
 }

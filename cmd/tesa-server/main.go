@@ -41,10 +41,11 @@
 // Prometheus text, /debug/vars, /progress, /debug/pprof) for the whole
 // process, including tesa_serve_* job counters and latency histograms.
 //
-// On SIGINT/SIGTERM the server drains: submissions are refused with
-// 503, queued and running jobs are canceled, the memo cache and run
-// manifest flush, and the process exits 0. A drain that exceeds
-// -drain-timeout exits 1.
+// The listening line on stdout names the bound address, so -addr
+// 127.0.0.1:0 picks a free port. On SIGINT/SIGTERM the server drains:
+// submissions are refused with 503, queued and running jobs are
+// canceled, the memo cache and run manifest flush, and the process
+// exits 0. A drain that exceeds -drain-timeout exits 1.
 package main
 
 import (
@@ -52,6 +53,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -66,33 +69,62 @@ import (
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "job API listen address")
-		workers = flag.Int("workers", 2, "concurrent job executors")
-		queue   = flag.Int("queue", 64, "accepted-but-unstarted job capacity (full = 429)")
-		jobDL   = flag.Duration("job-deadline", 0, "default per-job deadline for specs without deadline_sec (0 = none)")
-		baseDir = flag.String("base-dir", "", "directory anchoring relative workload_file paths in specs (default: cwd)")
-		drainTO = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for jobs to wind down on shutdown")
-		dSpec   = flag.String("distrib", "", "host a distributed sweep coordinator for this jobspec under /v1/distrib/")
-		dCkpt   = flag.String("distrib-checkpoint", "", "append the distributed sweep's merged ledger to this JSONL file")
-		obs     = cli.ObservabilityFlags(flag.CommandLine)
-		mf      = cli.MemoFlagsRegister(flag.CommandLine)
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	sess, err := obs.Setup("tesa-server", os.Args[1:], os.Stdout)
+// run serves the job API until ctx is canceled, then drains, and
+// returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("tesa-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr    = fs.String("addr", ":8080", "job API listen address")
+		workers = fs.Int("workers", 2, "concurrent job executors")
+		queue   = fs.Int("queue", 64, "accepted-but-unstarted job capacity (full = 429)")
+		jobDL   = fs.Duration("job-deadline", 0, "default per-job deadline for specs without deadline_sec (0 = none)")
+		baseDir = fs.String("base-dir", "", "directory anchoring relative workload_file paths in specs (default: cwd)")
+		drainTO = fs.Duration("drain-timeout", 30*time.Second, "maximum time to wait for jobs to wind down on shutdown")
+		dSpec   = fs.String("distrib", "", "host a distributed sweep coordinator for this jobspec under /v1/distrib/")
+		dCkpt   = fs.String("distrib-checkpoint", "", "append the distributed sweep's merged ledger to this JSONL file")
+		obs     = cli.ObservabilityFlags(fs)
+		mf      = cli.MemoFlagsRegister(fs)
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has reported the error
+	}
+
+	sess, err := obs.Setup("tesa-server", args, stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	// fail ends a run that could not start serving.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		sess.Finish("error")
+		return 1
 	}
 	// The whole point of the service is cross-request warmth: every job
 	// shares the run's memo store, -memo-dir adds persistence across
 	// restarts.
 	store, memoDone, err := mf.Store()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
+	defer func() {
+		if err := memoDone(); err != nil {
+			fmt.Fprintln(stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	// An optional distributed sweep coordinator rides on the same
 	// listener: its verification re-executions warm (and are warmed by)
@@ -101,8 +133,7 @@ func main() {
 	if *dSpec != "" {
 		raw, err := os.ReadFile(*dSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		dcfg := distrib.Config{
 			Spec:    raw,
@@ -111,22 +142,20 @@ func main() {
 			Store:   store,
 			Tel:     sess.Tel,
 			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
+				fmt.Fprintf(stderr, format+"\n", args...)
 			},
 		}
 		if *dCkpt != "" {
 			sink, err := telemetry.NewFileSink(*dCkpt)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
 			defer sink.Close()
 			dcfg.Ledger = sink
 		}
 		coord, err = distrib.NewCoordinator(dcfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer coord.Close()
 		sess.Manifest.Set("distrib_space", coord.Fingerprint())
@@ -144,45 +173,44 @@ func main() {
 	if coord != nil {
 		srvCfg.Distrib = coord.Handler()
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
+	}
 	srv := server.New(srvCfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler()}
 
-	sess.Manifest.Set("addr", *addr)
+	sess.Manifest.Set("addr", ln.Addr().String())
 	sess.Manifest.Set("workers", *workers)
 	sess.Manifest.Set("queue", *queue)
 
+	fmt.Fprintf(stdout, "tesa-server: listening on %s (%d workers, queue %d)\n", ln.Addr(), *workers, *queue)
+	if coord != nil {
+		fmt.Fprintf(stdout, "tesa-server: distributed sweep at /v1/distrib (%d shards, space %s)\n",
+			coord.Shards(), coord.Fingerprint())
+	}
 	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("tesa-server: listening on %s (%d workers, queue %d)\n", *addr, *workers, *queue)
-		if coord != nil {
-			fmt.Printf("tesa-server: distributed sweep at /v1/distrib (%d shards, space %s)\n",
-				coord.Shards(), coord.Fingerprint())
-		}
-		errCh <- hs.ListenAndServe()
-	}()
+	go func() { errCh <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	status, code := "ok", 0
+	status := "ok"
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			status, code = "error", 1
 		}
-	case s := <-sig:
-		fmt.Printf("tesa-server: %v, draining\n", s)
+	case <-ctx.Done():
+		fmt.Fprintln(stdout, "tesa-server: interrupted, draining")
 		if coord != nil {
 			coord.Close()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
-		if err := srv.Drain(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		dctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		if err := srv.Drain(dctx); err != nil {
+			fmt.Fprintln(stderr, err)
 			status, code = "drain-timeout", 1
 		}
-		if err := hs.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := hs.Shutdown(dctx); err != nil {
+			fmt.Fprintln(stderr, err)
 			if code == 0 {
 				status, code = "shutdown-timeout", 1
 			}
@@ -194,14 +222,8 @@ func main() {
 	}
 
 	if obs.Metrics {
-		fmt.Printf("memo: %+v\n", store.Stats().KindStats)
+		fmt.Fprintf(stdout, "memo: %+v\n", store.Stats().KindStats)
 	}
 	sess.Finish(status)
-	if err := memoDone(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.Exit(code)
+	return code
 }

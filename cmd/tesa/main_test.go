@@ -244,6 +244,43 @@ func TestSimHonoursSpecPolicies(t *testing.T) {
 	}
 }
 
+// TestSimSeededEventLog: the same seed replays a bit-identical event
+// log and the same report, apart from the lines naming the files it
+// wrote; another seed gives another log.
+func TestSimSeededEventLog(t *testing.T) {
+	dir := t.TempDir()
+	sim := func(seed, name string) (string, []byte) {
+		t.Helper()
+		events := filepath.Join(dir, name)
+		code, stdout, stderr := runTesa(t, "sim", "-grid", "32", "-fps", "15", "-duration", "2", "-dt", "0.1",
+			"-seed", seed, "-draws", "2", "-tenant", "ar:MobileNet:diurnal:10:0.1",
+			"-tenant", "vr:ResNet-50:poisson:5:0.1", "-events", events)
+		if code != 0 {
+			t.Fatalf("seed %s: exit %d; stderr:\n%s", seed, code, stderr)
+		}
+		log, err := os.ReadFile(events)
+		if err != nil || len(log) == 0 {
+			t.Fatalf("seed %s: no event log (%v)", seed, err)
+		}
+		return wrote.ReplaceAllString(stdout, ""), log
+	}
+	outA, logA := sim("42", "a.jsonl")
+	outB, logB := sim("42", "b.jsonl")
+	_, logC := sim("43", "c.jsonl")
+	if !bytes.Equal(logA, logB) {
+		t.Error("seed 42 replayed a different event log")
+	}
+	if outA != outB {
+		t.Errorf("seed 42 replayed a different report:\n%s\nvs\n%s", outA, outB)
+	}
+	if bytes.Equal(logA, logC) {
+		t.Error("seeds 42 and 43 produced identical event logs")
+	}
+}
+
+// wrote matches the report lines naming an output file.
+var wrote = regexp.MustCompile(`(?m)^wrote .*\n`)
+
 // shellWords splits one shell command line into words, honouring single
 // and double quotes and dropping a trailing comment.
 func shellWords(line string) []string {

@@ -123,41 +123,61 @@ func TestSurrogateGateFullModeBypass(t *testing.T) {
 
 // TestFastPathIdenticalWinner is the end-to-end acceptance check: the
 // optimizer run with ThermalFast lands on the same winning design point
-// as the reference run, with the same feasibility outcome.
+// as the reference run, with the same feasibility outcome, on the
+// tiny space and on the validation space at grid 16.
 func TestFastPathIdenticalWinner(t *testing.T) {
-	space := tinySpace()
-	ref := testEvaluator(t, Tech2D, 400, 15, 85)
-	refRes, err := ref.OptimizeContext(context.Background(), space, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := fastEvaluator(t, Tech2D, 400, 15, 85)
-	fastRes, err := fast.OptimizeContext(context.Background(), space, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refRes.Found != fastRes.Found {
-		t.Fatalf("found disagreement: ref %v, fast %v", refRes.Found, fastRes.Found)
-	}
-	if !refRes.Found {
-		t.Fatal("reference optimizer found nothing on a feasible space")
-	}
-	if refRes.Best.Point != fastRes.Best.Point {
-		t.Errorf("winning point changed: ref %v (obj %.4f), fast %v (obj %.4f)",
-			refRes.Best.Point, refRes.Best.Objective, fastRes.Best.Point, fastRes.Best.Objective)
-	}
-	if refRes.Evaluations != fastRes.Evaluations {
-		t.Errorf("trajectory changed: ref %d evaluations, fast %d", refRes.Evaluations, fastRes.Evaluations)
-	}
-	if refRes.Screened != 0 {
-		t.Errorf("reference run reported %d screened candidates, want 0", refRes.Screened)
-	}
-	switch fastRes.Best.ThermalFidelity {
-	case "surrogate-hot", "surrogate-cool":
-		t.Errorf("reported winner carries surrogate thermal numbers (%s)", fastRes.Best.ThermalFidelity)
-	}
-	if d := math.Abs(fastRes.Best.PeakTempC - refRes.Best.PeakTempC); d > 0.1 {
-		t.Errorf("winner peak temperature differs by %.4f C between paths", d)
+	for _, tc := range []struct {
+		name  string
+		space Space
+		grid  int
+		seed  int64
+	}{
+		{"tiny", tinySpace(), 24, 3},
+		{"validation", ValidationSpace(), 16, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			optimize := func(fast bool) *OptimizeResult {
+				opts := DefaultOptions()
+				opts.Grid = tc.grid
+				opts.ThermalFast = fast
+				cons := DefaultConstraints()
+				cons.FPS = 15
+				cons.TempBudgetC = 85
+				e, err := NewEvaluator(dnn.ARVRWorkload(), opts, cons, Models{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.OptimizeContext(context.Background(), tc.space, tc.seed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			refRes, fastRes := optimize(false), optimize(true)
+			if refRes.Found != fastRes.Found {
+				t.Fatalf("found disagreement: ref %v, fast %v", refRes.Found, fastRes.Found)
+			}
+			if !refRes.Found {
+				t.Fatal("reference optimizer found nothing on a feasible space")
+			}
+			if refRes.Best.Point != fastRes.Best.Point {
+				t.Errorf("winning point changed: ref %v (obj %.4f), fast %v (obj %.4f)",
+					refRes.Best.Point, refRes.Best.Objective, fastRes.Best.Point, fastRes.Best.Objective)
+			}
+			if refRes.Evaluations != fastRes.Evaluations {
+				t.Errorf("trajectory changed: ref %d evaluations, fast %d", refRes.Evaluations, fastRes.Evaluations)
+			}
+			if refRes.Screened != 0 {
+				t.Errorf("reference run reported %d screened candidates, want 0", refRes.Screened)
+			}
+			switch fastRes.Best.ThermalFidelity {
+			case "surrogate-hot", "surrogate-cool":
+				t.Errorf("reported winner carries surrogate thermal numbers (%s)", fastRes.Best.ThermalFidelity)
+			}
+			if d := math.Abs(fastRes.Best.PeakTempC - refRes.Best.PeakTempC); d > 0.1 {
+				t.Errorf("winner peak temperature differs by %.4f C between paths", d)
+			}
+		})
 	}
 }
 

@@ -296,9 +296,9 @@ func TestFaultPlanKeepsSharedStoreClean(t *testing.T) {
 
 // TestMemoDiskWarmOptimize: a second process (modeled by a fresh store
 // and evaluator over the same -memo-dir) reloads the first run's
-// records, re-derives the identical winner mostly from disk, and
-// upgrades the compact winning record to a full evaluation before
-// reporting it.
+// records and re-derives the identical winner from disk. Its only
+// pipeline run is the upgrade of the compact winning record to a full
+// evaluation before reporting it.
 func TestMemoDiskWarmOptimize(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "memo")
 	space := tinySpace()
@@ -344,6 +344,14 @@ func TestMemoDiskWarmOptimize(t *testing.T) {
 	if warmRes.Best.Point != coldRes.Best.Point || warmRes.Best.Objective != coldRes.Best.Objective {
 		t.Errorf("warm winner %v obj %v, want %v obj %v",
 			warmRes.Best.Point, warmRes.Best.Objective, coldRes.Best.Point, coldRes.Best.Objective)
+	}
+	w, c := warmRes.Best, coldRes.Best
+	if w.MCMCost.Total != c.MCMCost.Total || w.MakespanSec != c.MakespanSec || w.PeakTempC != c.PeakTempC {
+		t.Errorf("warm winner cost/makespan/peak %v/%v/%v, want %v/%v/%v",
+			w.MCMCost.Total, w.MakespanSec, w.PeakTempC, c.MCMCost.Total, c.MakespanSec, c.PeakTempC)
+	}
+	if n := tel.Registry().Histogram("pipeline.total").Snapshot().Count; n != 1 {
+		t.Errorf("warm run made %d pipeline evaluations, want 1 (the winner's upgrade)", n)
 	}
 	if warmRes.Evaluations != coldRes.Evaluations || warmRes.Explored != coldRes.Explored {
 		t.Errorf("warm trajectory changed: %d/%d, want %d/%d",

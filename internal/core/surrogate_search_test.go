@@ -269,3 +269,106 @@ func TestNSGA2FrontNoFeasible(t *testing.T) {
 		t.Fatal("impossible budget produced a front")
 	}
 }
+
+// searchLeg is one leg of the evals-to-optimum contract: the validation
+// corner (2-D, 400 MHz, 15 fps, 85 C, grid 16, default thermal path,
+// seed 1, one chain at a time) over the memo corpus in dir.
+type searchLeg struct {
+	res     *OptimizeResult
+	toFirst int // points explored when an incumbent first reached the winning objective
+	ev      *Evaluator
+}
+
+func runSearchLeg(t *testing.T, dir string, ranked bool) searchLeg {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Grid = 16
+	opts.Surrogate = ranked
+	// With a corpus-warmed model each annealing move picks the best of
+	// 16 scored candidates, which is what turns ranking accuracy into
+	// fewer evaluations.
+	opts.SurrogateK = 16
+	cons := DefaultConstraints()
+	cons.FPS = 15
+	cons.TempBudgetC = 85
+	ev, err := NewEvaluator(dnn.ARVRWorkload(), opts, cons, Models{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := memo.NewStore()
+	closeStore, err := LoadMemoDir(store, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.UseMemo(store)
+	type improvement struct {
+		explored  int
+		objective float64
+	}
+	var improvements []improvement
+	res, err := ev.OptimizeContext(context.Background(), ValidationSpace(), 1, &OptimizeOptions{
+		// One chain at a time: a deterministic online-training order for
+		// the ranked leg.
+		Parallel: 1,
+		Progress: func(p Progress) {
+			if p.Improved {
+				improvements = append(improvements, improvement{ev.Explored(), p.Incumbent.Objective})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closeStore(); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found {
+		t.Fatal("no feasible configuration on the validation space")
+	}
+	// The first incumbent that reached the winning objective, not the
+	// last improvement, which can be a tie-break between equal
+	// objectives.
+	leg := searchLeg{res: res, ev: ev}
+	for _, im := range improvements {
+		if im.objective <= res.Best.Objective {
+			leg.toFirst = im.explored
+			break
+		}
+	}
+	return leg
+}
+
+// TestRankedSearchEvalsToOptimum is the learned ranking's acceptance
+// contract, pinned on exact counts: over the same warm memo corpus, the
+// plain and ranked searches end on the identical winner, and the ranked
+// one first reaches it after 28 explored points instead of 88 (39 in
+// total instead of 130). The counts are deterministic at Parallel: 1.
+func TestRankedSearchEvalsToOptimum(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "memo")
+	runSearchLeg(t, dir, false) // the corpus both measured legs load
+	plain := runSearchLeg(t, dir, false)
+	ranked := runSearchLeg(t, dir, true)
+
+	want := DesignPoint{ArrayDim: 126, ICSUM: 200}
+	const wantObj = 2.8618626653144856
+	for _, leg := range []struct {
+		name              string
+		l                 searchLeg
+		toFirst, explored int
+	}{
+		{"plain", plain, 88, 130},
+		{"ranked", ranked, 28, 39},
+	} {
+		res := leg.l.res
+		if res.Best.Point != want || res.Best.Objective != wantObj {
+			t.Errorf("%s: winner %v obj %v, want %v obj %v", leg.name, res.Best.Point, res.Best.Objective, want, wantObj)
+		}
+		if leg.l.toFirst != leg.toFirst || res.Explored != leg.explored {
+			t.Errorf("%s: first hit after %d of %d explored points, want %d of %d",
+				leg.name, leg.l.toFirst, res.Explored, leg.toFirst, leg.explored)
+		}
+	}
+	if hits, _, scored := ranked.ev.SurrogateStats(); hits == 0 || scored == 0 {
+		t.Errorf("ranked leg never used its model: %d warm decisions, %d candidates scored", hits, scored)
+	}
+}

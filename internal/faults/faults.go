@@ -182,7 +182,7 @@ func (r Rule) String() string {
 	if r.Rate > 0 && r.Rate < 1 {
 		opts = append(opts, fmt.Sprintf("rate=%g", r.Rate))
 	}
-	if r.Seed != 0 {
+	if r.Seed != 1 { // the seed a rule without a seed option parses to
 		opts = append(opts, fmt.Sprintf("seed=%d", r.Seed))
 	}
 	if r.Kind == KindStall && r.Delay > 0 {

@@ -53,6 +53,47 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// FuzzParse: every accepted spec renders to a fixed point of
+// Parse∘String that parses back to the same rules, so a plan logged or
+// forwarded in its rendered form poisons the same points as the
+// original.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500,attempts=2;latency@*:delay=50ms",
+		"nan@cost:dim=64-128;error@dram:ics=0",
+		"error@cost:rate=0.5,seed=0",
+		"crash@shard:shard=2-2;stall@shard:shard=1-3,delay=600ms;lie@shard:rate=0.1,seed=9",
+	} {
+		f.Add(spec)
+	}
+	// rate=1 and no rate option are two spellings of one rule.
+	canon := func(r Rule) Rule {
+		if r.Rate == 1 {
+			r.Rate = 0
+		}
+		return r
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p == nil {
+			return
+		}
+		out := p.String()
+		p2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", spec, out, err)
+		}
+		if got := p2.String(); got != out {
+			t.Fatalf("%q renders as %q, which re-renders as %q", spec, out, got)
+		}
+		for i := range p.Rules {
+			if canon(p.Rules[i]) != canon(p2.Rules[i]) {
+				t.Fatalf("%q renders as %q: rule %d %+v parses back as %+v", spec, out, i, p.Rules[i], p2.Rules[i])
+			}
+		}
+	})
+}
+
 // TestParseRoundTrip: String() renders re-parseable specs.
 func TestParseRoundTrip(t *testing.T) {
 	spec := "panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500,attempts=2;latency@*:delay=50ms"

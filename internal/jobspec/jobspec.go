@@ -215,8 +215,9 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("jobspec: %w", err)
 	}
-	// A second document in the stream is a malformed spec, not extra input.
-	if dec.More() {
+	// Anything but whitespace after the object — a second document, a
+	// stray closing delimiter — is a malformed spec, not extra input.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("jobspec: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {

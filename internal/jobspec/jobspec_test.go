@@ -1,6 +1,7 @@
 package jobspec
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -14,6 +15,45 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
+
+// FuzzParse: every spec Parse accepts marshals to a document that
+// parses again and marshals to the same bytes, so a spec forwarded in
+// canonical form (a server's job record, a distributed sweep's lease)
+// is the job that was submitted.
+func FuzzParse(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		out, err := spec.Marshal()
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%s", err, out)
+		}
+		out2, err := again.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("canonical form is not a fixed point:\n%s\nvs\n%s", out, out2)
+		}
+	})
+}
 
 // TestGoldenRoundTrip pins the canonical encoding: every spec in
 // testdata decodes strictly, re-encodes to its golden file byte for
@@ -72,6 +112,9 @@ func TestParseStrict(t *testing.T) {
 		{"missing kind", `{"version":"tesa.jobspec/v1"}`, "missing kind"},
 		{"unknown kind", `{"version":"tesa.jobspec/v1","kind":"search"}`, "unknown kind"},
 		{"trailing data", `{"version":"tesa.jobspec/v1","kind":"optimize"}{}`, "trailing data"},
+		{"trailing brace", `{"version":"tesa.jobspec/v1","kind":"optimize"}}`, "trailing data"},
+		{"trailing bracket", `{"version":"tesa.jobspec/v1","kind":"optimize"}]`, "trailing data"},
+		{"trailing bracket line", "{\"version\":\"tesa.jobspec/v1\",\"kind\":\"optimize\"}\n]\n", "trailing data"},
 		{"two workload sources",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","workload_ref":"arvr","workload_file":"w.json"}`,
 			"mutually exclusive"},

@@ -92,8 +92,8 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 // TestQuantileSmallSampleDistinct is the small-N regression: with 12
-// samples (a tesa-load leg), nearest-rank p95, p99, and max all landed
-// on the last order statistic; interpolation keeps them distinct and
+// samples, nearest-rank p95, p99, and max all landed on the last order
+// statistic; interpolation keeps them distinct and
 // strictly ordered.
 func TestQuantileSmallSampleDistinct(t *testing.T) {
 	h := &Histogram{}

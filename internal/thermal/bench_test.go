@@ -1,41 +1,6 @@
 package thermal
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
-
-// emitBench appends one JSONL record for this benchmark invocation to
-// the file named by TESA_BENCH_JSON (no-op when unset). Each record
-// carries the benchmark name, the iteration count, and ns/op; repeated
-// invocations (testing's N ramp-up, -count > 1) append a trajectory,
-// and consumers take the largest-N record per benchmark.
-func emitBench(b *testing.B, extra map[string]any) {
-	path := os.Getenv("TESA_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	b.Cleanup(func() {
-		rec := map[string]any{
-			"bench":     b.Name(),
-			"n":         b.N,
-			"ns_per_op": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		}
-		for k, v := range extra {
-			rec[k] = v
-		}
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("bench json: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := json.NewEncoder(f).Encode(rec); err != nil {
-			b.Logf("bench json: %v", err)
-		}
-	})
-}
+import "testing"
 
 // benchStack builds the same grid-88 MCM the repo-root thermal
 // benchmarks use: 11 mm interposer, four 14-cell chiplets.
@@ -74,7 +39,6 @@ func benchStack(b *testing.B, threeD bool) *Stack {
 // allocations) — the baseline of the fast-path speedup claim.
 func benchSolveReference(b *testing.B, threeD bool) {
 	s := benchStack(b, threeD)
-	emitBench(b, map[string]any{"solver": "reference", "grid": s.Grid, "layers": len(s.Layers)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,10 +52,9 @@ func benchSolveReference(b *testing.B, threeD bool) {
 // convergence target (an apples-to-apples comparison against
 // BenchmarkSolveReference*), recycling one workspace and one Result so
 // the steady state is reached with zero allocations per solve.
-func benchSolveFast(b *testing.B, threeD bool, tolScale float64, label string) {
+func benchSolveFast(b *testing.B, threeD bool, tolScale float64) {
 	s := benchStack(b, threeD)
 	s.Solver.TolScale = tolScale
-	emitBench(b, map[string]any{"solver": label, "grid": s.Grid, "layers": len(s.Layers)})
 	ws := NewWorkspace()
 	var res Result
 	if err := s.SolveWorkspaceInto(ws, nil, &res); err != nil {
@@ -115,21 +78,21 @@ func BenchmarkSolveReference3D(b *testing.B) { benchSolveReference(b, true) }
 // BenchmarkSolveFast2D is the workspace solver on the 2-D MCM bench
 // stack at the reference tolerance; compare against
 // BenchmarkSolveReference2D.
-func BenchmarkSolveFast2D(b *testing.B) { benchSolveFast(b, false, 0, "workspace") }
+func BenchmarkSolveFast2D(b *testing.B) { benchSolveFast(b, false, 0) }
 
 // BenchmarkSolveFast3D is the workspace solver on the 3-D MCM bench
 // stack at the reference tolerance; compare against
 // BenchmarkSolveReference3D.
-func BenchmarkSolveFast3D(b *testing.B) { benchSolveFast(b, true, 0, "workspace") }
+func BenchmarkSolveFast3D(b *testing.B) { benchSolveFast(b, true, 0) }
 
 // BenchmarkSolveFastTol2D is the workspace solver at the fast-path
 // tolerance (FastTolScale) — the configuration core's -thermal-fast
 // evaluation runs.
 func BenchmarkSolveFastTol2D(b *testing.B) {
-	benchSolveFast(b, false, FastTolScale, "workspace-fasttol")
+	benchSolveFast(b, false, FastTolScale)
 }
 
 // BenchmarkSolveFastTol3D is BenchmarkSolveFastTol2D on the 3-D stack.
 func BenchmarkSolveFastTol3D(b *testing.B) {
-	benchSolveFast(b, true, FastTolScale, "workspace-fasttol")
+	benchSolveFast(b, true, FastTolScale)
 }
