@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"tesa/internal/golden"
 	"tesa/internal/jobspec"
 )
 
@@ -31,7 +32,9 @@ var elapsed = regexp.MustCompile(`\b\d+\.\ds\b`)
 
 // TestGoldenStdout pins each subcommand's stdout and exit code to the
 // output of the standalone binaries it replaced, recorded in
-// testdata/<name>.golden; only elapsed-seconds fields are masked.
+// testdata/<name>.golden; only elapsed-seconds fields are masked, and
+// the temperatures and total power of JSON output match within 1e-6
+// (see golden.Compare).
 func TestGoldenStdout(t *testing.T) {
 	t.Setenv("TESA_FAULTS", "")
 	cases := []struct {
@@ -59,8 +62,8 @@ func TestGoldenStdout(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, wantS := elapsed.ReplaceAllString(stdout, "N.Ns"), elapsed.ReplaceAllString(string(want), "N.Ns")
-			if got != wantS {
-				t.Errorf("stdout drifted from testdata/%s.golden:\n got:\n%s\nwant:\n%s", c.name, got, wantS)
+			if err := golden.Compare([]byte(got), []byte(wantS)); err != nil {
+				t.Errorf("stdout drifted from testdata/%s.golden: %v\n got:\n%s\nwant:\n%s", c.name, err, got, wantS)
 			}
 		})
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tesa/internal/golden"
 )
 
 // runResult resolves and runs one spec document in an isolated runtime
@@ -53,7 +55,9 @@ func resultGolden(t *testing.T, name string, res *Result) (got, want []byte) {
 
 // TestRunResultGoldens pins what each reference job computes: the wire
 // result of tinySpec and of the sweep, pareto and sim testdata specs,
-// run in the zero Runtime, must match its golden byte for byte.
+// run in the zero Runtime, must match its golden byte for byte, except
+// the temperatures and total power, which match within 1e-6 (see
+// golden.Compare).
 func TestRunResultGoldens(t *testing.T) {
 	cases := []struct {
 		name string
@@ -71,8 +75,8 @@ func TestRunResultGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, want := resultGolden(t, c.name, runResult(t, raw))
-			if string(got) != string(want) {
-				t.Errorf("result drifted from testdata/%s.result.json:\n got: %s\nwant: %s", c.name, got, want)
+			if err := golden.Compare(got, want); err != nil {
+				t.Errorf("result drifted from testdata/%s.result.json: %v\n got: %s\nwant: %s", c.name, err, got, want)
 			}
 		})
 	}
