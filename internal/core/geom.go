@@ -1,23 +1,11 @@
 package core
 
-// Geometry key canonicalization, shared by every cache that identifies a
-// floorplan: the thermal warm-start cache (PR 4) and the memo layer's
-// coverage-map records. Keeping all key construction in this one file is
-// deliberate — the two caches quantize differently on purpose (the
-// warm-start cache collapses neighboring geometries because a CG guess
-// tolerates small shifts; the coverage memo must be exact because a
-// coverage map does not), and deriving both from the same primitives
-// makes that difference an explicit choice instead of a drift hazard.
-// The geometry regression test (geom_test.go) pins the relationship.
+// Geometry key canonicalization of the thermal warm-start cache: it
+// collapses neighboring geometries on purpose, because a CG guess
+// tolerates small shifts. The geometry regression test (geom_test.go)
+// pins which differences the key keeps and which it drops.
 
-import (
-	"math"
-	"strconv"
-	"strings"
-
-	"tesa/internal/floorplan"
-	"tesa/internal/memo"
-)
+import "math"
 
 // quantMM quantizes a dimension in millimeters to integer steps of q —
 // the single quantization primitive every geometry key builds on.
@@ -39,22 +27,4 @@ func (e *Evaluator) warmKeyFor(ev *Evaluation, grid int) warmKey {
 		wq:   quantMM(ev.Chiplet.WidthMM, warmQuantMM),
 		hq:   quantMM(ev.Chiplet.HeightMM, warmQuantMM),
 	}
-}
-
-// covClass renders a placement's exact geometry identity for the
-// coverage memo: mesh shape plus unquantized interposer, chiplet and
-// spacing dimensions (shortest round-trip decimals, so distinct
-// geometries can never collide). Coverage maps are pure functions of
-// exactly these values and the grid; unlike warmKeyFor, nothing is
-// quantized away, because a shared coverage map must be the map, not a
-// neighbor's.
-func covClass(p *floorplan.Placement) string {
-	return strings.Join([]string{
-		strconv.Itoa(p.Mesh.Rows),
-		strconv.Itoa(p.Mesh.Cols),
-		memo.Fnum(p.InterposerMM),
-		memo.Fnum(p.WidthMM),
-		memo.Fnum(p.HeightMM),
-		memo.Fnum(p.ICSmm),
-	}, "|")
 }

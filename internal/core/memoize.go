@@ -302,20 +302,6 @@ func (e *Evaluator) buildSchedule(sp []sched.DNNProfile, n int, order []int) (*s
 	return v.(*sched.Schedule), nil
 }
 
-// coverageFor returns the floorplan's silicon coverage map at the given
-// grid, memoized by the exact geometry class (see covClass): the
-// surrogate pre-screen and the retry ladder rasterize the same placement
-// up to three times per point, and sweeps revisit the same few
-// geometries constantly.
-func (e *Evaluator) coverageFor(place *floorplan.Placement, grid int) []float64 {
-	key := memo.Key("cov", strconv.Itoa(grid), covClass(place))
-	v, hit, _ := e.store().GetOrCompute(key, func() (any, error) {
-		return place.Coverage(grid), nil
-	})
-	e.memoCounter("cov", hit)
-	return v.([]float64)
-}
-
 // persistEval appends a compact record of a computed DSE evaluation to
 // store's persistent segment, if one is attached. Only DSE-mode
 // results are persisted: reporting-mode evaluations differ in objective

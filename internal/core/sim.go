@@ -50,8 +50,8 @@ type simStepper struct {
 
 // newSimStepper rebuilds the evaluation's thermal geometry (the same
 // margin-extended domain as thermalAnalysis) with all-zero power maps
-// and primes a TransientStepper on it, starting from ambient.
-func (e *Evaluator) newSimStepper(ev *Evaluation, dtSec float64) (*simStepper, error) {
+// and primes a TransientStepper on it in ws, starting from ambient.
+func (e *Evaluator) newSimStepper(ev *Evaluation, dtSec float64, ws *thermal.Workspace) (*simStepper, error) {
 	threeD := e.Opts.Tech == Tech3D
 	arr := systolic.Array{
 		Rows: ev.Point.ArrayDim, Cols: ev.Point.ArrayDim,
@@ -68,7 +68,7 @@ func (e *Evaluator) newSimStepper(ev *Evaluation, dtSec float64) (*simStepper, e
 		return nil, err
 	}
 	grid := e.Opts.Grid
-	coverage := e.coverageFor(place, grid)
+	coverage := place.Coverage(grid)
 	cell := domainMM * 1e-3 / float64(grid)
 	zero := make([]float64, grid*grid)
 	var stk *thermal.Stack
@@ -80,7 +80,7 @@ func (e *Evaluator) newSimStepper(ev *Evaluation, dtSec float64) (*simStepper, e
 	if err != nil {
 		return nil, err
 	}
-	ts, err := stk.NewTransientStepper(dtSec)
+	ts, err := stk.NewTransientStepper(dtSec, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,11 @@ func (e *Evaluator) Simulate(ctx context.Context, ev *Evaluation, sc des.Scenari
 		span.End()
 		return nil, failStage(stageSim, ev.Point, err)
 	}
-	stepper, err := e.newSimStepper(ev, sc.ThermalDtSec)
+	// The stepper keeps its solver arena for the whole run; the pool
+	// gets it back once des.Run is done with the stepper.
+	ws := e.workspace()
+	defer e.wsPool.Put(ws)
+	stepper, err := e.newSimStepper(ev, sc.ThermalDtSec, ws)
 	if err != nil {
 		span.End()
 		return nil, failStage(stageSim, ev.Point, err)

@@ -3,7 +3,7 @@
 //
 // Keys are canonical strings of the form "kind:part|part|...", where the
 // kind names the memoized computation ("systolic", "sram", "profiles",
-// "sched", "cov", "eval") and the parts are exact renderings of every
+// "sched", "eval") and the parts are exact renderings of every
 // input the computation depends on (content fingerprints for structured
 // inputs, shortest round-trip decimals for floats). Two keys are equal
 // exactly when the memoized function would produce the same value, so a

@@ -1,18 +1,22 @@
 package thermal
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// benchStack builds the same grid-88 MCM the repo-root thermal
-// benchmarks use: 11 mm interposer, four 14-cell chiplets.
-func benchStack(b *testing.B, threeD bool) *Stack {
+// benchStack builds the repo-root thermal benchmarks' MCM at the given
+// grid: an 11 mm interposer with four chiplets whose origins and sides
+// scale with the grid (14 cells per side at grid 88).
+func benchStack(b *testing.B, grid int, threeD bool) *Stack {
 	b.Helper()
-	grid := 88
 	m := DefaultMaterials()
 	cov := make([]float64, grid*grid)
 	power := make([]float64, grid*grid)
 	sramPower := make([]float64, grid*grid)
-	cells := 14
-	for _, origin := range [][2]int{{20, 20}, {20, 54}, {54, 20}, {54, 54}} {
+	cells := grid * 14 / 88
+	lo, hi := grid*20/88, grid*54/88
+	for _, origin := range [][2]int{{lo, lo}, {lo, hi}, {hi, lo}, {hi, hi}} {
 		for j := origin[1]; j < origin[1]+cells; j++ {
 			for i := origin[0]; i < origin[0]+cells; i++ {
 				cov[j*grid+i] = 1
@@ -35,26 +39,39 @@ func benchStack(b *testing.B, threeD bool) *Stack {
 	return s
 }
 
-// benchSolveReference times the seed solver (Jacobi CG, per-solve
-// allocations) — the baseline of the fast-path speedup claim.
-func benchSolveReference(b *testing.B, threeD bool) {
-	s := benchStack(b, threeD)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(); err != nil {
-			b.Fatal(err)
+// benchCases runs bench as one sub-benchmark per grid (32, 64, 88) and
+// technology.
+func benchCases(b *testing.B, bench func(b *testing.B, s *Stack)) {
+	for _, grid := range []int{32, 64, 88} {
+		for _, threeD := range []bool{false, true} {
+			tech := "2d"
+			if threeD {
+				tech = "3d"
+			}
+			b.Run(fmt.Sprintf("grid%d/%s", grid, tech), func(b *testing.B) {
+				bench(b, benchStack(b, grid, threeD))
+			})
 		}
 	}
 }
 
-// benchSolveFast times the workspace solver at the reference
-// convergence target (an apples-to-apples comparison against
-// BenchmarkSolveReference*), recycling one workspace and one Result so
-// the steady state is reached with zero allocations per solve.
-func benchSolveFast(b *testing.B, threeD bool, tolScale float64) {
-	s := benchStack(b, threeD)
-	s.Solver.TolScale = tolScale
+// BenchmarkSolveReference times Solve, which allocates a throwaway
+// workspace and Result per solve.
+func BenchmarkSolveReference(b *testing.B) {
+	benchCases(b, func(b *testing.B, s *Stack) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Solve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchSolveWorkspace times the same solve recycling one workspace and
+// one Result, so the steady state runs with zero allocations per solve.
+func benchSolveWorkspace(b *testing.B, s *Stack) {
 	ws := NewWorkspace()
 	var res Result
 	if err := s.SolveWorkspaceInto(ws, nil, &res); err != nil {
@@ -67,32 +84,19 @@ func benchSolveFast(b *testing.B, threeD bool, tolScale float64) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Iterations), "iters")
 }
 
-// BenchmarkSolveReference2D is the seed solver on the 2-D MCM bench stack.
-func BenchmarkSolveReference2D(b *testing.B) { benchSolveReference(b, false) }
+// BenchmarkSolveFast is BenchmarkSolveReference through a recycled
+// workspace, at the reference tolerance.
+func BenchmarkSolveFast(b *testing.B) { benchCases(b, benchSolveWorkspace) }
 
-// BenchmarkSolveReference3D is the seed solver on the 3-D MCM bench stack.
-func BenchmarkSolveReference3D(b *testing.B) { benchSolveReference(b, true) }
-
-// BenchmarkSolveFast2D is the workspace solver on the 2-D MCM bench
-// stack at the reference tolerance; compare against
-// BenchmarkSolveReference2D.
-func BenchmarkSolveFast2D(b *testing.B) { benchSolveFast(b, false, 0) }
-
-// BenchmarkSolveFast3D is the workspace solver on the 3-D MCM bench
-// stack at the reference tolerance; compare against
-// BenchmarkSolveReference3D.
-func BenchmarkSolveFast3D(b *testing.B) { benchSolveFast(b, true, 0) }
-
-// BenchmarkSolveFastTol2D is the workspace solver at the fast-path
-// tolerance (FastTolScale) — the configuration core's -thermal-fast
+// BenchmarkSolveFastTol is BenchmarkSolveFast at the fast-path
+// tolerance (FastTolScale), the configuration core's thermal_fast
 // evaluation runs.
-func BenchmarkSolveFastTol2D(b *testing.B) {
-	benchSolveFast(b, false, FastTolScale)
-}
-
-// BenchmarkSolveFastTol3D is BenchmarkSolveFastTol2D on the 3-D stack.
-func BenchmarkSolveFastTol3D(b *testing.B) {
-	benchSolveFast(b, true, FastTolScale)
+func BenchmarkSolveFastTol(b *testing.B) {
+	benchCases(b, func(b *testing.B, s *Stack) {
+		s.Solver.TolScale = FastTolScale
+		benchSolveWorkspace(b, s)
+	})
 }

@@ -30,8 +30,10 @@ var (
 //	(C/dt + A) T_{n+1} = (C/dt) T_n + q,
 //
 // where C is the per-cell heat capacity. The stepping matrix is SPD like
-// A, so the same Jacobi-preconditioned CG solves each step, warm-started
-// from the previous one.
+// A, so the steady solver — multigrid-preconditioned CG — solves each
+// step, warm-started from the previous one. C/dt only adds to the
+// diagonal, which the multigrid hierarchy aggregates like the ambient
+// film; the operator is assembled once per stepper.
 
 // Volumetric heat capacities in J/(m^3 K).
 const (
@@ -91,9 +93,9 @@ func volHeatCapacity(k float64) float64 {
 type TransientStepper struct {
 	s       *Stack
 	dtSec   float64
+	ws      *Workspace // holds the assembled (A + C/dt) operator
 	cOverDt []float64
 	x       []float64 // rise above ambient
-	rhs     []float64
 	q       []float64 // current volumetric power trace
 	steps   int
 }
@@ -101,8 +103,10 @@ type TransientStepper struct {
 // NewTransientStepper validates the stack and timestep and returns a
 // stepper primed with the stack's own power maps (replaceable via
 // SetPower). A NaN, infinite, or non-positive dtSec returns
-// ErrInvalidStep.
-func (s *Stack) NewTransientStepper(dtSec float64) (*TransientStepper, error) {
+// ErrInvalidStep. The stepper keeps ws (nil allocates one) for its
+// lifetime, with the stepping operator assembled in it; the caller must
+// not solve anything else in ws while the stepper is in use.
+func (s *Stack) NewTransientStepper(dtSec float64, ws *Workspace) (*TransientStepper, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -112,11 +116,13 @@ func (s *Stack) NewTransientStepper(dtSec float64) (*TransientStepper, error) {
 	nc := s.Grid * s.Grid
 	nl := len(s.Layers)
 	n := nl * nc
+	if ws == nil {
+		ws = NewWorkspace()
+	}
 	ts := &TransientStepper{
-		s: s, dtSec: dtSec,
+		s: s, dtSec: dtSec, ws: ws,
 		cOverDt: make([]float64, n),
 		x:       make([]float64, n),
-		rhs:     make([]float64, n),
 		q:       make([]float64, n),
 	}
 	cellArea := s.CellM * s.CellM
@@ -130,6 +136,10 @@ func (s *Stack) NewTransientStepper(dtSec float64) (*TransientStepper, error) {
 		if p := s.Layers[l].Power; p != nil {
 			copy(ts.q[base:base+nc], p)
 		}
+	}
+	ws.reserve(s.Grid, nl)
+	if err := ws.assemble(s, ts.cOverDt); err != nil {
+		return nil, err
 	}
 	return ts, nil
 }
@@ -174,14 +184,14 @@ func (ts *TransientStepper) SetPower(layerName string, power []float64) error {
 // solves the augmented SPD system (A + C/dt) x_{n+1} = q + (C/dt) x_n,
 // warm-started from x_n.
 func (ts *TransientStepper) Step() (*Result, error) {
-	for i := range ts.rhs {
-		ts.rhs[i] = ts.q[i] + ts.cOverDt[i]*ts.x[i]
+	rhs := ts.ws.rhs()
+	for i := range rhs {
+		rhs[i] = ts.q[i] + ts.cOverDt[i]*ts.x[i]
 	}
-	next, _, err := ts.s.solveSystem(ts.cOverDt, ts.rhs, ts.x)
-	if err != nil {
+	if _, err := ts.ws.solve(ts.s.Solver, ts.x); err != nil {
 		return nil, err
 	}
-	ts.x = next
+	copy(ts.x, ts.ws.rises())
 	ts.steps++
 	return ts.field(), nil
 }
@@ -217,7 +227,7 @@ func (s *Stack) SolveTransient(dt float64, steps int) (*TransientResult, error) 
 	if steps <= 0 {
 		return nil, fmt.Errorf("%w: transient needs positive steps, got %d", ErrInvalidStep, steps)
 	}
-	ts, err := s.NewTransientStepper(dt)
+	ts, err := s.NewTransientStepper(dt, nil)
 	if err != nil {
 		return nil, err
 	}

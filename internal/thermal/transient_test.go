@@ -148,7 +148,7 @@ func TestTransientStepperGolden(t *testing.T) {
 	g := q / (steady.PeakC - s.AmbientC)
 	dt := 0.001
 	c := SiliconVolHeatCapacity * s.CellM * s.CellM * s.Layers[0].ThicknessM
-	ts, err := s.NewTransientStepper(dt)
+	ts, err := s.NewTransientStepper(dt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestTransientStepperMatchesSolveTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := s.NewTransientStepper(0.05)
+	ts, err := s.NewTransientStepper(0.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTransientStepperMatchesSolveTransient(t *testing.T) {
 // stack; bad power maps are rejected with ErrNonFinitePower.
 func TestTransientStepperSetPower(t *testing.T) {
 	s := singleLayer(6, 5)
-	ts, err := s.NewTransientStepper(0.1)
+	ts, err := s.NewTransientStepper(0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestTransientStepperSetPower(t *testing.T) {
 func TestTransientStepperGuards(t *testing.T) {
 	s := singleLayer(4, 1)
 	for _, dt := range []float64{0, -0.1, math.NaN(), math.Inf(1)} {
-		if _, err := s.NewTransientStepper(dt); !errors.Is(err, ErrInvalidStep) {
+		if _, err := s.NewTransientStepper(dt, nil); !errors.Is(err, ErrInvalidStep) {
 			t.Errorf("dt=%g: got %v, want ErrInvalidStep", dt, err)
 		}
 		if _, err := s.SolveTransient(dt, 5); err == nil {
@@ -238,7 +238,7 @@ func TestTransientStepperGuards(t *testing.T) {
 	if _, err := s.SolveTransient(0.1, -1); !errors.Is(err, ErrInvalidStep) {
 		t.Error("negative steps not ErrInvalidStep")
 	}
-	ts, err := s.NewTransientStepper(0.1)
+	ts, err := s.NewTransientStepper(0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
