@@ -310,11 +310,12 @@ func (s *Server) runJob(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	job.cancel = cancel
+	resolved := job.resolved
 	job.mu.Unlock()
 	defer cancel()
 
 	start := time.Now()
-	res, err := jobspec.Run(ctx, job.resolved, jobspec.Runtime{
+	res, err := jobspec.Run(ctx, resolved, jobspec.Runtime{
 		Store:    s.cfg.Store,
 		Tel:      s.cfg.Tel,
 		Progress: job.publish,
@@ -370,6 +371,10 @@ func (j *Job) finish(state State, res *jobspec.Result, err error) {
 	}
 	j.state = state
 	j.result = res
+	// A terminal job never runs again; dropping its resolved spec (the
+	// workload alone is ~170 KB) keeps a long-lived server's job table
+	// down to results.
+	j.resolved = nil
 	if err != nil {
 		j.errMsg = err.Error()
 	}

@@ -248,6 +248,48 @@ func TestServerCancel(t *testing.T) {
 	}
 }
 
+// TestTerminalJobReleasesSpec: a job that reaches a terminal state —
+// canceled while running, canceled while queued, or done — drops its
+// resolved spec, so a long-lived server's job table holds only results.
+func TestTerminalJobReleasesSpec(t *testing.T) {
+	s, cl := testServer(t, Config{Workers: 1, Queue: 4})
+	ctx := context.Background()
+	running, err := cl.Submit(ctx, []byte(slowSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := cl.Submit(ctx, []byte(tinySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cl, running.ID, StateRunning)
+	for _, id := range []string{queued.ID, running.ID} {
+		if err := cl.Cancel(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done, err := cl.Submit(ctx, []byte(tinySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{running.ID, queued.ID, done.ID} {
+		st, err := cl.Wait(ctx, id, 10*time.Millisecond, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := s.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.mu.Lock()
+		kept := job.resolved != nil
+		job.mu.Unlock()
+		if kept {
+			t.Errorf("job %s ended %s but still holds its resolved spec", id, st.State)
+		}
+	}
+}
+
 // TestDrainConcurrentSubmissions races a burst of submissions against
 // two concurrent Drain calls (run with -race): every submission must
 // either be accepted or rejected with ErrDraining/ErrQueueFull — never
