@@ -160,9 +160,9 @@ type Evaluator struct {
 	// SetStageTimeout.
 	stageTimeout time.Duration
 
-	// wsPool recycles thermal CG workspace arenas across ThermalFast
-	// solves; a workspace is not goroutine-safe, so thermalAttempt checks
-	// one out for the duration of its leakage loop.
+	// wsPool recycles thermal solver arenas across grid solves; a
+	// workspace is not goroutine-safe, so thermalAttempt checks one out
+	// for the duration of its leakage loop, and Simulate for its run.
 	wsPool sync.Pool
 	// warm is the ThermalFast warm-start cache: the last converged
 	// temperature-rise field per thermal geometry class (see warmKey).

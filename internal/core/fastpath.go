@@ -5,7 +5,6 @@ import (
 
 	"tesa/internal/floorplan"
 	"tesa/internal/sram"
-	"tesa/internal/thermal"
 )
 
 // warmQuantMM is the floorplan-similarity quantum of the warm-start
@@ -171,13 +170,4 @@ func (e *Evaluator) surrogatePrescreen(ev *Evaluation, phases []phasePower, plac
 	}
 	e.tel.Registry().Counter("thermal.surrogate.fallthrough").Inc()
 	return false
-}
-
-// workspace checks a CG workspace out of the pool (workspaces are
-// per-goroutine; thermalAttempt holds one for its whole leakage loop).
-func (e *Evaluator) workspace() *thermal.Workspace {
-	if v := e.wsPool.Get(); v != nil {
-		return v.(*thermal.Workspace)
-	}
-	return thermal.NewWorkspace()
 }
