@@ -32,8 +32,8 @@ func TestEvaluatorHitRateAccessors(t *testing.T) {
 }
 
 // TestPipelineTelemetry: an instrumented evaluator records per-stage
-// timings and cache counters; an uninstrumented one records nothing and
-// still works.
+// timings, cache counters and thermal solve counters; an uninstrumented
+// one records nothing and still works.
 func TestPipelineTelemetry(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 30, 85)
 	tel := telemetry.New(nil)
@@ -59,6 +59,25 @@ func TestPipelineTelemetry(t *testing.T) {
 	}
 	if miss := reg.Counter("evaluator.cache.miss").Value(); miss != 1 {
 		t.Errorf("cache.miss = %d, want 1", miss)
+	}
+	// A full evaluation of 250x250 arrays at ICS 900 um solves one stack
+	// ten times over its phases' leakage loops; the projection alone
+	// finishes two of the nine solves after the first.
+	e = testEvaluator(t, Tech2D, 400, 30, 85)
+	tel = telemetry.New(nil)
+	e.Instrument(tel)
+	if _, err := e.EvaluateFull(DesignPoint{ArrayDim: 250, ICSUM: 900}); err != nil {
+		t.Fatal(err)
+	}
+	reg = tel.Registry()
+	if n := reg.Counter("thermal.solve.count").Value(); n != 10 {
+		t.Errorf("thermal.solve.count = %d, want 10", n)
+	}
+	if n := reg.Counter("thermal.solve.projected").Value(); n != 2 {
+		t.Errorf("thermal.solve.projected = %d, want 2", n)
+	}
+	if n := reg.Counter("thermal.solve.iterations").Value(); n <= 0 {
+		t.Errorf("thermal.solve.iterations = %d, want > 0", n)
 	}
 }
 
