@@ -4,7 +4,7 @@
 //
 //	tesa-report [-table 3|4|5] [-fig 5|6] [-headline] [-validate] [-all]
 //	            [-grid 32] [-report-grid 88] [-seed 1]
-//	            [-thermal-fast] [-surrogate]
+//	            [-surrogate]
 //	            [-metrics] [-trace out.jsonl] [-pprof addr]
 //	            [-metrics-addr addr] [-manifest run.jsonl]
 //
@@ -18,14 +18,12 @@
 // the (long) report runs, and -manifest records which sections ran.
 //
 // Every evaluator of the run shares one content-addressed memo store,
-// and -thermal-fast runs the searches on the fast thermal path; neither
-// changes the reproduced numbers, only wall-clock time. The -validate
-// lines report the store's hit rate next to the optimizer's cache-hit
-// rate (and the warm-start hit rate with -thermal-fast). -surrogate
-// turns on the learned ranking surrogate in
-// every evaluator; like the other speed knobs it reorders evaluation
-// only, and the -validate lines then report the surrogate.hit and
-// surrogate.rank counters (ranked decisions and candidates scored).
+// which changes only wall-clock time, not the reproduced numbers. The
+// -validate lines report the store's hit rate next to the optimizer's
+// cache-hit rate. -surrogate turns on the learned ranking surrogate in
+// every evaluator; it reorders evaluation only, and the -validate lines
+// then report the surrogate.hit and surrogate.rank counters (ranked
+// decisions and candidates scored).
 package main
 
 import (
@@ -49,7 +47,6 @@ func main() {
 		grid       = flag.Int("grid", 32, "search-time thermal grid")
 		reportGrid = flag.Int("report-grid", 88, "reporting thermal grid (125 um cells)")
 		seed       = flag.Int64("seed", 1, "optimizer seed")
-		fast       = flag.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate in every evaluator (reorders evaluation only)")
 		obs        = cli.ObservabilityFlags(flag.CommandLine)
 	)
@@ -65,7 +62,6 @@ func main() {
 	cfg.Grid = *grid
 	cfg.ReportGrid = *reportGrid
 	cfg.Seed = *seed
-	cfg.ThermalFast = *fast
 	cfg.Surrogate = *surrogate
 	cfg.Telemetry = sess.Tel
 	sess.Manifest.Set("space", cfg.Space.Fingerprint())
@@ -182,9 +178,6 @@ func main() {
 			}
 			line := fmt.Sprintf("%v: space=%d feasible=%d explored=%.1f%% cache-hits=%.1f%% memo-hits=%.1f%%",
 				c, v.SpaceSize, v.FeasibleCount, 100*v.ExploredFraction, 100*v.CacheHitRate, 100*v.MemoHitRate)
-			if *fast {
-				line += fmt.Sprintf(" warm-hits=%.1f%%", 100*v.WarmStartHitRate)
-			}
 			if *surrogate {
 				line += fmt.Sprintf(" surrogate.hit=%d surrogate.rank=%d", v.SurrogateHits, v.SurrogateRanked)
 			}

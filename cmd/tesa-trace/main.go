@@ -11,8 +11,8 @@
 // wall/CPU time from its run.manifest records), the per-stage latency
 // breakdown (count, p50/p95/p99, total self time, self% of summed
 // stage time, cum% of end-to-end pipeline time), the effectiveness of
-// the caching layers (evaluator cache, memo store, thermal warm
-// starts, surrogate pre-screen), the thermal fidelity-ladder tallies,
+// the caching layers (evaluator cache, memo store, surrogate ranking),
+// the thermal fidelity-ladder tallies,
 // quarantine counts, and the stream's event histogram.
 //
 // diff compares two runs stage-by-stage on p95 latency (mean alongside)
@@ -26,89 +26,103 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tesa/internal/trace"
 )
 
 func main() {
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one tesa-trace command line and returns its exit code:
+// 0 on success, 1 when a file cannot be read, 2 on a usage error, and 3
+// when diff -strict flags a regression.
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
 	switch args[0] {
 	case "report":
-		report(args[1:])
+		return report(args[1:], stdout, stderr)
 	case "diff":
-		diff(args[1:])
+		return diff(args[1:], stdout, stderr)
+	case "-h", "-help", "--help":
+		usage(stderr)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", args[0])
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown mode %q\n", args[0])
+		usage(stderr)
+		return 2
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage:
   tesa-trace report run.jsonl [more.jsonl ...]
   tesa-trace diff [-threshold 0.10] [-strict] before.jsonl after.jsonl
 `)
 }
 
 // report summarizes each file independently.
-func report(paths []string) {
+func report(paths []string, stdout, stderr io.Writer) int {
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "report: need at least one JSONL file")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "report: need at least one JSONL file")
+		return 2
 	}
 	for i, path := range paths {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		s, err := trace.Load(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		trace.WriteReport(os.Stdout, s)
+		trace.WriteReport(stdout, s)
 	}
+	return 0
 }
 
 // diff compares exactly two files, before then after.
-func diff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+func diff(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", trace.DefaultDiffThreshold,
 		"relative change flagged as significant (0.10 = 10%)")
 	strict := fs.Bool("strict", false, "exit 3 when any regression is flagged")
-	fs.Usage = usage
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "diff: need exactly two JSONL files (before, after)")
-		os.Exit(2)
-	}
-	before, err := trace.Load(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	after, err := trace.Load(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, s := range []*trace.Summary{before, after} {
-		if !s.HasManifest() {
-			fmt.Fprintf(os.Stderr, "%s: no finalized run.manifest record; latency comparison will be empty\n", s.Path)
+	fs.Usage = func() { usage(stderr) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	d := trace.Compare(before, after, *threshold)
-	trace.WriteDiff(os.Stdout, d)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "diff: need exactly two JSONL files (before, after)")
+		return 2
+	}
+	var runs [2]*trace.Summary
+	for i := range runs {
+		s, err := trace.Load(fs.Arg(i))
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if !s.HasManifest() {
+			fmt.Fprintf(stderr, "%s: no finalized run.manifest record; latency comparison will be empty\n", s.Path)
+		}
+		runs[i] = s
+	}
+	d := trace.Compare(runs[0], runs[1], *threshold)
+	trace.WriteDiff(stdout, d)
 	if *strict && d.Regressions > 0 {
-		os.Exit(3)
+		return 3
 	}
+	return 0
 }

@@ -1,0 +1,119 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"io"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tesa/internal/cli"
+	"tesa/internal/jobspec"
+)
+
+// traceSweep runs a nine-point sweep at the given thermal grid in
+// process, with the observability session the tesa command builds for
+// -trace path, and returns path.
+func traceSweep(t *testing.T, grid int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("sweep-grid%d.jsonl", grid))
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	obs := cli.ObservabilityFlags(fs)
+	if err := fs.Parse([]string{"-trace", path}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := obs.Setup("tesa", []string{"sweep", "-trace", path}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := jobspec.Parse([]byte(fmt.Sprintf(`{
+  "version": "tesa.jobspec/v1",
+  "kind": "sweep",
+  "options": {"grid": %d},
+  "constraints": {"fps": 15, "temp_c": 85},
+  "space": {"array_dims": [180, 200, 220], "ics_ums": [0, 500, 1000]}
+}`, grid)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := spec.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jobspec.Run(context.Background(), r, jobspec.Runtime{Tel: sess.Tel}); err != nil {
+		t.Fatal(err)
+	}
+	sess.Finish("ok")
+	return path
+}
+
+// runTrace runs one tesa-trace command line and returns its exit code,
+// stdout and stderr.
+func runTrace(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// TestReportAndDiff traces two sweeps that differ only in thermal grid
+// and drives both modes over them: report lists the thermal stage and
+// the evaluator cache, diff reports per-stage p95 deltas, and a strict
+// diff of one run against itself finds no regression.
+func TestReportAndDiff(t *testing.T) {
+	a, b := traceSweep(t, 8), traceSweep(t, 16)
+
+	code, out, stderr := runTrace("report", a, b)
+	if code != 0 {
+		t.Fatalf("report: exit %d; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"thermal", "evaluator cache"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"warm start", "pre-screen"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("report still has a %q row:\n%s", gone, out)
+		}
+	}
+
+	code, out, stderr = runTrace("diff", a, b)
+	if code != 0 {
+		t.Fatalf("diff: exit %d; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"thermal", "p95"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("diff lacks %q:\n%s", want, out)
+		}
+	}
+
+	if code, out, stderr := runTrace("diff", "-strict", a, a); code != 0 {
+		t.Errorf("strict self-diff: exit %d, want 0; stdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+}
+
+// TestUsageErrors: malformed command lines exit 2, an unreadable file
+// exits 1, and -h exits 0.
+func TestUsageErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
+	for _, c := range []struct {
+		args []string
+		exit int
+	}{
+		{nil, 2},
+		{[]string{"summarize"}, 2},
+		{[]string{"report"}, 2},
+		{[]string{"diff", missing}, 2},
+		{[]string{"diff", "-nope", missing, missing}, 2},
+		{[]string{"report", missing}, 1},
+		{[]string{"-h"}, 0},
+		{[]string{"diff", "-h"}, 0},
+	} {
+		if code, _, stderr := runTrace(c.args...); code != c.exit {
+			t.Errorf("%q: exit %d, want %d; stderr:\n%s", c.args, code, c.exit, stderr)
+		}
+	}
+}

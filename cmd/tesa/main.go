@@ -52,11 +52,11 @@
 // scenario draws, -events writes the bit-reproducible event log, -json
 // prints the wire-form result.
 //
-// -thermal-fast searches on the fast thermal path and -surrogate ranks
-// candidate moves with the learned k-NN model (-surrogate-k); both
-// change how fast the optimum is reached, and reported numbers always
-// come from full-fidelity evaluations. All evaluators of a run share one
-// content-addressed memo store; -memo-dir persists it across runs.
+// -surrogate ranks candidate moves with the learned k-NN model
+// (-surrogate-k); it changes how fast the optimum is reached, and
+// reported numbers always come from full-fidelity evaluations. All
+// evaluators of a run share one content-addressed memo store; -memo-dir
+// persists it across runs.
 // -starts-parallel runs the annealing chains through a worker pool: the
 // winning objective is identical; equal-objective ties may resolve to a
 // different point.
@@ -166,14 +166,14 @@ func newCommand(kind string, stdout, stderr io.Writer) *command {
 // search-speed fields are nil for sim, which takes its policies from a
 // -job spec only.
 type jobFlags struct {
-	tech                      *string
-	freq, fps, temp           *float64
-	grid                      *int
-	seed                      *int64
-	fast, surrogate, failFast *bool
-	surK, maxFail             *int
-	faults                    *string
-	stageTO                   *time.Duration
+	tech                *string
+	freq, fps, temp     *float64
+	grid                *int
+	seed                *int64
+	surrogate, failFast *bool
+	surK, maxFail       *int
+	faults              *string
+	stageTO             *time.Duration
 }
 
 // jobFlags registers the shared config flags with the subcommand's
@@ -193,7 +193,6 @@ func (c *command) jobFlags(fps, temp float64, grid int, search bool) *jobFlags {
 		f.maxFail = fs.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
 		f.failFast = fs.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
 		f.stageTO = fs.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		f.fast = fs.Bool("thermal-fast", false, "fast thermal path: workspace CG, warm starts, closed-form pre-screen")
 		f.surrogate = fs.Bool("surrogate", false, "learned ranking surrogate: evaluate predicted-good candidates first (results unchanged)")
 		f.surK = fs.Int("surrogate-k", 0, "surrogate neighborhood size and ranked-move candidate count (0 = default)")
 	}
@@ -209,8 +208,8 @@ func (f *jobFlags) spec(kind string) *jobspec.Spec {
 		Constraints: &jobspec.Constraints{FPS: f.fps, TempC: f.temp},
 		Seed:        f.seed,
 	}
-	if f.fast != nil {
-		s.Options.ThermalFast, s.Options.Surrogate, s.Options.SurrogateK = f.fast, f.surrogate, f.surK
+	if f.surrogate != nil {
+		s.Options.Surrogate, s.Options.SurrogateK = f.surrogate, f.surK
 		s.Policies = &jobspec.Policies{
 			MaxFailures: *f.maxFail,
 			FailFast:    *f.failFast,

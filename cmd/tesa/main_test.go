@@ -82,6 +82,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"sim no tenant":   {"sim"},
 		"wrong kind":      {"sweep", "-job", spec("sim")},
 		"unknown flag":    {"pareto", "-nope"},
+		"removed flag":    {"-thermal-fast"},
 		"bad front":       {"pareto", "-front", "hull"},
 		"bad faults":      {"-faults", "melt@thermal"},
 		"worker with job": {"sweep", "-worker", "http://127.0.0.1:1", "-job", spec("sweep")},

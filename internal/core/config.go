@@ -107,21 +107,6 @@ type Options struct {
 	// under-estimate, as W2 [3] does.
 	LinearLeakage bool
 
-	// ThermalFast enables the fast-path thermal evaluation (the CLIs'
-	// -thermal-fast flag): grid solves run through the allocation-free
-	// workspace solver (thermal.SolveWorkspace) at the documented fast
-	// tolerance (thermal.FastTolScale), warm-started from the cached
-	// temperature field of the most recent same-geometry evaluation, and
-	// DSE-mode evaluations are pre-screened by the closed-form surrogate
-	// pair (thermal.LumpedEstimate / thermal.BoundEstimate) so
-	// clearly-infeasible and clearly-feasible points skip the grid solve
-	// entirely. Off by default: the zero value reproduces the reference
-	// evaluation bit for bit. Feasibility decisions are preserved —
-	// pre-screen skips fire only outside a 3 C guard band around the
-	// temperature budget (prescreenBandC), and the fast tolerance keeps
-	// peaks within ~1e-3 C of the reference (see DESIGN.md, "Thermal
-	// solver").
-	ThermalFast bool
 	// Surrogate enables the learned search ranking (the CLIs' -surrogate
 	// flag): an online k-NN/RBF regressor over design-point feature
 	// vectors, trained incrementally from this process's completed
@@ -132,24 +117,13 @@ type Options struct {
 	// evaluated by the real pipeline and reported winners are always
 	// full-fidelity (the engines re-evaluate them), so the surrogate
 	// redirects where the search looks first without deciding any
-	// outcome — the same soundness discipline as the ThermalFast
-	// pre-screen. Off by default.
+	// outcome. Off by default.
 	Surrogate bool
 	// SurrogateK is the surrogate's neighborhood size and the ranked
 	// annealer's candidate-move count; 0 selects the package default
 	// (surrogate.DefaultK). Only consulted when Surrogate is set.
 	SurrogateK int
 }
-
-// prescreenBandC is the ThermalFast pre-screen's guard band (Celsius)
-// around the temperature budget: a hot skip requires the lumped
-// underestimate to exceed budget+band, a cool skip requires the
-// column-bound overestimate to stay under budget-band, and points inside
-// the band fall through to the grid solve. The band absorbs the model
-// error the closed-form estimates carry relative to the grid solver (the
-// lumped estimate trails the peak, the column bound leads it; see
-// DESIGN.md).
-const prescreenBandC = 3
 
 // DefaultOptions returns the evaluation configuration used by the
 // paper's experiments: 2-D chiplets, 400 MHz, output-stationary dataflow,

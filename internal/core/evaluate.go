@@ -70,13 +70,8 @@ type Evaluation struct {
 	// ThermalFidelity records which rung of the degraded-retry ladder
 	// produced the thermal numbers: "full" (first attempt), "relaxed"
 	// (looser CG tolerance), "coarse" (halved grid), or "lumped"
-	// (steady-state 1-resistor fallback). Under Options.ThermalFast two
-	// more values appear: "surrogate-hot" (the lumped underestimate
-	// already exceeded budget+band, so the grid solve was skipped and
-	// PeakTempC is the lumped value) and "surrogate-cool" (the
-	// column-bound overestimate cleared budget-band, so PeakTempC — and
-	// the leakage-bearing power figures — are the conservative bound
-	// values). Empty when thermal analysis did not run.
+	// (steady-state 1-resistor fallback). Empty when thermal analysis
+	// did not run.
 	ThermalFidelity string
 	// ThermalRetries counts the ladder rungs that failed before
 	// ThermalFidelity succeeded (0 = the full-fidelity solve converged).
@@ -164,9 +159,6 @@ type Evaluator struct {
 	// workspace is not goroutine-safe, so thermalAttempt checks one out
 	// for the duration of its leakage loop, and Simulate for its run.
 	wsPool sync.Pool
-	// warm is the ThermalFast warm-start cache: the last converged
-	// temperature-rise field per thermal geometry class (see warmKey).
-	warm warmCache
 
 	// memo is the point and stage cache every evaluation runs through:
 	// a private store from NewEvaluator, or a shared one attached with

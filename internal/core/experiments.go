@@ -24,9 +24,6 @@ type ExperimentConfig struct {
 	// ReportGrid is the resolution winners are re-evaluated at for the
 	// reported numbers (the paper's 125 um cells).
 	Grid, ReportGrid int
-	// ThermalFast routes the experiment evaluators through the fast
-	// thermal path (Options.ThermalFast); off by default like the flag.
-	ThermalFast bool
 	// Surrogate turns on the learned ranking surrogate in every
 	// evaluator the experiment creates (Options.Surrogate). Ranking only
 	// reorders which candidates are evaluated first, so table and figure
@@ -102,7 +99,6 @@ func (cfg *ExperimentConfig) optionsFor(c Corner) (Options, Constraints) {
 	opts.Tech = c.Tech
 	opts.FreqHz = c.FreqMHz * 1e6
 	opts.Grid = cfg.Grid
-	opts.ThermalFast = cfg.ThermalFast
 	opts.Surrogate = cfg.Surrogate
 	cons := DefaultConstraints()
 	cons.FPS = c.FPS
@@ -490,9 +486,6 @@ type ValidationResult struct {
 	// evaluators — how much cross-evaluator traffic the memo layer
 	// absorbed.
 	MemoHitRate float64
-	// WarmStartHitRate is the thermal warm-start cache hit rate summed
-	// over both evaluators (zero unless ThermalFast ran grid solves).
-	WarmStartHitRate float64
 	// SurrogateHits counts the optimizer's search decisions served by a
 	// warm ranking model (the surrogate.hit counter); SurrogateRanked
 	// counts the candidates it scored (surrogate.rank). Both zero unless
@@ -550,11 +543,6 @@ func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Cor
 		ExploredFraction: float64(opRes.Explored) / float64(exRes.Total),
 		CacheHitRate:     op.CacheHitRate(),
 		MemoHitRate:      op.MemoStats().HitRate(),
-	}
-	exHits, exMisses := ex.WarmStartStats()
-	opHits, opMisses := op.WarmStartStats()
-	if total := exHits + exMisses + opHits + opMisses; total > 0 {
-		res.WarmStartHitRate = float64(exHits+opHits) / float64(total)
 	}
 	surHits, _, surRanked := op.SurrogateStats()
 	res.SurrogateHits, res.SurrogateRanked = surHits, surRanked

@@ -102,8 +102,8 @@ type member struct {
 // Soundness: evolution runs on DSE-mode evaluations (cheap), but every
 // member of the returned front is re-evaluated in full reporting mode
 // before being returned, so each reported point carries full-fidelity
-// numbers regardless of any surrogate or fast-path involvement along
-// the way — and dominance is re-checked on those upgraded numbers, so
+// numbers regardless of surrogate ranking or degraded-fidelity rungs
+// along the way — and dominance is re-checked on those upgraded numbers, so
 // a fidelity shift on the thermal axis cannot leak a dominated point
 // into the reported front. The run is deterministic for a seed: one PRNG, sequential
 // evaluation, and every sort tie-broken by design point.

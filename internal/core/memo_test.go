@@ -54,7 +54,7 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	}
 	warm := testEvaluator(t, Tech2D, 400, 15, 85)
 	warm.UseMemo(store)
-	pts := gateSpace().Enumerate()
+	pts := midSpace().Enumerate()
 	refs := make(map[DesignPoint]*Evaluation, len(pts))
 	for _, p := range pts {
 		rev, rerr := freshEvaluation(t, p, false)

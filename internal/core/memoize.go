@@ -46,12 +46,6 @@ func (e *Evaluator) Memo() *memo.Store { return e.store() }
 // shared store aggregates across every attached evaluator.
 func (e *Evaluator) MemoStats() memo.Stats { return e.store().Stats() }
 
-// WarmStartStats returns the thermal warm-start cache's hit and miss
-// counts (both zero unless Options.ThermalFast ran solves).
-func (e *Evaluator) WarmStartStats() (hits, misses int64) {
-	return e.warm.stats()
-}
-
 // LoadMemoDir opens (creating if needed) a persistent memo cache
 // directory, seeds store with every record committed under the current
 // ModelVersion, and attaches the directory so the store's subsequent

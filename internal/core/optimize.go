@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +36,6 @@ type OptimizeResult struct {
 	// on. Poisoned lists them with stage and reason, sorted by point.
 	Quarantined int
 	Poisoned    []QuarantinedPoint
-	// Screened counts annealer candidates rejected by the surrogate
-	// pre-screen without a grid thermal solve (always 0 unless
-	// Options.ThermalFast is set). Screened candidates are still counted
-	// in Evaluations — the screen changes their cost, not the
-	// trajectory.
-	Screened int
 	// Ranked counts candidate moves scored by the learned search
 	// surrogate (always 0 unless Options.Surrogate is set). Ranked
 	// candidates are NOT evaluated — per annealing step only the
@@ -361,23 +354,6 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		mu.Unlock()
 		return ev.Objective, ev.Feasible
 	}
-	annealEval := eval
-	var screen *anneal.ScreenStats
-	if e.Opts.ThermalFast {
-		// Surrogate pre-screen at the annealer level: a candidate whose
-		// (memoized, surrogate-gated) evaluation was hot-skipped carries a
-		// lumped-underestimate certificate of infeasibility, so the
-		// annealer can reject it without entering the eval closure. The
-		// screen evaluates through evalQ itself — the gate inside the
-		// pipeline already avoided the grid solve — and a screened
-		// candidate is trajectory-identical to an infeasible evaluation
-		// (no PRNG is consumed either way; see anneal.Prescreened).
-		screen = &anneal.ScreenStats{}
-		annealEval = anneal.Prescreened(func(p DesignPoint) bool {
-			ev, err := evalQ(p)
-			return err == nil && ev.ThermalFidelity == "surrogate-hot"
-		}, screen, eval)
-	}
 	cfgs := anneal.DefaultStarts(seed)
 	if e.tel.Enabled() {
 		// Bridge annealer progress (per-level events, move counters)
@@ -397,9 +373,9 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		// state-based tie-break, so the ensemble winner is deterministic
 		// under any pool width.
 		less := func(a, b DesignPoint) bool { return a.Less(b) }
-		best, per, err = anneal.MultiStartPoolContext(runCtx, cfgs, o.Parallel, less, init, neighbor, annealEval)
+		best, per, err = anneal.MultiStartPoolContext(runCtx, cfgs, o.Parallel, less, init, neighbor, eval)
 	} else {
-		best, per, err = anneal.MultiStartContext(runCtx, cfgs, init, neighbor, annealEval)
+		best, per, err = anneal.MultiStartContext(runCtx, cfgs, init, neighbor, eval)
 	}
 	span.End()
 	// The failure policy cancels runCtx, so the annealers report a bare
@@ -434,10 +410,6 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		Quarantined:  len(poisoned),
 		Poisoned:     poisoned,
 	}
-	if screen != nil {
-		res.Screened = screen.Screened()
-		e.tel.Registry().Counter("anneal.screened").Add(int64(res.Screened))
-	}
 	if rank != nil {
 		res.Ranked = rank.Ranked()
 		e.recordSurrogate(int64(rank.Decided()), int64(rank.Cold()), int64(rank.Ranked()))
@@ -447,13 +419,11 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		if err != nil {
 			return nil, err
 		}
-		if ev.Compact() || strings.HasPrefix(ev.ThermalFidelity, "surrogate-") {
-			// The winner's memoized DSE evaluation was surrogate-gated
-			// (conservative cool-side temperatures) or served compact from
+		if ev.Compact() {
+			// The winner's memoized DSE evaluation was served compact from
 			// a persistent memo record (no schedule/placement); the
-			// reported incumbent must carry grid-solved numbers and the
-			// full structures, so re-evaluate in reporting mode, which
-			// bypasses both.
+			// reported incumbent must carry the full structures, so
+			// re-evaluate in reporting mode.
 			if ev, err = e.EvaluateFull(best.Best); err != nil {
 				return nil, err
 			}
@@ -470,7 +440,6 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 			"duration_ms": float64(best.Duration.Microseconds()) / 1e3,
 			"starts":      len(per),
 			"quarantined": res.Quarantined,
-			"screened":    res.Screened,
 			"ranked":      res.Ranked,
 		}
 		if res.Found {

@@ -20,6 +20,17 @@ func tinySpace() Space {
 	return s
 }
 
+// midSpace is the 21-point sub-space the memo, surrogate and
+// feasibility tests sweep exhaustively.
+func midSpace() Space {
+	var s Space
+	for d := 180; d <= 256; d += 12 {
+		s.ArrayDims = append(s.ArrayDims, d)
+	}
+	s.ICSUMs = []int{0, 500, 1000}
+	return s
+}
+
 // TestOptimizeFindsFeasible: on a space known to contain feasible points,
 // the MSA returns one and its objective matches a fresh evaluation.
 func TestOptimizeFindsFeasible(t *testing.T) {

@@ -16,7 +16,7 @@ type memoJob struct {
 	seed         int64
 }
 
-// sharedMemoJobs are four corners that are all feasible on gateSpace and
+// sharedMemoJobs are four corners that are all feasible on midSpace and
 // differ only in constraints, so they share the performance fingerprint
 // (and with it the profiles/systolic/sram keys) but never the
 // constraint-bound whole-point eval keys — exactly the traffic mix a
@@ -60,7 +60,7 @@ func lookups(ks memo.KindStats) int64 { return ks.Hits + ks.Misses + ks.Deduped 
 // the point of sharing.
 func TestSharedMemoConcurrentJobs(t *testing.T) {
 	jobs := sharedMemoJobs()
-	space := gateSpace()
+	space := midSpace()
 
 	mkEvaluator := func(j memoJob, store *memo.Store) *Evaluator {
 		opts := DefaultOptions()

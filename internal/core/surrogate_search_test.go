@@ -75,7 +75,7 @@ func TestRankedOptimizeIdenticalWinner(t *testing.T) {
 // still evaluated and BetterPoint is a total order, so winner and
 // counts are identical by construction.
 func TestRankedSweepIdenticalResult(t *testing.T) {
-	space := gateSpace()
+	space := midSpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
 	refRes, err := ref.ExhaustiveContext(context.Background(), space, nil)
 	if err != nil {
@@ -122,7 +122,7 @@ func surrogateDefaultKForTest() int {
 // path the model's -memo-dir startup training shares with LoadMemoDir.
 func TestSurrogateReplayFromDiskTornTail(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "memo")
-	space := gateSpace()
+	space := midSpace()
 
 	// First process: sweep the space with persistence on, so the disk
 	// holds one eval record per point.

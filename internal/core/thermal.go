@@ -60,16 +60,6 @@ type thermalFidelity struct {
 	tolScale  float64 // CG tolerance multiplier (1 = full fidelity)
 	iterScale float64 // CG iteration-budget multiplier
 	lumped    bool    // skip CG entirely: 1-resistor steady-state estimate
-	bound     bool    // skip CG entirely: per-column upper bound (surrogate cool side)
-	// leakPinC > 0 pins the leakage evaluation at this temperature and
-	// runs a single solve instead of the fixed point. Used by the
-	// surrogate cool certificate: with leakage over-estimated at the
-	// test temperature u, a (bound) peak <= u is a super-solution
-	// G(u) <= u of the monotone leakage map, so the true fixed point
-	// lies below u — iterating the fixed point at bound temperatures
-	// would instead spiral to a spurious runaway whenever the
-	// over-estimated loop gain exceeds one.
-	leakPinC float64
 }
 
 // thermalLadder is the degraded-retry schedule for a full-fidelity grid:
@@ -144,16 +134,6 @@ func (e *Evaluator) thermalAnalysis(ev *Evaluation, profiles []netProfile, place
 		return err
 	}
 
-	// Fast path: bracket the peak with the closed-form surrogates and
-	// skip the grid ladder when the bracket clears the budget by the
-	// guard band (DSE mode only — full reports always solve the grid).
-	if e.Opts.ThermalFast && !ev.Full {
-		if e.surrogatePrescreen(ev, phases, place, domainMM, est) {
-			ev.ThermalRetries = 0
-			return nil
-		}
-	}
-
 	var lastErr error
 	for attempt, fid := range thermalLadder(e.Opts.Grid) {
 		if e.injected != nil && e.injected.Diverge(ev.Point.ArrayDim, ev.Point.ICSUM, attempt) {
@@ -204,31 +184,11 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 
 	n := ev.Mesh.Count()
 	grid := fid.grid
-	solver := thermal.SolverParams{TolScale: fid.tolScale, IterScale: fid.iterScale}
-	// Every grid solve runs in a pooled solver arena. The fast path
-	// also relaxes the full-fidelity rung to the documented fast
-	// tolerance (still two orders of magnitude inside the 0.1 C
-	// agreement contract; degraded rungs keep their own, already looser,
-	// tolerances), and seeds the first solve from the cached field of
-	// the most recent same-geometry evaluation.
+	// Every grid solve runs in a pooled solver arena.
 	var ws *thermal.Workspace
-	if !fid.lumped && !fid.bound {
+	if !fid.lumped {
 		ws = e.workspace()
 		defer e.wsPool.Put(ws)
-	}
-	fast := e.Opts.ThermalFast && ws != nil
-	var wkey warmKey
-	var seed []float64
-	if fast {
-		if fid.tolScale <= 1 {
-			solver.TolScale = thermal.FastTolScale
-		}
-		wkey = e.warmKeyFor(ev, grid)
-		if seed = e.warm.get(wkey); seed != nil {
-			e.tel.Registry().Counter("thermal.warmstart.hit").Inc()
-		} else {
-			e.tel.Registry().Counter("thermal.warmstart.miss").Inc()
-		}
 	}
 	coverage := place.Coverage(grid)
 	// Power is injected only into the active die area (inside the 3-D
@@ -245,21 +205,16 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 	// every non-runaway configuration, so the start only affects the
 	// iteration count, not the fixed point.
 	warmStartC := e.Models.Materials.AmbientC + 15
-	if fid.leakPinC > 0 {
-		warmStartC = fid.leakPinC
-	}
 
 	// One stack serves every leakage iteration of every phase: the
 	// geometry is identical, only the power maps change. Solved
 	// repeatedly in one workspace, it is assembled once, and every solve
 	// after the first starts CG from the projection onto the earlier
-	// solutions (see thermal.SolveWorkspaceInto); only the first solve
-	// takes a guess, the fast path's warm-cache seed. Outside Full mode
-	// every solve writes into one Result; Full mode keeps each, since
+	// solutions (see thermal.SolveWorkspaceInto). Outside Full mode every
+	// solve writes into one Result; Full mode keeps each, since
 	// ev.Hottest may hold it.
 	var stk *thermal.Stack
 	var scratch thermal.Result
-	var rises []float64 // the last grid solve's field, for the warm cache
 	reg := e.tel.Registry()
 	solveIters := reg.Counter("thermal.solve.iterations")
 	solveCount := reg.Counter("thermal.solve.count")
@@ -307,32 +262,27 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 				if err != nil {
 					return err
 				}
-				stk.Solver = solver
+				stk.Solver = thermal.SolverParams{TolScale: fid.tolScale, IterScale: fid.iterScale}
 			case threeD:
 				setLayerPower(stk, "sram", maps.SRAM)
 				setLayerPower(stk, "array", maps.Array)
 			default:
 				setLayerPower(stk, "die", maps.Array)
 			}
-			switch {
-			case fid.lumped:
+			if fid.lumped {
 				res = stk.LumpedEstimate()
-			case fid.bound:
-				res = stk.BoundEstimate()
-			default:
+			} else {
 				res = &scratch
 				if ev.Full {
 					res = new(thermal.Result)
 				}
-				if err := stk.SolveWorkspaceInto(ws, seed, res); err != nil {
+				if err := stk.SolveWorkspaceInto(ws, res); err != nil {
 					return err
 				}
 				if res.Projected {
 					solveProjected.Inc()
 				}
 				solveCount.Inc()
-				seed = nil
-				rises = res.Rises
 			}
 			solveIters.Add(int64(res.Iterations))
 			if math.IsNaN(res.PeakC) || math.IsInf(res.PeakC, 0) {
@@ -342,13 +292,6 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 				runaway = true
 				break
 			}
-			if fid.leakPinC > 0 {
-				// One-shot certificate: leakage was evaluated at the pinned
-				// test temperature, not iterated (see thermalFidelity).
-				iters++
-				break
-			}
-
 			var newArr, newSrm []float64
 			if threeD {
 				newArr = chipletPeaks(res.LayerTemps(stk, "array"), grid, domainMM, place.Chiplets)
@@ -420,12 +363,6 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 		// Runaway evaluations clamp the (meaningless) peak so the result
 		// stays finite end to end.
 		ev.PeakTempC = runawayLimitC
-	}
-	if fast && len(rises) > 0 && !ev.Runaway {
-		// Publish the converged field for the next same-geometry
-		// evaluation (warm starts change the iteration count only, never
-		// the fixed point, so a slightly different neighbor is safe).
-		e.warm.put(wkey, rises)
 	}
 	return nil
 }

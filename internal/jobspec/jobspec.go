@@ -110,9 +110,6 @@ type Options struct {
 	// Alpha and Beta are the Eq. (6) objective weights.
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  *float64 `json:"beta,omitempty"`
-	// ThermalFast enables the fast thermal path (workspace CG, warm
-	// starts, closed-form pre-screen); results are unchanged.
-	ThermalFast *bool `json:"thermal_fast,omitempty"`
 	// Surrogate enables the learned ranking surrogate: an online model
 	// over completed evaluations that orders candidate moves, seeds, and
 	// sweep shards best-predicted-first. Results are unchanged — every

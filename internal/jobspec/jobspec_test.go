@@ -107,6 +107,8 @@ func TestParseStrict(t *testing.T) {
 			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"freq_ghz":1}}`, "unknown field"},
 		{"removed pre-screen band",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"surrogate_band_c":3}}`, "unknown field"},
+		{"removed fast thermal path",
+			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"thermal_fast":true}}`, "unknown field"},
 		{"missing version", `{"kind":"optimize"}`, "missing version"},
 		{"wrong version", `{"version":"tesa.jobspec/v0","kind":"optimize"}`, "unsupported version"},
 		{"missing kind", `{"version":"tesa.jobspec/v1"}`, "missing kind"},
@@ -194,7 +196,7 @@ func TestResolveOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Opts.Grid != 16 || !r.Opts.ThermalFast || r.Opts.FreqHz != 400e6 {
+	if r.Opts.Grid != 16 || r.Opts.Tech != core.Tech2D || r.Opts.FreqHz != 400e6 {
 		t.Errorf("options overlay lost: %+v", r.Opts)
 	}
 	if r.Cons.FPS != 30 || r.Cons.TempBudgetC != 75 {

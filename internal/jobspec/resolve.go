@@ -118,9 +118,6 @@ func (s *Spec) Resolve(baseDir string) (*Resolved, error) {
 		if o.Beta != nil {
 			r.Opts.Beta = *o.Beta
 		}
-		if o.ThermalFast != nil {
-			r.Opts.ThermalFast = *o.ThermalFast
-		}
 		if o.Surrogate != nil {
 			r.Opts.Surrogate = *o.Surrogate
 		}

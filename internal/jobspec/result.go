@@ -33,9 +33,6 @@ type Result struct {
 	// Quarantined counts distinct design points whose evaluation failed;
 	// the engines skipped them and continued.
 	Quarantined int `json:"quarantined,omitempty"`
-	// Screened counts candidates rejected by the surrogate pre-screen
-	// (only with thermal_fast).
-	Screened int `json:"screened,omitempty"`
 	// FrontEngine says which engine traced Front: "weights" (the Eq. 6
 	// weight sweep, in weight order) or "nsga2" (the non-dominated
 	// population front, sorted by cost).
@@ -150,7 +147,6 @@ func FromOptimize(res *core.OptimizeResult) *Result {
 		Evaluations: res.Evaluations,
 		Explored:    res.Explored,
 		Quarantined: res.Quarantined,
-		Screened:    res.Screened,
 	}
 	if res.Found && res.Best != nil {
 		out.Best = bestOf(res.Best)

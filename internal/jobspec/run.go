@@ -317,7 +317,6 @@ func (o *Outcome) weightsResult() *Result {
 	for _, w := range o.Weights {
 		out.Evaluations += w.Res.Evaluations
 		out.Explored += w.Res.Explored
-		out.Screened += w.Res.Screened
 		fp := FrontPoint{Alpha: fin(w.Alpha), Beta: fin(w.Beta)}
 		if w.Res.Found {
 			fp.Found = true

@@ -4,8 +4,7 @@
 // engines use it to RANK candidates — which point looks most promising
 // — never to ANSWER for one: every ranked candidate that matters is
 // still evaluated by the real pipeline, so the surrogate can only move
-// wall-clock, not results (the same soundness discipline as the
-// thermal pre-screen certificates, see DESIGN.md).
+// wall-clock, not results (see DESIGN.md).
 //
 // Determinism under concurrency is load-bearing: the engines train the
 // model from parallel workers, and a prediction must not depend on the

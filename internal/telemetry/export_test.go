@@ -89,7 +89,7 @@ func TestExportNilRegistry(t *testing.T) {
 func TestPromNameEscaping(t *testing.T) {
 	cases := map[string]string{
 		"stage.thermal":           "tesa_stage_thermal",
-		"thermal.surrogate.skip":  "tesa_thermal_surrogate_skip",
+		"thermal.fidelity.full":   "tesa_thermal_fidelity_full",
 		"evaluator.cache.hit":     "tesa_evaluator_cache_hit",
 		"weird-name with spaces!": "tesa_weird_name_with_spaces_",
 		"already_ok:subsystem":    "tesa_already_ok:subsystem",

@@ -105,7 +105,7 @@ func (m *Manifest) snapshotLocked(phase string) map[string]any {
 // fields plus the exit status, wall-clock seconds, user/system CPU
 // seconds (zero where the platform cannot report them), and the full
 // metrics snapshot — whose counters are the run's fidelity-ladder,
-// memo/warm-start, and quarantine tallies. The caller owns the map.
+// memo, and quarantine tallies. The caller owns the map.
 func (m *Manifest) Finalize(reg *Registry, status string) map[string]any {
 	if m == nil {
 		return nil

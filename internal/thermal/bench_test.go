@@ -74,13 +74,13 @@ func BenchmarkSolveReference(b *testing.B) {
 func benchSolveWorkspace(b *testing.B, s *Stack) {
 	ws := NewWorkspace()
 	var res Result
-	if err := s.SolveWorkspaceInto(ws, nil, &res); err != nil {
+	if err := s.SolveWorkspaceInto(ws, &res); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.SolveWorkspaceInto(ws, nil, &res); err != nil {
+		if err := s.SolveWorkspaceInto(ws, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,13 +90,3 @@ func benchSolveWorkspace(b *testing.B, s *Stack) {
 // BenchmarkSolveFast is BenchmarkSolveReference through a recycled
 // workspace, at the reference tolerance.
 func BenchmarkSolveFast(b *testing.B) { benchCases(b, benchSolveWorkspace) }
-
-// BenchmarkSolveFastTol is BenchmarkSolveFast at the fast-path
-// tolerance (FastTolScale), the configuration core's thermal_fast
-// evaluation runs.
-func BenchmarkSolveFastTol(b *testing.B) {
-	benchCases(b, func(b *testing.B, s *Stack) {
-		s.Solver.TolScale = FastTolScale
-		benchSolveWorkspace(b, s)
-	})
-}

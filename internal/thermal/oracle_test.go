@@ -292,7 +292,7 @@ func TestSolversMatchDenseOracle(t *testing.T) {
 					want  []float64
 				}{
 					{"Solve", s.Solve, steady},
-					{"SolveWorkspace", func() (*Result, error) { return s.SolveWorkspace(NewWorkspace(), nil) }, steady},
+					{"SolveWorkspace", func() (*Result, error) { return s.SolveWorkspace(NewWorkspace()) }, steady},
 					{"TransientStepper.Step", ts.Step, step},
 				}
 				for _, sv := range solvers {
@@ -337,7 +337,7 @@ func leakageSequence(t *testing.T, grid int, threeD bool) {
 			watts[k] = float64(k+1) * (1 + 0.05*float64(k+1)*(1-math.Pow(0.3+0.15*float64(k), float64(i))))
 		}
 		chipletPower(s, share, watts)
-		if err := s.SolveWorkspaceInto(ws, nil, &res); err != nil {
+		if err := s.SolveWorkspaceInto(ws, &res); err != nil {
 			t.Fatalf("leakage solve %d: %v", i, err)
 		}
 		matchDense(t, fmt.Sprintf("leakage solve %d (%d iterations)", i, res.Iterations), &res, denseSteady(s, factor))
@@ -368,7 +368,7 @@ func TestWorkspaceBasisStaysWithItsOperator(t *testing.T) {
 		ws := NewWorkspace()
 		solve := func(name string, s *Stack, want []float64) {
 			t.Helper()
-			res, err := s.SolveWorkspace(ws, nil)
+			res, err := s.SolveWorkspace(ws)
 			if err != nil {
 				t.Fatalf("3d=%v %s: %v", threeD, name, err)
 			}

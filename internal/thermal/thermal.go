@@ -17,8 +17,7 @@
 // resistivity treatment).
 //
 // The resulting linear system is symmetric positive definite. Every
-// solve — Solve, SolveWithGuess, SolveWorkspace and each
-// TransientStepper step — runs the same matrix-free conjugate gradients,
+// solve — Solve, SolveWorkspace and each TransientStepper step — runs the same matrix-free conjugate gradients,
 // preconditioned by one geometric-multigrid V-cycle (see workspace.go):
 // the lateral grid is coarsened by 2x2 aggregation with every layer
 // kept, and each level is smoothed by exact tridiagonal solves down the
@@ -184,11 +183,8 @@ type Result struct {
 	// met the convergence target, so CG took no step (see
 	// SolveWorkspaceInto).
 	Projected bool
-	// Rises is the raw temperature-rise vector (all layers, row-major),
-	// usable as the warm-start guess of a later solve of a stack of the
-	// same geometry: a SolveWithGuess, or the first solve of a stack in
-	// a workspace (later solves of that stack start from the workspace's
-	// projection instead).
+	// Rises is the raw temperature-rise vector (all layers, row-major):
+	// Temps minus ambient, the field CG solves for.
 	Rises []float64
 }
 
@@ -216,21 +212,12 @@ func harm(a, b float64) float64 {
 	return 2 * a * b / s
 }
 
-// Solve computes the steady-state temperature field.
+// Solve computes the steady-state temperature field in a throwaway
+// Workspace. A leakage-temperature loop should instead solve one Stack
+// repeatedly in one Workspace (SolveWorkspace), which starts every solve
+// after the first from the projection onto the loop's earlier solutions.
 func (s *Stack) Solve() (*Result, error) {
-	return s.SolveWithGuess(nil)
-}
-
-// SolveWithGuess computes the steady-state temperature field starting the
-// conjugate-gradient iteration from a previous solution's temperature
-// rises (Result.Rises) of a stack of the same geometry. The guess only
-// affects the iteration count, never the fixed point. It allocates a
-// throwaway Workspace; a leakage-temperature loop should instead solve
-// one Stack repeatedly in one Workspace (SolveWorkspace), which starts
-// every solve after the first from the projection onto the loop's
-// earlier solutions and needs no guess.
-func (s *Stack) SolveWithGuess(guess []float64) (*Result, error) {
-	return s.SolveWorkspace(nil, guess)
+	return s.SolveWorkspace(nil)
 }
 
 // LumpedEstimate is the zero-dimensional steady-state fallback of the

@@ -410,3 +410,21 @@ func TestLayerTempsLookup(t *testing.T) {
 		t.Error("phantom layer found")
 	}
 }
+
+// TestRisesExposed: Result.Rises matches Temps minus ambient.
+func TestRisesExposed(t *testing.T) {
+	grid := 8
+	s := singleLayer(grid, 4)
+	r, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rises) != grid*grid {
+		t.Fatalf("rises length %d, want %d", len(r.Rises), grid*grid)
+	}
+	for i := range r.Rises {
+		if math.Abs(r.Rises[i]-(r.Temps[0][i]-45)) > 1e-9 {
+			t.Fatalf("cell %d: rise %.6f != temp-ambient %.6f", i, r.Rises[i], r.Temps[0][i]-45)
+		}
+	}
+}

@@ -5,16 +5,6 @@ import (
 	"math"
 )
 
-// FastTolScale is the SolverParams.TolScale the fast evaluation path
-// uses: it loosens the reference convergence target (relative residual
-// 3e-8) to roughly 1e-5. For the package's stacks a relative residual
-// of 1e-5 bounds the temperature error by ~1e-3 C — two orders of
-// magnitude inside the 0.1 C agreement contract of the fast path — and
-// saves about a third of the CG iterations (9 to 6 on the grid-32 and
-// grid-88 benchmark stacks). The bound is enforced by
-// TestFastToleranceWithinBand.
-const FastTolScale = 300
-
 // coarsestGrid is the lateral grid at or below which the multigrid
 // hierarchy stops coarsening and solves its level exactly.
 const coarsestGrid = 4
@@ -590,12 +580,11 @@ func (ws *Workspace) rises() []float64 {
 	return ws.x[lv.off : lv.off+lv.n]
 }
 
-// SolveWorkspace computes the steady-state temperature field like
-// SolveWithGuess, in ws's reusable arena; a nil ws allocates a
-// throwaway workspace.
-func (s *Stack) SolveWorkspace(ws *Workspace, guess []float64) (*Result, error) {
+// SolveWorkspace computes the steady-state temperature field in ws's
+// reusable arena; a nil ws allocates a throwaway workspace.
+func (s *Stack) SolveWorkspace(ws *Workspace) (*Result, error) {
 	res := &Result{}
-	if err := s.SolveWorkspaceInto(ws, guess, res); err != nil {
+	if err := s.SolveWorkspaceInto(ws, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -604,20 +593,17 @@ func (s *Stack) SolveWorkspace(ws *Workspace, guess []float64) (*Result, error) 
 // SolveWorkspaceInto is SolveWorkspace writing into a caller-owned
 // Result, reusing its Temps and Rises buffers when already sized: a
 // solve loop that recycles both ws and res runs with zero allocations.
-// res.Rises must not alias a guess the caller still needs — it is
-// overwritten in place.
 //
 // When ws last assembled its steady operator for this same *Stack, the
 // solve re-checks only the power maps, reuses the operator, and starts
 // CG from the projection of the right-hand side onto the A-orthonormal
-// basis the earlier solves of s recorded in ws; guess is then ignored.
-// Otherwise it validates s, assembles its operator and empties the
-// basis, and starts from guess (ignored unless it has one value per
-// node). Each converged solve records its correction to the projection
-// as a new basis direction until the basis holds basisCap. The result
-// is the same fixed point either way; only the iteration count differs,
-// and res.Projected reports a solve the projection alone finished.
-func (s *Stack) SolveWorkspaceInto(ws *Workspace, guess []float64, res *Result) error {
+// basis the earlier solves of s recorded in ws. Otherwise it validates
+// s, assembles its operator, empties the basis and starts from zero.
+// Each converged solve records its correction to the projection as a
+// new basis direction until the basis holds basisCap. The result is the
+// same fixed point either way; only the iteration count differs, and
+// res.Projected reports a solve the projection alone finished.
+func (s *Stack) SolveWorkspaceInto(ws *Workspace, res *Result) error {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -634,7 +620,7 @@ func (s *Stack) SolveWorkspaceInto(ws *Workspace, guess []float64, res *Result) 
 		}
 	}
 	projecting := ws.nb > 0
-	iters, atStart, err := ws.solve(s.Solver, ws.start(guess))
+	iters, atStart, err := ws.solve(s.Solver, ws.start())
 	if err != nil {
 		return err
 	}
@@ -673,26 +659,20 @@ func (ws *Workspace) dir(h int) []float64 {
 // ws.rhs() and reports whether it is non-zero: the projection
 // x̄ = sum over h of (dir(h)·q) dir(h) while the basis holds directions,
 // which is the best approximation of the solution in their span in the
-// A-norm; else guess when it has one value per node; else zero.
-func (ws *Workspace) start(guess []float64) bool {
+// A-norm; else zero.
+func (ws *Workspace) start() bool {
 	x := ws.rises()
-	switch {
-	case ws.nb > 0:
-		q := ws.rhs()
-		clearFloats(x)
-		for h := 0; h < ws.nb; h++ {
-			d := ws.dir(h)
-			ws.coef[h] = dot(d, q)
-			axpy(ws.coef[h], d, x)
-		}
-		return true
-	case len(guess) == len(x):
-		copy(x, guess)
-		return true
-	default:
-		clearFloats(x)
+	clearFloats(x)
+	if ws.nb == 0 {
 		return false
 	}
+	q := ws.rhs()
+	for h := 0; h < ws.nb; h++ {
+		d := ws.dir(h)
+		ws.coef[h] = dot(d, q)
+		axpy(ws.coef[h], d, x)
+	}
+	return true
 }
 
 // record appends the converged solve's correction to its projection,

@@ -8,7 +8,7 @@
 // pair plus whatever trace events landed in the same stream. The end
 // manifest carries the run's final metrics snapshot (counters and
 // histogram percentiles), which is where the per-stage latency
-// breakdowns and the memo/warm-start/surrogate effectiveness rates
+// breakdowns and the cache/memo/surrogate effectiveness rates
 // come from; the raw events only contribute occurrence counts.
 package trace
 
@@ -253,12 +253,10 @@ func rate(name string, hits, misses int64) Rate {
 	return r
 }
 
-// Effectiveness summarizes the caching and fast-path counters of a run:
-// evaluator cache, cross-point memo (aggregated over result kinds),
-// thermal warm starts, the surrogate pre-screen (a "hit" is a candidate
-// screened out without a grid solve), and the learned ranking surrogate
-// (a "hit" is a search decision made by a warm model, a "miss" a cold
-// fallback to the unranked path).
+// Effectiveness summarizes the caching and search-ranking counters of a
+// run: evaluator cache, cross-point memo (aggregated over result kinds),
+// and the learned ranking surrogate (a "hit" is a search decision made
+// by a warm model, a "miss" a cold fallback to the unranked path).
 func (s *Summary) Effectiveness() []Rate {
 	c := s.Metrics.Counters
 	var memoHit, memoMiss int64
@@ -270,12 +268,9 @@ func (s *Summary) Effectiveness() []Rate {
 			memoMiss += v
 		}
 	}
-	skips := c["thermal.surrogate.skip.hot"] + c["thermal.surrogate.skip.cool"]
 	rates := []Rate{
 		rate("evaluator cache", c["evaluator.cache.hit"], c["evaluator.cache.miss"]),
 		rate("memo store", memoHit, memoMiss),
-		rate("thermal warm start", c["thermal.warmstart.hit"], c["thermal.warmstart.miss"]),
-		rate("surrogate pre-screen", skips, c["thermal.surrogate.fallthrough"]),
 		rate("surrogate ranking", c["surrogate.hit"], c["surrogate.miss"]),
 	}
 	out := rates[:0]

@@ -24,8 +24,6 @@ func synthesizeRun(t *testing.T, thermalSec, systolicSec float64, cacheHits int6
 	}
 	reg.Counter("evaluator.cache.hit").Add(cacheHits)
 	reg.Counter("evaluator.cache.miss").Add(10)
-	reg.Counter("thermal.warmstart.hit").Add(8)
-	reg.Counter("thermal.warmstart.miss").Add(2)
 	reg.Counter("surrogate.hit").Add(6)
 	reg.Counter("surrogate.miss").Add(2)
 	reg.Counter("surrogate.rank").Add(48)
@@ -89,9 +87,6 @@ func TestReadRoundTrip(t *testing.T) {
 	}
 	if r := eff["evaluator cache"]; r.Total != 100 || r.Frac != 0.90 {
 		t.Errorf("cache rate %+v", r)
-	}
-	if r := eff["thermal warm start"]; r.Frac != 0.80 {
-		t.Errorf("warm-start rate %+v", r)
 	}
 	if r := eff["surrogate ranking"]; r.Total != 8 || r.Frac != 0.75 {
 		t.Errorf("surrogate ranking rate %+v", r)
