@@ -91,7 +91,8 @@ type (
 	// OptimizeResult is a TESA optimization outcome.
 	OptimizeResult = core.OptimizeResult
 	// OptimizeOptions tunes Evaluator.OptimizeContext (progress
-	// streaming); nil reproduces the legacy behavior.
+	// streaming, failure policy, worker-pool width); nil takes the
+	// defaults.
 	OptimizeOptions = core.OptimizeOptions
 	// ExhaustiveResult is a full-space sweep outcome.
 	ExhaustiveResult = core.ExhaustiveResult

@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,7 +146,7 @@ func TestMultiStartBeatsWorstStart(t *testing.T) {
 		d2 := float64(x-80)*float64(x-80) + 50
 		return math.Min(d1, d2), true
 	}
-	best, per, err := MultiStart(DefaultStarts(11),
+	best, per, err := MultiStart(context.Background(), DefaultStarts(11), 0, intLess,
 		func(rng *rand.Rand) (int, bool) { return 80, true },
 		stepNeighbor, deceptive)
 	if err != nil {
@@ -172,7 +173,7 @@ func TestMultiStartBeatsWorstStart(t *testing.T) {
 }
 
 func TestMultiStartRequiresConfigs(t *testing.T) {
-	_, _, err := MultiStart(nil,
+	_, _, err := MultiStart(context.Background(), nil, 0, intLess,
 		func(*rand.Rand) (int, bool) { return 0, true },
 		stepNeighbor, quadratic)
 	if err == nil {

@@ -74,34 +74,10 @@ func TestMultiStartContextCancel(t *testing.T) {
 	defer cancel()
 	// Cancel once the parallel starts have together burned 10
 	// evaluations; every start must wind down and join.
-	_, _, err := MultiStartContext(ctx, DefaultStarts(3),
+	_, _, err := MultiStart(ctx, DefaultStarts(3), 0, intLess,
 		func(rng *rand.Rand) (int, bool) { return 60, true },
 		stepNeighbor, cancellingEval(cancel, 10))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestMultiStartContextMatchesMultiStart(t *testing.T) {
-	init := func(rng *rand.Rand) (int, bool) { return 70, true }
-	eval := Eval[int](func(x int) (float64, bool) { return quadratic(x) })
-	plain, plainPer, err := MultiStart(DefaultStarts(5), init, stepNeighbor, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCtx, ctxPer, err := MultiStartContext(context.Background(), DefaultStarts(5), init, stepNeighbor, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Best != withCtx.Best || plain.BestObj != withCtx.BestObj {
-		t.Errorf("context plumbing changed the ensemble: %+v vs %+v", plain, withCtx)
-	}
-	if len(plainPer) != len(ctxPer) {
-		t.Fatalf("per-start counts differ: %d vs %d", len(plainPer), len(ctxPer))
-	}
-	for i := range plainPer {
-		if plainPer[i].Best != ctxPer[i].Best || plainPer[i].Evaluations != ctxPer[i].Evaluations {
-			t.Errorf("start %d diverged: %+v vs %+v", i, plainPer[i], ctxPer[i])
-		}
 	}
 }

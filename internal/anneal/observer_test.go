@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -168,7 +169,7 @@ func TestMultiStartObserver(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].Observer = obs
 	}
-	best, per, err := MultiStart(cfgs,
+	best, per, err := MultiStart(context.Background(), cfgs, 0, intLess,
 		func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)

@@ -70,14 +70,14 @@ func TestPanicObserverStillFires(t *testing.T) {
 }
 
 // TestMultiStartPanic: one crashing start out of three surfaces as an
-// ErrPanic error from MultiStartContext after all goroutines join —
+// ErrPanic error from MultiStart after all goroutines join —
 // no leaked workers, no process death.
 func TestMultiStartPanic(t *testing.T) {
 	cfgs := DefaultStarts(11)
 	for i := range cfgs {
 		cfgs[i].Start = i
 	}
-	_, _, err := MultiStartContext(context.Background(), cfgs,
+	_, _, err := MultiStart(context.Background(), cfgs, 0, intLess,
 		func(rng *rand.Rand) (int, bool) { return 40, true },
 		stepNeighbor,
 		func(x int) (float64, bool) {

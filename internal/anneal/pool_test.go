@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// intLess is the state order the integer test problems hand MultiStart.
+func intLess(a, b int) bool { return a < b }
+
 // poolProblem is a deterministic synthetic minimization shared by the
 // pool-invariance tests: minimize (s-42)^2 over integers, feasible
 // everywhere, with seeded random walks.
@@ -26,12 +29,12 @@ func poolProblem() (Init[int], Neighbor[int], Eval[int]) {
 func TestMultiStartPoolWidthInvariance(t *testing.T) {
 	cfgs := DefaultStarts(7)
 	init, neighbor, eval := poolProblem()
-	ref, refPer, err := MultiStartContext(context.Background(), cfgs, init, neighbor, eval)
+	ref, refPer, err := MultiStart(context.Background(), cfgs, 0, intLess, init, neighbor, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= len(cfgs)+1; workers++ {
-		got, per, err := MultiStartPoolContext(context.Background(), cfgs, workers, nil, init, neighbor, eval)
+		got, per, err := MultiStart(context.Background(), cfgs, workers, intLess, init, neighbor, eval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,9 +57,9 @@ func TestMultiStartPoolWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestMultiStartPoolLessTieBreak: when starts tie on the objective, a
-// non-nil less picks the state ordering first regardless of start
-// index, while nil preserves the legacy first-by-index winner.
+// TestMultiStartPoolLessTieBreak: when starts tie on the objective, the
+// winner is the state ordering first under less, whatever its start
+// index — under either order, and for every pool width.
 func TestMultiStartPoolLessTieBreak(t *testing.T) {
 	cfgs := DefaultStarts(3)
 	// Flat landscape: every state is feasible with objective 0, so each
@@ -65,29 +68,37 @@ func TestMultiStartPoolLessTieBreak(t *testing.T) {
 	neighbor := func(s int, rng *rand.Rand) int { return s + rng.Intn(3) - 1 }
 	eval := func(int) (float64, bool) { return 0, true }
 
-	legacy, per, err := MultiStartPoolContext(context.Background(), cfgs, 0, nil, init, neighbor, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Best != per[0].Best {
-		t.Errorf("nil less: winner %d, want start 0's %d", legacy.Best, per[0].Best)
-	}
-
-	less := func(a, b int) bool { return a < b }
-	got, per, err := MultiStartPoolContext(context.Background(), cfgs, 2, less, init, neighbor, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	min := per[0].Best
-	for _, r := range per[1:] {
-		if r.Best < min {
-			min = r.Best
+	winners := map[string]int{}
+	for _, order := range []struct {
+		name string
+		less func(a, b int) bool
+	}{
+		{"ascending", intLess},
+		{"descending", func(a, b int) bool { return a > b }},
+	} {
+		for _, workers := range []int{0, 1, 2} {
+			got, per, err := MultiStart(context.Background(), cfgs, workers, order.less, init, neighbor, eval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStart := per[0].Best, 0
+			for i, r := range per[1:] {
+				if order.less(r.Best, want) {
+					want, wantStart = r.Best, i+1
+				}
+			}
+			if got.Best != want {
+				t.Errorf("%s, workers=%d: winner %d, want start %d's %d", order.name, workers, got.Best, wantStart, want)
+			}
+			if got.BestObj != 0 || !got.Found {
+				t.Errorf("%s, workers=%d: tie-break changed the objective: %+v", order.name, workers, got)
+			}
+			winners[order.name] = got.Best
 		}
 	}
-	if got.Best != min {
-		t.Errorf("less tie-break: winner %d, want minimum per-start best %d", got.Best, min)
-	}
-	if got.BestObj != 0 || !got.Found {
-		t.Errorf("tie-break changed the objective: %+v", got)
+	// The two orders must pick different starts, or the case would not
+	// show that the start index plays no part.
+	if winners["ascending"] == winners["descending"] {
+		t.Fatalf("both orders picked %d; the tie-break case is vacuous", winners["ascending"])
 	}
 }

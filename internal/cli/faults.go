@@ -1,6 +1,6 @@
 // Package cli shares the observability, memo-store and failure-reporting
 // plumbing of the tesa command-line tools: the telemetry and manifest
-// flags, the -memo-dir/-starts-parallel flags, and the quarantine
+// flags, the -memo-dir flag, and the quarantine
 // summary with its distinct exit code.
 package cli
 

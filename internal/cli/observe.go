@@ -181,27 +181,18 @@ func (s *Session) Finish(status string) {
 	}
 }
 
-// MemoFlags bundles the memo-store and parallel-annealing flags of the
-// search commands: -memo-dir (persist the run's memo store across
-// invocations) and -starts-parallel (run the annealing chains through a
-// worker pool with deterministic parallel start sampling).
+// MemoFlags holds the memo-store flag of the search commands: -memo-dir
+// persists the run's memo store across invocations.
 type MemoFlags struct {
 	// Dir is the on-disk cache directory (-memo-dir).
 	Dir string
-	// Parallel runs the multi-start annealing chains concurrently
-	// (-starts-parallel). The winning objective is identical to the
-	// sequential schedule; equal-objective ties may resolve to a
-	// different point.
-	Parallel bool
 }
 
-// MemoFlagsRegister registers -memo-dir and -starts-parallel on fs and
-// returns the struct they populate after fs.Parse.
+// MemoFlagsRegister registers -memo-dir on fs and returns the struct it
+// populates after fs.Parse.
 func MemoFlagsRegister(fs *flag.FlagSet) *MemoFlags {
 	m := &MemoFlags{}
 	fs.StringVar(&m.Dir, "memo-dir", "", "persist the run's memo store in this directory across invocations")
-	fs.BoolVar(&m.Parallel, "starts-parallel", false,
-		"run the annealing chains through a worker pool (identical objective; equal-objective ties may resolve to a different point)")
 	return m
 }
 
@@ -219,14 +210,4 @@ func (m *MemoFlags) Store() (*tesa.MemoStore, func() error, error) {
 		return nil, nil, fmt.Errorf("-memo-dir: %w", err)
 	}
 	return s, closer, nil
-}
-
-// StartWorkers is the OptimizeOptions.Parallel value the flags ask for:
-// 0 (the legacy chain schedule) unless -starts-parallel, then the
-// machine's core count — the annealer clamps it to the chain count.
-func (m *MemoFlags) StartWorkers() int {
-	if !m.Parallel {
-		return 0
-	}
-	return runtime.NumCPU()
 }

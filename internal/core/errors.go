@@ -20,9 +20,7 @@ var (
 	// ErrNoFeasibleStart is returned by the context-first optimizer
 	// entrypoints when the initialization sampling (Fig. 4's "initialize
 	// with a feasible MCM") finds no feasible configuration, i.e. the
-	// paper's "solution does not exist" outcome. The legacy Optimize
-	// wrapper converts it back to the historical (Found=false, nil error)
-	// result for existing callers.
+	// paper's "solution does not exist" outcome.
 	ErrNoFeasibleStart = errors.New("core: no feasible starting configuration")
 
 	// ErrCheckpointCorrupt marks an unreadable or inconsistent sweep

@@ -24,8 +24,9 @@ type Runtime struct {
 	Tel *telemetry.Telemetry
 	// Progress receives the job's incremental updates (nil = none).
 	Progress core.ProgressFunc
-	// Parallel bounds the annealer's multi-start worker pool
-	// (OptimizeOptions.Parallel); 0 keeps the legacy schedule.
+	// Parallel is the width of the annealer's multi-start worker pool
+	// (OptimizeOptions.Parallel; 0 = GOMAXPROCS). It changes
+	// scheduling only, never the job's answer.
 	Parallel int
 	// Checkpoint receives a sweep job's checkpoint records, Resume
 	// credits the shards of an earlier checkpoint, and RunID is stamped

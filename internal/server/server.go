@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -61,8 +62,10 @@ type Config struct {
 	// DefaultDeadline bounds jobs whose spec carries no deadline_sec
 	// (0 = unbounded).
 	DefaultDeadline time.Duration
-	// Parallel is the per-job annealer worker bound passed through to
-	// OptimizeOptions.Parallel (0 keeps the sequential schedule).
+	// Parallel is the per-job annealer worker-pool width passed through
+	// to OptimizeOptions.Parallel (default max(1, GOMAXPROCS/Workers),
+	// so concurrent jobs share the cores). It changes scheduling only,
+	// never a job's answer.
 	Parallel int
 	// BaseDir anchors relative workload_file paths in submitted specs
 	// ("" = the server's working directory).
@@ -150,6 +153,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 64
+	}
+	if cfg.Parallel <= 0 {
+		cfg.Parallel = max(1, runtime.GOMAXPROCS(0)/cfg.Workers)
 	}
 	s := &Server{
 		cfg:   cfg,
