@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -270,11 +271,15 @@ func (c *command) runCoordinator(ctx context.Context, cc coordinateConfig) error
 	c.sess.Manifest.Set("space", coord.Fingerprint())
 	c.sess.Manifest.Set("lease_ttl", cc.leaseTTL.String())
 
-	hs := &http.Server{Addr: cc.addr, Handler: coord.Handler()}
+	ln, err := net.Listen("tcp", cc.addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: coord.Handler()}
 	listenErr := make(chan error, 1)
-	go func() { listenErr <- hs.ListenAndServe() }()
+	go func() { listenErr <- hs.Serve(ln) }()
 	fmt.Fprintf(c.stdout, "coordinator: serving %d shards on %s (space %s, lease ttl %s, verify %.0f%%)\n",
-		coord.Shards(), cc.addr, coord.Fingerprint(), cc.leaseTTL, 100*cfg.VerifyFrac)
+		coord.Shards(), ln.Addr(), coord.Fingerprint(), cc.leaseTTL, 100*cfg.VerifyFrac)
 
 	waitCh := make(chan struct{})
 	var res *distrib.Result
@@ -285,7 +290,7 @@ func (c *command) runCoordinator(ctx context.Context, cc coordinateConfig) error
 	}()
 	select {
 	case err := <-listenErr:
-		// ListenAndServe only returns before shutdown on failure.
+		// Serve only returns before shutdown on failure.
 		return err
 	case <-waitCh:
 	}
