@@ -49,10 +49,18 @@ func (e *Evaluator) optimizeObjective(space Space, seed int64, full bool, obj ob
 	}
 	// Start from the best feasible sample (see sampleFeasibleStart: the
 	// feasible set can be fragmented, making the starting basin
-	// decisive).
+	// decisive). The objective may read temperature, so the screen is a
+	// whole evaluation.
+	screen := func(p DesignPoint) (float64, bool, error) {
+		ev, err := eval(p)
+		if err != nil {
+			return 0, false, err
+		}
+		return obj(ev), feas(ev), nil
+	}
 	budget, workers := initBudget(space), runtime.GOMAXPROCS(0)
 	init := func(rng *rand.Rand) (DesignPoint, bool) {
-		return sampleFeasibleStart(context.Background(), space, rng, budget, workers, eval, obj, feas)
+		return e.sampleFeasibleStart(context.Background(), space, rng, budget, workers, screen, eval, feas)
 	}
 	var evalErr error
 	var once sync.Once
