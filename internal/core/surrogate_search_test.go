@@ -341,8 +341,8 @@ func runSearchLeg(t *testing.T, dir string, ranked bool) searchLeg {
 // TestRankedSearchEvalsToOptimum is the learned ranking's acceptance
 // contract, pinned on exact counts: over the same warm memo corpus, the
 // plain and ranked searches end on the identical winner, and the ranked
-// one first reaches it after 28 explored points instead of 88 (39 in
-// total instead of 130). The counts are deterministic at Parallel: 1.
+// one first reaches it after 28 explored points instead of 68 (39 in
+// total instead of 89). The counts are deterministic at Parallel: 1.
 func TestRankedSearchEvalsToOptimum(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "memo")
 	runSearchLeg(t, dir, false) // the corpus both measured legs load
@@ -356,7 +356,7 @@ func TestRankedSearchEvalsToOptimum(t *testing.T) {
 		l                 searchLeg
 		toFirst, explored int
 	}{
-		{"plain", plain, 88, 130},
+		{"plain", plain, 68, 89},
 		{"ranked", ranked, 28, 39},
 	} {
 		res := leg.l.res
