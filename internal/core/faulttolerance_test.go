@@ -357,29 +357,41 @@ func TestOptimizeQuarantine(t *testing.T) {
 			res.Quarantined, len(res.Poisoned), e.QuarantinedCount())
 	}
 
-	// Poison everything: no feasible start, ledger carried in the result.
-	dead := chaosEvaluator(t)
-	dead.InjectFaults(injectPlan(t, "error@systolic"))
-	res, err = dead.OptimizeContext(context.Background(), space, 3, nil)
-	if !errors.Is(err, ErrNoFeasibleStart) {
-		t.Fatalf("fully poisoned space err = %v, want ErrNoFeasibleStart", err)
-	}
-	if res == nil || res.Quarantined == 0 || res.Quarantined != len(res.Poisoned) {
-		t.Errorf("fully poisoned result = %+v, want a non-empty ledger", res)
-	}
+	// Poison everything, once at a stage the start-sampling screen runs
+	// (systolic) and once at the stage only a full evaluation reaches
+	// (thermal): no feasible start, ledger carried in the result, and
+	// the failure policies abort like the sweep's.
+	for _, spec := range []string{"error@systolic", "error@thermal"} {
+		dead := chaosEvaluator(t)
+		dead.InjectFaults(injectPlan(t, spec))
+		res, err = dead.OptimizeContext(context.Background(), space, 3, nil)
+		if !errors.Is(err, ErrNoFeasibleStart) {
+			t.Fatalf("%s: fully poisoned space err = %v, want ErrNoFeasibleStart", spec, err)
+		}
+		if res == nil || res.Quarantined == 0 || res.Quarantined != len(res.Poisoned) {
+			t.Errorf("%s: fully poisoned result = %+v, want a non-empty ledger", spec, res)
+		}
+		// A failed screen is never memoized as a verdict.
+		if spec == "error@systolic" {
+			dead.Memo().Range("screen:", func(k string, _ any) bool {
+				t.Errorf("%s: failed screen memoized as %s", spec, k)
+				return false
+			})
+		}
 
-	ff := chaosEvaluator(t)
-	ff.InjectFaults(injectPlan(t, "error@systolic"))
-	_, err = ff.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{FailFast: true})
-	var ee *EvalError
-	if !errors.As(err, &ee) {
-		t.Errorf("optimize FailFast err = %v, want the *EvalError", err)
-	}
+		ff := chaosEvaluator(t)
+		ff.InjectFaults(injectPlan(t, spec))
+		_, err = ff.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{FailFast: true})
+		var ee *EvalError
+		if !errors.As(err, &ee) {
+			t.Errorf("%s: optimize FailFast err = %v, want the *EvalError", spec, err)
+		}
 
-	lim := chaosEvaluator(t)
-	lim.InjectFaults(injectPlan(t, "error@systolic"))
-	_, err = lim.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{MaxFailures: 2})
-	if !errors.Is(err, ErrTooManyFailures) {
-		t.Errorf("optimize MaxFailures err = %v, want ErrTooManyFailures", err)
+		lim := chaosEvaluator(t)
+		lim.InjectFaults(injectPlan(t, spec))
+		_, err = lim.OptimizeContext(context.Background(), space, 3, &OptimizeOptions{MaxFailures: 2})
+		if !errors.Is(err, ErrTooManyFailures) {
+			t.Errorf("%s: optimize MaxFailures err = %v, want ErrTooManyFailures", spec, err)
+		}
 	}
 }

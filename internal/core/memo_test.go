@@ -144,7 +144,11 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 // TestMemoOptimizeIdenticalTrajectory: the optimizer's whole trajectory
 // — winner, objective, evaluation and exploration counts, and every
 // per-start result — is identical on a fresh evaluator, with pooled
-// parallel chains, and on a store another run already filled.
+// parallel chains, on a store another run already filled, and on a
+// store a sweep filled with an eval record for every point. The last
+// runs at a corner (2-D 500 MHz, 15 fps, 75 C over the default space)
+// where start sampling leaves most survivors unevaluated, so a screen
+// that read eval records would explore fewer points there.
 func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	space := tinySpace()
 	ref := testEvaluator(t, Tech2D, 400, 15, 85)
@@ -155,18 +159,31 @@ func TestMemoOptimizeIdenticalTrajectory(t *testing.T) {
 	if !refRes.Found {
 		t.Fatal("reference optimizer found nothing on a feasible space")
 	}
+	corner := startCorner{"sweep-filled", Tech2D, 500, 15, 75, DefaultSpace()}
+	swept := corner.evaluator(t)
+	if _, err := swept.ExhaustiveContext(context.Background(), corner.space, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	runs := []struct {
-		name  string
-		store *memo.Store
-		opt   *OptimizeOptions
+		name   string
+		store  *memo.Store
+		opt    *OptimizeOptions
+		corner *startCorner // nil: tinySpace, like the reference above
 	}{
-		{"parallel", nil, &OptimizeOptions{Parallel: 4}},
-		{"warm store", ref.Memo(), nil},
-		{"warm store+parallel", ref.Memo(), &OptimizeOptions{Parallel: 4}},
+		{"parallel", nil, &OptimizeOptions{Parallel: 4}, nil},
+		{"warm store", ref.Memo(), nil, nil},
+		{"warm store+parallel", ref.Memo(), &OptimizeOptions{Parallel: 4}, nil},
+		{"sweep-filled store", swept.Memo(), nil, &corner},
 	}
 	for _, run := range runs {
-		e := testEvaluator(t, Tech2D, 400, 15, 85)
+		e, space, refRes := testEvaluator(t, Tech2D, 400, 15, 85), space, refRes
+		if run.corner != nil {
+			e, space = run.corner.evaluator(t), run.corner.space
+			if refRes, err = run.corner.evaluator(t).OptimizeContext(context.Background(), space, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if run.store != nil {
 			e.UseMemo(run.store)
 		}
