@@ -14,28 +14,29 @@ import (
 	"tesa/internal/jobspec"
 )
 
-// traceSweep runs a nine-point sweep at the given thermal grid in
-// process, with the observability session the tesa command builds for
-// -trace path, and returns path.
-func traceSweep(t *testing.T, grid int) string {
+// traceJob runs a job of the given kind (sweep or optimize) over a
+// nine-point space at the given thermal grid in process, with the
+// observability session the tesa command builds for -trace path, and
+// returns path.
+func traceJob(t *testing.T, kind string, grid int) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), fmt.Sprintf("sweep-grid%d.jsonl", grid))
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("%s-grid%d.jsonl", kind, grid))
+	fs := flag.NewFlagSet(kind, flag.ContinueOnError)
 	obs := cli.ObservabilityFlags(fs)
 	if err := fs.Parse([]string{"-trace", path}); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := obs.Setup("tesa", []string{"sweep", "-trace", path}, io.Discard)
+	sess, err := obs.Setup("tesa", []string{kind, "-trace", path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec, err := jobspec.Parse([]byte(fmt.Sprintf(`{
   "version": "tesa.jobspec/v1",
-  "kind": "sweep",
+  "kind": %q,
   "options": {"grid": %d},
   "constraints": {"fps": 15, "temp_c": 85},
   "space": {"array_dims": [180, 200, 220], "ics_ums": [0, 500, 1000]}
-}`, grid)))
+}`, kind, grid)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,12 @@ func runTrace(args ...string) (int, string, string) {
 }
 
 // TestReportAndDiff traces two sweeps that differ only in thermal grid
-// and drives both modes over them: report lists the thermal stage and
-// the evaluator cache, diff reports per-stage p95 deltas, and a strict
-// diff of one run against itself finds no regression.
+// and one optimize, and drives both modes over them: report lists the
+// thermal stage, the evaluator cache and (for the optimize) start
+// screening, diff reports per-stage p95 deltas, and a strict diff of
+// one run against itself finds no regression.
 func TestReportAndDiff(t *testing.T) {
-	a, b := traceSweep(t, 8), traceSweep(t, 16)
+	a, b := traceJob(t, "sweep", 8), traceJob(t, "sweep", 16)
 
 	code, out, stderr := runTrace("report", a, b)
 	if code != 0 {
@@ -74,10 +76,20 @@ func TestReportAndDiff(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "start screening") {
+		t.Errorf("report of two sweeps has a start screening row:\n%s", out)
+	}
 	for _, gone := range []string{"warm start", "pre-screen"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("report still has a %q row:\n%s", gone, out)
 		}
+	}
+	code, out, stderr = runTrace("report", traceJob(t, "optimize", 8))
+	if code != 0 {
+		t.Fatalf("report: exit %d; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(out, "start screening") {
+		t.Errorf("optimize report lacks a start screening row:\n%s", out)
 	}
 
 	code, out, stderr = runTrace("diff", a, b)
