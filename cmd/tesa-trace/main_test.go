@@ -12,15 +12,16 @@ import (
 
 	"tesa/internal/cli"
 	"tesa/internal/jobspec"
+	"tesa/internal/memo"
 )
 
 // traceJob runs a job of the given kind (sweep or optimize) over a
-// nine-point space at the given thermal grid in process, with the
-// observability session the tesa command builds for -trace path, and
-// returns path.
-func traceJob(t *testing.T, kind string, grid int) string {
+// nine-point space at the given thermal grid and temperature budget in
+// process, against store (nil: a private one), with the observability
+// session the tesa command builds for -trace path, and returns path.
+func traceJob(t *testing.T, kind string, grid int, tempC float64, store *memo.Store) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), fmt.Sprintf("%s-grid%d.jsonl", kind, grid))
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("%s-grid%d-%gC.jsonl", kind, grid, tempC))
 	fs := flag.NewFlagSet(kind, flag.ContinueOnError)
 	obs := cli.ObservabilityFlags(fs)
 	if err := fs.Parse([]string{"-trace", path}); err != nil {
@@ -34,9 +35,9 @@ func traceJob(t *testing.T, kind string, grid int) string {
   "version": "tesa.jobspec/v1",
   "kind": %q,
   "options": {"grid": %d},
-  "constraints": {"fps": 15, "temp_c": 85},
+  "constraints": {"fps": 15, "temp_c": %g},
   "space": {"array_dims": [180, 200, 220], "ics_ums": [0, 500, 1000]}
-}`, kind, grid)))
+}`, kind, grid, tempC)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func traceJob(t *testing.T, kind string, grid int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jobspec.Run(context.Background(), r, jobspec.Runtime{Tel: sess.Tel}); err != nil {
+	if _, err := jobspec.Run(context.Background(), r, jobspec.Runtime{Tel: sess.Tel, Store: store}); err != nil {
 		t.Fatal(err)
 	}
 	sess.Finish("ok")
@@ -59,13 +60,15 @@ func runTrace(args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// TestReportAndDiff traces two sweeps that differ only in thermal grid
-// and one optimize, and drives both modes over them: report lists the
-// thermal stage, the evaluator cache and (for the optimize) start
-// screening, diff reports per-stage p95 deltas, and a strict diff of
-// one run against itself finds no regression.
+// TestReportAndDiff traces two sweeps that differ only in thermal grid,
+// one optimize, and two sweeps against one store that differ only in
+// temperature budget, and drives both modes over them: report lists the
+// thermal stage, the evaluator cache, (for the optimize) start
+// screening and (for the second sweep on the shared store) thermal memo
+// hits, diff reports per-stage p95 deltas, and a strict diff of one run
+// against itself finds no regression.
 func TestReportAndDiff(t *testing.T) {
-	a, b := traceJob(t, "sweep", 8), traceJob(t, "sweep", 16)
+	a, b := traceJob(t, "sweep", 8, 85, nil), traceJob(t, "sweep", 16, 85, nil)
 
 	code, out, stderr := runTrace("report", a, b)
 	if code != 0 {
@@ -84,12 +87,30 @@ func TestReportAndDiff(t *testing.T) {
 			t.Errorf("report still has a %q row:\n%s", gone, out)
 		}
 	}
-	code, out, stderr = runTrace("report", traceJob(t, "optimize", 8))
+	code, out, stderr = runTrace("report", traceJob(t, "optimize", 8, 85, nil))
 	if code != 0 {
 		t.Fatalf("report: exit %d; stderr:\n%s", code, stderr)
 	}
 	if !strings.Contains(out, "start screening") {
 		t.Errorf("optimize report lacks a start screening row:\n%s", out)
+	}
+
+	store := memo.NewStore()
+	traceJob(t, "sweep", 8, 75, store)
+	code, out, stderr = runTrace("report", traceJob(t, "sweep", 8, 85, store))
+	if code != 0 {
+		t.Fatalf("report: exit %d; stderr:\n%s", code, stderr)
+	}
+	var hits, total int
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "thermal memo"); ok {
+			if _, err := fmt.Sscanf(rest[strings.Index(rest, "(")+1:], "%d of %d", &hits, &total); err != nil {
+				t.Fatalf("thermal memo row %q: %v", line, err)
+			}
+		}
+	}
+	if total == 0 || hits == 0 {
+		t.Errorf("the 85 C sweep after a 75 C sweep on one store shows %d thermal memo hits of %d:\n%s", hits, total, out)
 	}
 
 	code, out, stderr = runTrace("diff", a, b)

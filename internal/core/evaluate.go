@@ -17,6 +17,7 @@ import (
 	"tesa/internal/nop"
 	"tesa/internal/power"
 	"tesa/internal/sched"
+	"tesa/internal/sram"
 	"tesa/internal/surrogate"
 	"tesa/internal/systolic"
 	"tesa/internal/telemetry"
@@ -176,10 +177,11 @@ type Evaluator struct {
 	surReplay sync.Once
 	surStats  surrogateStats
 	// fpOnce guards the lazy fingerprint computation below (memoize.go).
-	fpOnce sync.Once
-	cfgFP  string   // whole-evaluation configuration fingerprint
-	perfFP string   // performance-model (systolic/sched) fingerprint
-	netFPs []string // per-network content fingerprints
+	fpOnce  sync.Once
+	cfgFP   string   // whole-evaluation configuration fingerprint
+	perfFP  string   // performance-model (systolic/sched) fingerprint
+	thermFP string   // thermal-stage fingerprint (cfgFP minus budgets and weights)
+	netFPs  []string // per-network content fingerprints
 
 	mu      sync.Mutex
 	visited map[DesignPoint]struct{}   // points evaluated successfully (Explored)
@@ -769,20 +771,12 @@ func (e *Evaluator) pipeline(p DesignPoint, mode pipelineMode) (ev *Evaluation, 
 	}
 
 	stage = stageThermal
-	began = time.Now()
-	span = e.tel.StartSpan("stage.thermal")
-	err = e.thermalAnalysis(ev, profiles, place, est)
-	span.End()
+	if full {
+		err = e.thermalStage(ev, profiles, place, est)
+	} else {
+		err = e.sharedThermal(ev, profiles, place, est)
+	}
 	if err != nil {
-		return nil, failStage(stageThermal, p, err)
-	}
-	tempOut := ev.PeakTempC
-	if ev.Runaway {
-		// A runaway point is a valid infeasible evaluation; its clamped
-		// peak temperature is not required to be meaningful.
-		tempOut = 0
-	}
-	if err := e.stageGuard(stageThermal, p, began, ev.TotalPowerW, ev.DynamicPowerW, ev.LeakageW, tempOut); err != nil {
 		return nil, err
 	}
 
@@ -799,6 +793,25 @@ func (e *Evaluator) pipeline(p DesignPoint, mode pipelineMode) (ev *Evaluation, 
 		ev.Objective = math.Inf(1)
 	}
 	return ev, nil
+}
+
+// thermalStage runs the thermal stage on ev behind its span and stage
+// guard.
+func (e *Evaluator) thermalStage(ev *Evaluation, profiles []netProfile, place *floorplan.Placement, est sram.Estimate) error {
+	began := time.Now()
+	span := e.tel.StartSpan("stage.thermal")
+	err := e.thermalAnalysis(ev, profiles, place, est)
+	span.End()
+	if err != nil {
+		return failStage(stageThermal, ev.Point, err)
+	}
+	tempOut := ev.PeakTempC
+	if ev.Runaway {
+		// A runaway point is a valid infeasible evaluation; its clamped
+		// peak temperature is not required to be meaningful.
+		tempOut = 0
+	}
+	return e.stageGuard(stageThermal, ev.Point, began, ev.TotalPowerW, ev.DynamicPowerW, ev.LeakageW, tempOut)
 }
 
 // AssessNoP quantifies the network-on-package overhead of an evaluated

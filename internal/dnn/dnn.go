@@ -209,6 +209,16 @@ type Workload struct {
 	Networks []Network
 }
 
+// clone returns a deep copy of w: its own Networks slice and, in each
+// network, its own Layers slice.
+func (w Workload) clone() Workload {
+	c := Workload{Name: w.Name, Networks: make([]Network, len(w.Networks))}
+	for i, n := range w.Networks {
+		c.Networks[i] = Network{Name: n.Name, Layers: append([]Layer(nil), n.Layers...)}
+	}
+	return c
+}
+
 // Validate checks every network in the workload.
 func (w *Workload) Validate() error {
 	if len(w.Networks) == 0 {

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -247,5 +248,27 @@ func TestWorkloadTotalMACs(t *testing.T) {
 	}
 	if math.IsNaN(total) {
 		t.Error("total is NaN")
+	}
+}
+
+// TestARVRWorkloadCopies: the built-in workload is built once, but every
+// call returns an equal, independent copy — mutating one call's
+// networks and layers leaves the next call's untouched.
+func TestARVRWorkloadCopies(t *testing.T) {
+	a, b := ARVRWorkload(), ARVRWorkload()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two calls returned different workloads")
+	}
+	a.Name = "mutated"
+	a.Networks[0].Name = "mutated"
+	a.Networks[1].Layers[0].OutC++
+	a.Networks[2].Layers = a.Networks[2].Layers[:1]
+	a.Networks = a.Networks[:1]
+	c := ARVRWorkload()
+	if !reflect.DeepEqual(b, c) {
+		t.Error("mutating one copy changed a later call's workload")
+	}
+	if c.Name != "AR/VR" || len(c.Networks) != 6 || c.Networks[0].Name != "HandposeNet" {
+		t.Errorf("later call returned %q with %d networks, first %q", c.Name, len(c.Networks), c.Networks[0].Name)
 	}
 }

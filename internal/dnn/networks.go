@@ -1,6 +1,9 @@
 package dnn
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Constructors for the layer kinds. They keep the network definitions
 // below terse and guarantee geometric consistency.
@@ -354,7 +357,13 @@ func Transformer() Network {
 // ARVRWorkload returns the paper's six-DNN AR/VR workload: handpose
 // detection, image segmentation, object detection, object recognition,
 // depth estimation, and speech recognition, each an independent subtask.
-func ARVRWorkload() Workload {
+// The workload is built once per process; each call returns its own deep
+// copy, so a caller may modify the result freely.
+func ARVRWorkload() Workload { return arvrWorkload().clone() }
+
+// arvrWorkload builds the AR/VR workload on first use. Building it
+// formats hundreds of layer names, which dominated resolving a job spec.
+var arvrWorkload = sync.OnceValue(func() Workload {
 	return Workload{
 		Name: "AR/VR",
 		Networks: []Network{
@@ -366,4 +375,4 @@ func ARVRWorkload() Workload {
 			Transformer(),
 		},
 	}
-}
+})

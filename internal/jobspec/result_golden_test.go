@@ -30,8 +30,10 @@ func runResult(t *testing.T, raw []byte) *Result {
 }
 
 // resultGolden renders res as indented JSON and returns that rendering
-// with the bytes of the golden file testdata/<name>.result.json,
-// rewriting the golden first under -update.
+// with the bytes of the golden file testdata/<name>.result.json. Under
+// -update it rewrites the golden first, but only when the rendering no
+// longer matches it under golden.Compare, so regenerating one golden
+// leaves the last-digit solver noise of the others on disk alone.
 func resultGolden(t *testing.T, name string, res *Result) (got, want []byte) {
 	t.Helper()
 	got, err := json.MarshalIndent(res, "", "  ")
@@ -39,13 +41,14 @@ func resultGolden(t *testing.T, name string, res *Result) (got, want []byte) {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	golden := filepath.Join("testdata", name+".result.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+	path := filepath.Join("testdata", name+".result.json")
+	want, err = os.ReadFile(path)
+	if *update && (err != nil || golden.Compare(got, want) != nil) {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		want, err = got, nil
 	}
-	want, err = os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("golden missing (run with -update): %v", err)
 	}

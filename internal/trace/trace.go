@@ -256,9 +256,11 @@ func rate(name string, hits, misses int64) Rate {
 // Effectiveness summarizes the caching and search-ranking counters of a
 // run: evaluator cache, start screening (a "hit" is a start-sampling
 // draw that never needed a full evaluation, a "miss" one that did),
-// cross-point memo (aggregated over result kinds), and the learned
-// ranking surrogate (a "hit" is a search decision made by a warm model,
-// a "miss" a cold fallback to the unranked path).
+// thermal memo (a "hit" is a DSE thermal stage served by a record that
+// another constraint set, weight setting, job or process solved),
+// cross-point memo (aggregated over result kinds, thermal included), and
+// the learned ranking surrogate (a "hit" is a search decision made by a
+// warm model, a "miss" a cold fallback to the unranked path).
 func (s *Summary) Effectiveness() []Rate {
 	c := s.Metrics.Counters
 	var memoHit, memoMiss int64
@@ -273,6 +275,7 @@ func (s *Summary) Effectiveness() []Rate {
 	rates := []Rate{
 		rate("evaluator cache", c["evaluator.cache.hit"], c["evaluator.cache.miss"]),
 		rate("start screening", c["start.screened"]-c["start.thermal"], c["start.thermal"]),
+		rate("thermal memo", c["memo.hit.thermal"], c["memo.miss.thermal"]),
 		rate("memo store", memoHit, memoMiss),
 		rate("surrogate ranking", c["surrogate.hit"], c["surrogate.miss"]),
 	}
