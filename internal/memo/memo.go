@@ -3,12 +3,13 @@
 //
 // Keys are canonical strings of the form "kind:part|part|...", where the
 // kind names the memoized computation ("systolic", "sram", "profiles",
-// "sched", "eval") and the parts are exact renderings of every
-// input the computation depends on (content fingerprints for structured
-// inputs, shortest round-trip decimals for floats). Two keys are equal
-// exactly when the memoized function would produce the same value, so a
-// store can be shared by every evaluator, sweep shard and annealing
-// chain in a process without changing any result.
+// "sched", "eval", "screen", "thermal") and the parts are exact
+// renderings of every input the computation depends on (content
+// fingerprints for structured inputs, shortest round-trip decimals for
+// floats). Two keys are equal exactly when the memoized function would
+// produce the same value, so a store can be shared by every evaluator,
+// sweep shard and annealing chain in a process without changing any
+// result.
 //
 // GetOrCompute deduplicates in-flight computations (single-flight): when
 // several chains race to evaluate the same key, one computes and the
