@@ -4,7 +4,6 @@
 //
 //	tesa-report [-table 3|4|5] [-fig 5|6] [-headline] [-validate] [-all]
 //	            [-grid 32] [-report-grid 88] [-seed 1]
-//	            [-surrogate]
 //	            [-metrics] [-trace out.jsonl] [-pprof addr]
 //	            [-metrics-addr addr] [-manifest run.jsonl]
 //
@@ -20,10 +19,7 @@
 // Every evaluator of the run shares one content-addressed memo store,
 // which changes only wall-clock time, not the reproduced numbers. The
 // -validate lines report the store's hit rate next to the optimizer's
-// cache-hit rate. -surrogate turns on the learned ranking surrogate in
-// every evaluator; it reorders evaluation only, and the -validate lines
-// then report the surrogate.hit and surrogate.rank counters (ranked
-// decisions and candidates scored).
+// cache-hit rate.
 package main
 
 import (
@@ -47,7 +43,6 @@ func main() {
 		grid       = flag.Int("grid", 32, "search-time thermal grid")
 		reportGrid = flag.Int("report-grid", 88, "reporting thermal grid (125 um cells)")
 		seed       = flag.Int64("seed", 1, "optimizer seed")
-		surrogate  = flag.Bool("surrogate", false, "learned ranking surrogate in every evaluator (reorders evaluation only)")
 		obs        = cli.ObservabilityFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -62,7 +57,6 @@ func main() {
 	cfg.Grid = *grid
 	cfg.ReportGrid = *reportGrid
 	cfg.Seed = *seed
-	cfg.Surrogate = *surrogate
 	cfg.Telemetry = sess.Tel
 	sess.Manifest.Set("space", cfg.Space.Fingerprint())
 	sess.Manifest.Set("seed", *seed)
@@ -176,12 +170,8 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			line := fmt.Sprintf("%v: space=%d feasible=%d explored=%.1f%% cache-hits=%.1f%% memo-hits=%.1f%%",
-				c, v.SpaceSize, v.FeasibleCount, 100*v.ExploredFraction, 100*v.CacheHitRate, 100*v.MemoHitRate)
-			if *surrogate {
-				line += fmt.Sprintf(" surrogate.hit=%d surrogate.rank=%d", v.SurrogateHits, v.SurrogateRanked)
-			}
-			fmt.Printf("%s agreement=%v\n", line, v.Agreement)
+			fmt.Printf("%v: space=%d feasible=%d explored=%.1f%% cache-hits=%.1f%% memo-hits=%.1f%% agreement=%v\n",
+				c, v.SpaceSize, v.FeasibleCount, 100*v.ExploredFraction, 100*v.CacheHitRate, 100*v.MemoHitRate, v.Agreement)
 			if v.ExhaustiveFound {
 				fmt.Printf("  global optimum: %v (objective %.4f)\n", v.ExhaustiveBest.Point, v.ExhaustiveBest.Objective)
 			}

@@ -11,9 +11,9 @@
 // wall/CPU time from its run.manifest records), the per-stage latency
 // breakdown (count, p50/p95/p99, total self time, self% of summed
 // stage time, cum% of end-to-end pipeline time), the effectiveness of
-// the caching layers (evaluator cache, memo store, surrogate ranking),
-// the thermal fidelity-ladder tallies,
-// quarantine counts, and the stream's event histogram.
+// the caching layers (evaluator cache, start screening, thermal memo,
+// memo store), the thermal fidelity-ladder tallies, quarantine counts,
+// and the stream's event histogram.
 //
 // diff compares two runs stage-by-stage on p95 latency (mean alongside)
 // and effectiveness rates, flagging changes beyond -threshold as

@@ -53,14 +53,11 @@
 // scenario draws, -events writes the bit-reproducible event log, -json
 // prints the wire-form result.
 //
-// -surrogate ranks candidate moves with the learned k-NN model
-// (-surrogate-k); it changes how fast the optimum is reached, and
-// reported numbers always come from full-fidelity evaluations. All
-// evaluators of a run share one content-addressed memo store; -memo-dir
-// persists it across runs. The three annealing chains and their start
-// sampling run on a GOMAXPROCS-wide worker pool; objective ties between
-// chains go to the smaller design point (the sweep's order), so the
-// winner does not depend on scheduling.
+// All evaluators of a run share one content-addressed memo store;
+// -memo-dir persists it across runs. The three annealing chains and
+// their start sampling run on a GOMAXPROCS-wide worker pool; objective
+// ties between chains go to the smaller design point (the sweep's
+// order), so the winner does not depend on scheduling.
 //
 // Observability: -metrics prints an end-of-run summary, -trace streams
 // JSONL events, -pprof serves net/http/pprof, -metrics-addr serves live
@@ -163,22 +160,22 @@ func newCommand(kind string, stdout, stderr io.Writer) *command {
 	return &command{kind: kind, fs: fs, stdout: stdout, stderr: stderr, sum: stdout}
 }
 
-// jobFlags are the config flags the subcommands share. The policy and
-// search-speed fields are nil for sim, which takes its policies from a
-// -job spec only.
+// jobFlags are the config flags the subcommands share. The policy
+// fields are nil for sim, which takes its policies from a -job spec
+// only.
 type jobFlags struct {
-	tech                *string
-	freq, fps, temp     *float64
-	grid                *int
-	seed                *int64
-	surrogate, failFast *bool
-	surK, maxFail       *int
-	faults              *string
-	stageTO             *time.Duration
+	tech            *string
+	freq, fps, temp *float64
+	grid            *int
+	seed            *int64
+	failFast        *bool
+	maxFail         *int
+	faults          *string
+	stageTO         *time.Duration
 }
 
 // jobFlags registers the shared config flags with the subcommand's
-// defaults; search adds the policy and search-speed flags.
+// defaults; search adds the policy flags.
 func (c *command) jobFlags(fps, temp float64, grid int, search bool) *jobFlags {
 	fs := c.fs
 	f := &jobFlags{
@@ -194,8 +191,6 @@ func (c *command) jobFlags(fps, temp float64, grid int, search bool) *jobFlags {
 		f.maxFail = fs.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
 		f.failFast = fs.Bool("fail-fast", false, "abort on the first failed evaluation instead of quarantining it")
 		f.stageTO = fs.Duration("stage-timeout", 0, "quarantine a point when one pipeline stage exceeds this duration (0 = off)")
-		f.surrogate = fs.Bool("surrogate", false, "learned ranking surrogate: evaluate predicted-good candidates first (results unchanged)")
-		f.surK = fs.Int("surrogate-k", 0, "surrogate neighborhood size and ranked-move candidate count (0 = default)")
 	}
 	return f
 }
@@ -209,8 +204,7 @@ func (f *jobFlags) spec(kind string) *jobspec.Spec {
 		Constraints: &jobspec.Constraints{FPS: f.fps, TempC: f.temp},
 		Seed:        f.seed,
 	}
-	if f.surrogate != nil {
-		s.Options.Surrogate, s.Options.SurrogateK = f.surrogate, f.surK
+	if f.failFast != nil {
 		s.Policies = &jobspec.Policies{
 			MaxFailures: *f.maxFail,
 			FailFast:    *f.failFast,

@@ -74,22 +74,26 @@ func TestGoldenStdout(t *testing.T) {
 func TestUsageErrorsExit2(t *testing.T) {
 	spec := func(kind string) string { return filepath.Join(specDir, kind+".json") }
 	cases := map[string][]string{
-		"optimize clash":        {"-job", spec("optimize"), "-grid", "8"},
-		"sweep clash":           {"sweep", "-job", spec("sweep"), "-temp", "80"},
-		"pareto clash":          {"pareto", "-job", spec("pareto"), "-points", "3"},
-		"sim clash":             {"sim", "-job", spec("sim"), "-dim", "100"},
-		"sim bad tenant":        {"sim", "-tenant", "ar:MobileNet"},
-		"sim no tenant":         {"sim"},
-		"wrong kind":            {"sweep", "-job", spec("sim")},
-		"unknown flag":          {"pareto", "-nope"},
-		"removed flag":          {"-thermal-fast"},
-		"removed flag optimize": {"-starts-parallel"},
-		"removed flag sweep":    {"sweep", "-starts-parallel"},
-		"removed flag pareto":   {"pareto", "-starts-parallel"},
-		"bad front":             {"pareto", "-front", "hull"},
-		"bad faults":            {"-faults", "melt@thermal"},
-		"worker with job":       {"sweep", "-worker", "http://127.0.0.1:1", "-job", spec("sweep")},
-		"coordinate only":       {"sweep", "-coordinate", "127.0.0.1:0"},
+		"optimize clash":         {"-job", spec("optimize"), "-grid", "8"},
+		"sweep clash":            {"sweep", "-job", spec("sweep"), "-temp", "80"},
+		"pareto clash":           {"pareto", "-job", spec("pareto"), "-points", "3"},
+		"sim clash":              {"sim", "-job", spec("sim"), "-dim", "100"},
+		"sim bad tenant":         {"sim", "-tenant", "ar:MobileNet"},
+		"sim no tenant":          {"sim"},
+		"wrong kind":             {"sweep", "-job", spec("sim")},
+		"unknown flag":           {"pareto", "-nope"},
+		"removed flag":           {"-thermal-fast"},
+		"removed flag optimize":  {"-starts-parallel"},
+		"removed flag sweep":     {"sweep", "-starts-parallel"},
+		"removed flag pareto":    {"pareto", "-starts-parallel"},
+		"removed ranking":        {"-surrogate"},
+		"removed ranking sweep":  {"sweep", "-surrogate"},
+		"removed ranking pareto": {"pareto", "-surrogate"},
+		"removed ranking size":   {"-surrogate-k", "4"},
+		"bad front":              {"pareto", "-front", "hull"},
+		"bad faults":             {"-faults", "melt@thermal"},
+		"worker with job":        {"sweep", "-worker", "http://127.0.0.1:1", "-job", spec("sweep")},
+		"coordinate only":        {"sweep", "-coordinate", "127.0.0.1:0"},
 	}
 	for name, args := range cases {
 		if code, _, stderr := runTesa(t, args...); code != 2 {

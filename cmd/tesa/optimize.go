@@ -91,9 +91,6 @@ func optimizeCmd(c *command) func(ctx context.Context) error {
 		p("\nsearch: %d evaluations, %d distinct points (%.1f%% of the space, %.1f%% cache hits), %.1fs\n",
 			res.Evaluations, res.Explored, 100*float64(res.Explored)/float64(space.Size()),
 			100*res.CacheHitRate, elapsed.Seconds())
-		if hits, misses, ranked := out.Evaluator.SurrogateStats(); hits+misses > 0 {
-			p("surrogate: %d ranked decisions (%d candidates scored), %d cold fallbacks\n", hits, ranked, misses)
-		}
 		p("\n%s", tesa.FloorplanASCII(best))
 		return quarantined(res.Quarantined)
 	}

@@ -96,10 +96,6 @@ func (c *command) printNSGA2(out *jobspec.Outcome) error {
 			b.Point.ArrayDim, b.Point.SRAMKB(), b.Point.ICSUM,
 			b.Mesh.Rows, b.Mesh.Cols, b.PeakTempC, b.TotalPowerW, b.MCMCost.Total, b.DRAMPowerW, crowding)
 	}
-	if hits, misses, ranked := out.Evaluator.SurrogateStats(); hits+misses > 0 {
-		fmt.Fprintf(c.stderr, "surrogate: %d ranked decisions, %d cold fallbacks, %d candidates scored\n",
-			hits, misses, ranked)
-	}
 	cli.FailureSummary(c.stderr, ledger)
 	return quarantined(len(ledger))
 }

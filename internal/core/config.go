@@ -106,23 +106,6 @@ type Options struct {
 	// LinearLeakage replaces the exponential leakage model with a linear
 	// under-estimate, as W2 [3] does.
 	LinearLeakage bool
-
-	// Surrogate enables the learned search ranking (the CLIs' -surrogate
-	// flag): an online k-NN/RBF regressor over design-point feature
-	// vectors, trained incrementally from this process's completed
-	// evaluations (plus the memo store's corpus, including -memo-dir
-	// replays), ranks annealer candidate moves,
-	// multi-start seed pools, and sweep shard interiors
-	// best-predicted-first. Every proposal the ranking makes is still
-	// evaluated by the real pipeline and reported winners are always
-	// full-fidelity (the engines re-evaluate them), so the surrogate
-	// redirects where the search looks first without deciding any
-	// outcome. Off by default.
-	Surrogate bool
-	// SurrogateK is the surrogate's neighborhood size and the ranked
-	// annealer's candidate-move count; 0 selects the package default
-	// (surrogate.DefaultK). Only consulted when Surrogate is set.
-	SurrogateK int
 }
 
 // DefaultOptions returns the evaluation configuration used by the
@@ -158,9 +141,6 @@ func (o Options) Validate() error {
 	}
 	if o.Tech != Tech2D && o.Tech != Tech3D {
 		return fmt.Errorf("core: unknown tech %d", int(o.Tech))
-	}
-	if o.SurrogateK < 0 {
-		return fmt.Errorf("core: negative surrogate neighborhood %d", o.SurrogateK)
 	}
 	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"tesa/internal/power"
 	"tesa/internal/sched"
 	"tesa/internal/sram"
-	"tesa/internal/surrogate"
 	"tesa/internal/systolic"
 	"tesa/internal/telemetry"
 	"tesa/internal/thermal"
@@ -169,13 +168,6 @@ type Evaluator struct {
 	// isolated is the private store an armed fault plan forces; see
 	// store.
 	isolated *memo.Store
-	// sur is the online learned search ranking (nil unless
-	// Options.Surrogate); surReplay guards the one-time corpus replay
-	// from the memo store, and surStats mirrors the surrogate.*
-	// telemetry counters. See surrogate.go.
-	sur       *surrogate.Model
-	surReplay sync.Once
-	surStats  surrogateStats
 	// fpOnce guards the lazy fingerprint computation below (memoize.go).
 	fpOnce  sync.Once
 	cfgFP   string   // whole-evaluation configuration fingerprint
@@ -297,7 +289,7 @@ func NewEvaluator(w dnn.Workload, opts Options, cons Constraints, models Models)
 	if opts.MaxChiplets == 0 {
 		opts.MaxChiplets = len(w.Networks)
 	}
-	e := &Evaluator{
+	return &Evaluator{
 		Workload: w,
 		Opts:     opts,
 		Cons:     cons,
@@ -308,11 +300,7 @@ func NewEvaluator(w dnn.Workload, opts Options, cons Constraints, models Models)
 		memo:    memo.NewStore(),
 		visited: make(map[DesignPoint]struct{}),
 		failed:  make(map[DesignPoint]*EvalError),
-	}
-	if opts.Surrogate {
-		e.sur = surrogate.New(opts.SurrogateK)
-	}
-	return e, nil
+	}, nil
 }
 
 // Explored returns the number of distinct design points this evaluator
@@ -408,15 +396,8 @@ func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
 		}
 	}
 	e.mu.Lock()
-	_, seen := e.visited[p]
 	e.visited[p] = struct{}{}
 	e.mu.Unlock()
-	if !seen {
-		// A point's first evaluation trains the search surrogate online
-		// (a no-op unless Options.Surrogate); see surrogate.go for what
-		// qualifies.
-		e.trainSurrogate(ev)
-	}
 	return ev, nil
 }
 

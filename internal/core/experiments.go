@@ -24,12 +24,6 @@ type ExperimentConfig struct {
 	// ReportGrid is the resolution winners are re-evaluated at for the
 	// reported numbers (the paper's 125 um cells).
 	Grid, ReportGrid int
-	// Surrogate turns on the learned ranking surrogate in every
-	// evaluator the experiment creates (Options.Surrogate). Ranking only
-	// reorders which candidates are evaluated first, so table and figure
-	// numbers are unchanged; the validation study reports how many
-	// search decisions the model served.
-	Surrogate bool
 	// Telemetry, when non-nil, instruments every evaluator the
 	// experiment creates, so one hub aggregates stage timings and
 	// counters across all tables and figures of a report run.
@@ -99,7 +93,6 @@ func (cfg *ExperimentConfig) optionsFor(c Corner) (Options, Constraints) {
 	opts.Tech = c.Tech
 	opts.FreqHz = c.FreqMHz * 1e6
 	opts.Grid = cfg.Grid
-	opts.Surrogate = cfg.Surrogate
 	cons := DefaultConstraints()
 	cons.FPS = c.FPS
 	cons.TempBudgetC = c.BudgetC
@@ -485,15 +478,9 @@ type ValidationResult struct {
 	// MemoHitRate is the shared memoization store's hit rate across both
 	// evaluators — how much cross-evaluator traffic the memo layer
 	// absorbed.
-	MemoHitRate float64
-	// SurrogateHits counts the optimizer's search decisions served by a
-	// warm ranking model (the surrogate.hit counter); SurrogateRanked
-	// counts the candidates it scored (surrogate.rank). Both zero unless
-	// ExperimentConfig.Surrogate is set.
-	SurrogateHits   int64
-	SurrogateRanked int64
-	FeasibleCount   int
-	SpaceSize       int
+	MemoHitRate   float64
+	FeasibleCount int
+	SpaceSize     int
 }
 
 // ValidateOptimizer reproduces the paper's Sec. IV-A study: exhaustively
@@ -544,8 +531,6 @@ func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Cor
 		CacheHitRate:     op.CacheHitRate(),
 		MemoHitRate:      op.MemoStats().HitRate(),
 	}
-	surHits, _, surRanked := op.SurrogateStats()
-	res.SurrogateHits, res.SurrogateRanked = surHits, surRanked
 
 	res.ExhaustiveBest = exRes.Best
 	if opRes.Found {

@@ -14,8 +14,7 @@ type FrontMember struct {
 	// Eval is the member's evaluation. Every reported member is
 	// re-evaluated in reporting mode before being returned, so Eval
 	// always carries grid-solved thermal numbers and the full
-	// schedule/placement structures — never a compact or surrogate-gated
-	// record.
+	// schedule/placement structures — never a compact record.
 	Eval *Evaluation
 	// Rank is the non-domination rank within the final population
 	// (0 = the reported front; members always have Rank 0).
@@ -95,18 +94,15 @@ type member struct {
 // front. The loop is the standard NSGA-II recipe: fast non-dominated
 // sort, crowding-distance diversity, binary tournaments, one-point
 // (axis-swap) crossover, and the Fig. 4 neighbor move as mutation.
-// When Options.Surrogate is enabled, offspring are drawn in pairs and
-// the learned model keeps the better-ranked of each pair — proposal
-// traffic the pipeline never sees.
 //
 // Soundness: evolution runs on DSE-mode evaluations (cheap), but every
 // member of the returned front is re-evaluated in full reporting mode
 // before being returned, so each reported point carries full-fidelity
-// numbers regardless of surrogate ranking or degraded-fidelity rungs
-// along the way — and dominance is re-checked on those upgraded numbers, so
-// a fidelity shift on the thermal axis cannot leak a dominated point
-// into the reported front. The run is deterministic for a seed: one PRNG, sequential
-// evaluation, and every sort tie-broken by design point.
+// numbers regardless of degraded-fidelity rungs along the way — and
+// dominance is re-checked on those upgraded numbers, so a fidelity
+// shift on the thermal axis cannot leak a dominated point into the
+// reported front. The run is deterministic for a seed: one PRNG,
+// sequential evaluation, and every sort tie-broken by design point.
 //
 // When no feasible point is found the error wraps ErrNoFeasibleStart.
 func (e *Evaluator) NSGA2FrontContext(ctx context.Context, space Space, seed int64, opt *FrontOptions) ([]FrontMember, error) {
@@ -120,7 +116,6 @@ func (e *Evaluator) NSGA2FrontContext(ctx context.Context, space Space, seed int
 	o = o.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
 	progress := newProgressReporter(o.Progress, "front", o.Gens+1)
-	score := e.surrogateScore()
 
 	span := e.tel.StartSpan("front.total")
 	defer span.End()
@@ -163,24 +158,10 @@ func (e *Evaluator) NSGA2FrontContext(ctx context.Context, space Space, seed int
 			return nil, err
 		}
 		// Offspring: tournament parents, axis-swap crossover, neighbor
-		// mutation — surrogate-ranked in pairs when the model is warm.
+		// mutation.
 		var children []DesignPoint
 		for len(children) < o.Pop {
-			c := e.spawn(space, pop, rng)
-			if score != nil {
-				alt := e.spawn(space, pop, rng)
-				cs, okC := score(c)
-				as, okA := score(alt)
-				if okC && okA {
-					e.recordSurrogate(1, 0, 2)
-					if as < cs {
-						c = alt
-					}
-				} else {
-					e.recordSurrogate(0, 1, 0)
-				}
-			}
-			children = append(children, c)
+			children = append(children, e.spawn(space, pop, rng))
 		}
 		for _, c := range children {
 			if err := evalInto(c); err != nil {

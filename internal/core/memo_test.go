@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -433,5 +434,54 @@ func TestMemoSharedStoreConcurrentEvaluators(t *testing.T) {
 	}
 	if st := store.Stats(); st.Hits == 0 {
 		t.Errorf("shared store never hit: %+v", st)
+	}
+}
+
+// TestLoadMemoDirTornTail: a torn trailing segment record (crash
+// mid-write) must be skipped, not abort the load, and the records
+// before it must still load.
+func TestLoadMemoDirTornTail(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "memo")
+	space := midSpace()
+
+	// First process: sweep the space with persistence on, so the disk
+	// holds one eval record per point.
+	writer := testEvaluator(t, Tech2D, 400, 15, 85)
+	writerStore := memo.NewStore()
+	closeWriter, err := LoadMemoDir(writerStore, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer.UseMemo(writerStore)
+	if _, err := writer.ExhaustiveContext(context.Background(), space, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeWriter(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the last record in half, as a crash mid-append would.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want 1 segment, got %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], data[:len(data)-9], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second process: the load must succeed, skipping only the torn
+	// tail.
+	store := memo.NewStore()
+	closeStore, err := LoadMemoDir(store, dir)
+	if err != nil {
+		t.Fatalf("torn tail aborted the load: %v", err)
+	}
+	defer closeStore()
+	if store.Stats().Loaded == 0 {
+		t.Fatal("nothing loaded from disk")
 	}
 }

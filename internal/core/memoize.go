@@ -94,24 +94,17 @@ func LoadMemoDir(store *memo.Store, dir string) (func() error, error) {
 
 // fingerprints lazily computes the evaluator's canonical configuration
 // fingerprints. cfgFP binds whole-point evaluations to everything that
-// can change one: workload content, options (with the surrogate
-// switches zeroed — they do not change results), constraints, every
-// model parameter, and the stage timeout. thermFP binds the thermal
-// stage to the same minus what only reaches the objective or the
-// budget checks (see thermalFP). perfFP binds the
-// performance-model stages (systolic + power decomposition + schedule),
-// which see only the workload, tech, frequency, dataflow and power
-// parameters. netFPs fingerprint each network's content for per-network
-// systolic keys; the workload enters the other three as its name plus
-// those.
+// can change one: workload content, options, constraints, every model
+// parameter, and the stage timeout. thermFP binds the thermal stage to
+// the same minus what only reaches the objective or the budget checks
+// (see thermalFP). perfFP binds the performance-model stages (systolic
+// + power decomposition + schedule), which see only the workload, tech,
+// frequency, dataflow and power parameters. netFPs fingerprint each
+// network's content for per-network systolic keys; the workload enters
+// the other three as its name plus those.
 func (e *Evaluator) fingerprints() {
 	e.fpOnce.Do(func() {
 		o := e.Opts
-		// The surrogate never changes what an evaluation computes — it
-		// only reorders what gets evaluated first — so surrogate-on and
-		// surrogate-off runs must share memo records.
-		o.Surrogate = false
-		o.SurrogateK = 0
 		e.netFPs = make([]string, len(e.Workload.Networks))
 		for i := range e.Workload.Networks {
 			e.netFPs[i] = networkFP(&e.Workload.Networks[i])

@@ -38,12 +38,6 @@ type OptimizeResult struct {
 	// on. Poisoned lists them with stage and reason, sorted by point.
 	Quarantined int
 	Poisoned    []QuarantinedPoint
-	// Ranked counts candidate moves scored by the learned search
-	// surrogate (always 0 unless Options.Surrogate is set). Ranked
-	// candidates are NOT evaluated — per annealing step only the
-	// best-ranked of them is, so Ranked measures how much proposal
-	// traffic the model absorbed instead of the pipeline.
-	Ranked int
 }
 
 // OptimizeOptions tunes the context-first optimizer entrypoint beyond
@@ -170,69 +164,6 @@ func (e *Evaluator) sampleFeasibleStart(ctx context.Context, space Space, rng *r
 	return DesignPoint{}, false
 }
 
-// sampleFeasibleStartRanked is sampleFeasibleStart with surrogate
-// ranking: the budget's draws are taken from rng up front (consuming
-// the same PRNG stream as sampleFeasibleStart), ranked
-// best-predicted-first by the surrogate's predicted mean (exploitation
-// only — see surrogateScoreExploit), and evaluated in that order —
-// stopping early once a feasible start is in hand and at least an
-// eighth of the budget (min 8) has been evaluated, which is where the
-// evals-to-optimum saving comes from. While the model is cold the draws
-// are evaluated in draw order to the full budget, matching
-// sampleFeasibleStart's start exactly; a model that warms mid-scoring
-// also falls back (conservative — ranking from a partial score set
-// would depend on warm-up timing more than on the data).
-func (e *Evaluator) sampleFeasibleStartRanked(ctx context.Context, space Space, rng *rand.Rand, budget int,
-	eval func(DesignPoint) (*Evaluation, error), obj objectiveFn, feas feasibleFn,
-	score func(DesignPoint) (float64, bool)) (DesignPoint, bool) {
-	draws := make([]DesignPoint, budget)
-	for i := range draws {
-		draws[i] = space.Random(rng)
-	}
-	order := make([]int, budget)
-	for i := range order {
-		order[i] = i
-	}
-	scores := make([]float64, budget)
-	warm := true
-	for i, p := range draws {
-		s, ok := score(p)
-		if !ok {
-			warm = false
-			break
-		}
-		scores[i] = s
-	}
-	if warm {
-		sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-		e.recordSurrogate(1, 0, int64(budget))
-	} else {
-		e.recordSurrogate(0, 1, 0)
-	}
-	keep := budget / 8
-	if keep < 8 {
-		keep = 8
-	}
-	var best DesignPoint
-	bestObj, found := 0.0, false
-	for n, i := range order {
-		if ctx.Err() != nil {
-			return best, false
-		}
-		if warm && found && n >= keep {
-			break
-		}
-		ev, err := eval(draws[i])
-		if err != nil || !feas(ev) {
-			continue
-		}
-		if o := obj(ev); !found || o < bestObj {
-			best, bestObj, found = draws[i], o, true
-		}
-	}
-	return best, found
-}
-
 // OptimizeContext runs the paper's multi-start simulated annealing over
 // the design space (Fig. 4): three parallel annealers with decays 0.89,
 // 0.87 and 0.85, T_a from 19 down to 0.5, and 10 perturbations per
@@ -268,7 +199,6 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	objective := func(ev *Evaluation) float64 { return ev.Objective }
 	feasible := func(ev *Evaluation) bool { return ev.Feasible }
 	// The eval closures track the run-wide incumbent and the quarantine
 	// ledger under mu so the three parallel annealers stream a single,
@@ -318,26 +248,7 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		}
 		return nil, err
 	}
-	// With the learned surrogate enabled, candidate moves are drawn K at
-	// a time and the model proposes the best-ranked one, and the seeding
-	// pool is evaluated best-predicted-first. Both paths fall back to
-	// the plain behavior while the model is cold, and every proposal is
-	// still evaluated at full pipeline fidelity — the ranking steers the
-	// trajectory, never the answers (the reported winner is additionally
-	// re-evaluated below, like every winner).
-	neighbor := space.Neighbor
-	score := e.surrogateScore()
-	var rank *anneal.RankStats
-	if score != nil {
-		rank = &anneal.RankStats{}
-		neighbor = anneal.RankedNeighbor(e.surrogateK(), space.Neighbor, score, rank)
-	}
 	init := func(rng *rand.Rand) (DesignPoint, bool) {
-		if score != nil {
-			// Seeding ranks by predicted mean, not LCB: a starting pool
-			// wants likely-feasible draws first (see surrogateScoreExploit).
-			return e.sampleFeasibleStartRanked(runCtx, space, rng, budget, evalQ, objective, feasible, e.surrogateScoreExploit())
-		}
 		return e.sampleFeasibleStart(runCtx, space, rng, budget, workers, e.screen, evalQ, feasible)
 	}
 	eval := func(p DesignPoint) (float64, bool) {
@@ -367,7 +278,7 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		}
 	}
 	span := e.tel.StartSpan("optimize.total")
-	best, per, err := anneal.MultiStart(runCtx, cfgs, workers, DesignPoint.Less, init, neighbor, eval)
+	best, per, err := anneal.MultiStart(runCtx, cfgs, workers, DesignPoint.Less, init, space.Neighbor, eval)
 	span.End()
 	// The failure policy cancels runCtx, so the annealers report a bare
 	// context.Canceled; the recorded evalErr is the real cause and must
@@ -401,10 +312,6 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		Quarantined:  len(poisoned),
 		Poisoned:     poisoned,
 	}
-	if rank != nil {
-		res.Ranked = rank.Ranked()
-		e.recordSurrogate(int64(rank.Decided()), int64(rank.Cold()), int64(rank.Ranked()))
-	}
 	if best.Found {
 		ev, err := e.Evaluate(best.Best)
 		if err != nil {
@@ -431,7 +338,6 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 			"duration_ms": float64(best.Duration.Microseconds()) / 1e3,
 			"starts":      len(per),
 			"quarantined": res.Quarantined,
-			"ranked":      res.Ranked,
 		}
 		if res.Found {
 			fields["best_obj"] = res.Best.Objective

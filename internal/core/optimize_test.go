@@ -20,8 +20,8 @@ func tinySpace() Space {
 	return s
 }
 
-// midSpace is the 21-point sub-space the memo, surrogate and
-// feasibility tests sweep exhaustively.
+// midSpace is the 21-point sub-space the memo and feasibility tests
+// sweep exhaustively.
 func midSpace() Space {
 	var s Space
 	for d := 180; d <= 256; d += 12 {

@@ -314,19 +314,9 @@ func (e *Evaluator) sweepShard(ctx context.Context, pts []DesignPoint, idx, size
 		hi = len(pts)
 	}
 	cp := ShardCheckpoint{Shard: idx}
-	interior := pts[lo:hi]
-	if e.sur != nil {
-		// Learned ordering: evaluate the shard's points
-		// best-predicted-first so incumbent improvements (and the
-		// progress/verification machinery keyed to them) fire early.
-		// Every point is still evaluated and BetterPoint is a total
-		// order, so the shard's checkpoint record — and the sweep winner
-		// — are byte-identical to the unordered run's.
-		interior = e.orderByPrediction(interior)
-	}
 	var best *Evaluation
 	evaluated, skipped := 0, 0
-	for _, p := range interior {
+	for _, p := range pts[lo:hi] {
 		if _, poisoned := skip[p]; poisoned {
 			skipped++
 			continue

@@ -110,14 +110,6 @@ type Options struct {
 	// Alpha and Beta are the Eq. (6) objective weights.
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  *float64 `json:"beta,omitempty"`
-	// Surrogate enables the learned ranking surrogate: an online model
-	// over completed evaluations that orders candidate moves, seeds, and
-	// sweep shards best-predicted-first. Results are unchanged — every
-	// proposal still runs the real pipeline.
-	Surrogate *bool `json:"surrogate,omitempty"`
-	// SurrogateK is the model's neighborhood size and the ranked-move
-	// candidate count (0 = the package default).
-	SurrogateK *int `json:"surrogate_k,omitempty"`
 }
 
 // Constraints is the spec's view of core.Constraints; absent fields

@@ -109,6 +109,10 @@ func TestParseStrict(t *testing.T) {
 			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"surrogate_band_c":3}}`, "unknown field"},
 		{"removed fast thermal path",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"thermal_fast":true}}`, "unknown field"},
+		{"removed learned ranking",
+			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"surrogate":true}}`, "unknown field"},
+		{"removed learned ranking size",
+			`{"version":"tesa.jobspec/v1","kind":"optimize","options":{"surrogate_k":4}}`, "unknown field"},
 		{"missing version", `{"kind":"optimize"}`, "missing version"},
 		{"wrong version", `{"version":"tesa.jobspec/v0","kind":"optimize"}`, "unsupported version"},
 		{"missing kind", `{"version":"tesa.jobspec/v1"}`, "missing kind"},
@@ -348,15 +352,13 @@ func TestRunSweepAndPareto(t *testing.T) {
 	}
 }
 
-// TestResolveSurrogateAndFront covers the learned-surrogate overlay and
-// the pareto front-engine selection: the pointer fields reach
-// core.Options, front defaults to the weight sweep, and the nsga2
-// section validates strictly.
-func TestResolveSurrogateAndFront(t *testing.T) {
+// TestResolveFront covers the pareto front-engine selection: front
+// defaults to the weight sweep, and the nsga2 section validates
+// strictly.
+func TestResolveFront(t *testing.T) {
 	spec, err := Parse([]byte(`{
 	  "version": "tesa.jobspec/v1",
 	  "kind": "pareto",
-	  "options": {"surrogate": true, "surrogate_k": 5},
 	  "pareto": {"front": "nsga2", "pop": 6, "gens": 2}
 	}`))
 	if err != nil {
@@ -365,9 +367,6 @@ func TestResolveSurrogateAndFront(t *testing.T) {
 	r, err := spec.Resolve("")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !r.Opts.Surrogate || r.Opts.SurrogateK != 5 {
-		t.Errorf("surrogate overlay lost: %+v", r.Opts)
 	}
 	if r.ParetoFront != "nsga2" || r.ParetoPop != 6 || r.ParetoGens != 2 {
 		t.Errorf("front section lost: %q pop=%d gens=%d", r.ParetoFront, r.ParetoPop, r.ParetoGens)
@@ -381,8 +380,8 @@ func TestResolveSurrogateAndFront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.ParetoFront != "weights" || rp.Opts.Surrogate {
-		t.Errorf("defaults drifted: front=%q surrogate=%v", rp.ParetoFront, rp.Opts.Surrogate)
+	if rp.ParetoFront != "weights" {
+		t.Errorf("default front drifted: %q", rp.ParetoFront)
 	}
 
 	for _, bad := range []string{
@@ -404,7 +403,7 @@ func TestRunNSGA2Front(t *testing.T) {
 	spec, err := Parse([]byte(`{
 	  "version": "tesa.jobspec/v1",
 	  "kind": "pareto",
-	  "options": {"grid": 8, "surrogate": true},
+	  "options": {"grid": 8},
 	  "constraints": {"fps": 15, "temp_c": 85},
 	  "space": {"array_dims": [180, 200, 220], "ics_ums": [0, 1000]},
 	  "pareto": {"front": "nsga2", "pop": 4, "gens": 2},

@@ -118,12 +118,6 @@ func (s *Spec) Resolve(baseDir string) (*Resolved, error) {
 		if o.Beta != nil {
 			r.Opts.Beta = *o.Beta
 		}
-		if o.Surrogate != nil {
-			r.Opts.Surrogate = *o.Surrogate
-		}
-		if o.SurrogateK != nil {
-			r.Opts.SurrogateK = *o.SurrogateK
-		}
 	}
 	if c := s.Constraints; c != nil {
 		if c.FPS != nil {

@@ -269,10 +269,8 @@ func (s *Store) HasDisk() bool {
 // needing a canonical order must impose one on what they collect). The
 // matching entries are snapshotted under the lock and fn runs outside
 // it, so fn may call back into the store; values written after the
-// snapshot are not visited. This is the corpus-replay iterator: the
-// surrogate trainer walks the "eval:<cfg>|" prefix to learn from every
-// evaluation the store holds, whether computed live or seeded from
-// disk.
+// snapshot are not visited. Entries seeded from disk are visited like
+// those computed live.
 func (s *Store) Range(prefix string, fn func(key string, v any) bool) {
 	s.mu.Lock()
 	type kv struct {

@@ -31,10 +31,9 @@ import (
 	"time"
 )
 
-// Hook observes every completed span (name and duration). Hooks are the
-// attachment point for future surrogate-model and adaptive-budget work:
-// they see per-stage latencies as they happen, without touching the
-// pipeline code. Hooks run synchronously on the emitting goroutine and
+// Hook observes every completed span (name and duration). Hooks see
+// per-stage latencies as they happen, without touching the pipeline
+// code. Hooks run synchronously on the emitting goroutine and
 // must be cheap and concurrency-safe.
 type Hook func(name string, d time.Duration)
 

@@ -8,8 +8,8 @@
 // pair plus whatever trace events landed in the same stream. The end
 // manifest carries the run's final metrics snapshot (counters and
 // histogram percentiles), which is where the per-stage latency
-// breakdowns and the cache/memo/surrogate effectiveness rates
-// come from; the raw events only contribute occurrence counts.
+// breakdowns and the cache/memo effectiveness rates come from; the raw
+// events only contribute occurrence counts.
 package trace
 
 import (
@@ -253,14 +253,12 @@ func rate(name string, hits, misses int64) Rate {
 	return r
 }
 
-// Effectiveness summarizes the caching and search-ranking counters of a
-// run: evaluator cache, start screening (a "hit" is a start-sampling
-// draw that never needed a full evaluation, a "miss" one that did),
-// thermal memo (a "hit" is a DSE thermal stage served by a record that
-// another constraint set, weight setting, job or process solved),
-// cross-point memo (aggregated over result kinds, thermal included), and
-// the learned ranking surrogate (a "hit" is a search decision made by a
-// warm model, a "miss" a cold fallback to the unranked path).
+// Effectiveness summarizes the caching counters of a run: evaluator
+// cache, start screening (a "hit" is a start-sampling draw that never
+// needed a full evaluation, a "miss" one that did), thermal memo (a
+// "hit" is a DSE thermal stage served by a record that another
+// constraint set, weight setting, job or process solved), and
+// cross-point memo (aggregated over result kinds, thermal included).
 func (s *Summary) Effectiveness() []Rate {
 	c := s.Metrics.Counters
 	var memoHit, memoMiss int64
@@ -277,7 +275,6 @@ func (s *Summary) Effectiveness() []Rate {
 		rate("start screening", c["start.screened"]-c["start.thermal"], c["start.thermal"]),
 		rate("thermal memo", c["memo.hit.thermal"], c["memo.miss.thermal"]),
 		rate("memo store", memoHit, memoMiss),
-		rate("surrogate ranking", c["surrogate.hit"], c["surrogate.miss"]),
 	}
 	out := rates[:0]
 	for _, r := range rates {

@@ -26,9 +26,6 @@ func synthesizeRun(t *testing.T, thermalSec, systolicSec float64, cacheHits int6
 	reg.Counter("evaluator.cache.miss").Add(10)
 	reg.Counter("start.screened").Add(1200)
 	reg.Counter("start.thermal").Add(60)
-	reg.Counter("surrogate.hit").Add(6)
-	reg.Counter("surrogate.miss").Add(2)
-	reg.Counter("surrogate.rank").Add(48)
 	reg.Counter("thermal.fidelity.full").Add(9)
 	reg.Counter("thermal.fidelity.coarse").Add(1)
 
@@ -92,9 +89,6 @@ func TestReadRoundTrip(t *testing.T) {
 	}
 	if r := eff["start screening"]; r.Hits != 1140 || r.Total != 1200 || r.Frac != 0.95 {
 		t.Errorf("start screening rate %+v", r)
-	}
-	if r := eff["surrogate ranking"]; r.Total != 8 || r.Frac != 0.75 {
-		t.Errorf("surrogate ranking rate %+v", r)
 	}
 	if _, ok := eff["memo store"]; ok {
 		t.Error("memo rate reported with no memo counters")
