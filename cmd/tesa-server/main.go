@@ -10,25 +10,14 @@
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /healthz             liveness, drain state, pool tallies
 //	GET    /readyz              readiness: 503 once draining
-//	*      /v1/distrib/...      distributed sweep protocol (with -distrib)
 //
 // Usage:
 //
 //	tesa-server [-addr :8080] [-workers 2] [-queue 64]
 //	            [-job-deadline 0] [-base-dir .] [-drain-timeout 30s]
-//	            [-distrib sweep.json] [-distrib-checkpoint ledger.ckpt]
 //	            [-memo-dir .tesa-memo]
 //	            [-metrics] [-trace out.jsonl] [-pprof addr]
 //	            [-metrics-addr addr] [-manifest run.jsonl]
-//
-// -distrib additionally hosts a distributed sweep coordinator
-// (internal/distrib) for the given jobspec under /v1/distrib/ on the
-// same listener: tesa sweep -worker http://host:8080/v1/distrib
-// processes lease shards from it, and the coordinator's verification
-// re-executions share the server's process-wide memo store.
-// -distrib-checkpoint appends the merged ledger — byte-compatible with
-// single-process sweep checkpoints — to a JSONL file. Draining closes
-// the coordinator along with the job pool.
 //
 // Every job in the process shares one content-addressed memo store, so
 // overlapping requests reuse each other's systolic profiles, schedules,
@@ -60,14 +49,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"tesa/internal/cli"
-	"tesa/internal/distrib"
 	"tesa/internal/server"
-	"tesa/internal/telemetry"
 )
 
 func main() {
@@ -89,8 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		jobDL   = fs.Duration("job-deadline", 0, "default per-job deadline for specs without deadline_sec (0 = none)")
 		baseDir = fs.String("base-dir", "", "directory anchoring relative workload_file paths in specs (default: cwd)")
 		drainTO = fs.Duration("drain-timeout", 30*time.Second, "maximum time to wait for jobs to wind down on shutdown")
-		dSpec   = fs.String("distrib", "", "host a distributed sweep coordinator for this jobspec under /v1/distrib/")
-		dCkpt   = fs.String("distrib-checkpoint", "", "append the distributed sweep's merged ledger to this JSONL file")
 		obs     = cli.ObservabilityFlags(fs)
 		mf      = cli.MemoFlagsRegister(fs)
 	)
@@ -128,57 +112,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 	}()
 
-	// An optional distributed sweep coordinator rides on the same
-	// listener: its verification re-executions warm (and are warmed by)
-	// the job pool's shared memo store.
-	var coord *distrib.Coordinator
-	if *dSpec != "" {
-		raw, err := os.ReadFile(*dSpec)
-		if err != nil {
-			return fail(err)
-		}
-		dcfg := distrib.Config{
-			Spec:    raw,
-			BaseDir: filepath.Dir(*dSpec),
-			RunID:   sess.Manifest.RunID(),
-			Store:   store,
-			Tel:     sess.Tel,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(stderr, format+"\n", args...)
-			},
-		}
-		if *dCkpt != "" {
-			sink, err := telemetry.NewFileSink(*dCkpt)
-			if err != nil {
-				return fail(err)
-			}
-			defer sink.Close()
-			dcfg.Ledger = sink
-		}
-		coord, err = distrib.NewCoordinator(dcfg)
-		if err != nil {
-			return fail(err)
-		}
-		defer coord.Close()
-		sess.Manifest.Set("distrib_space", coord.Fingerprint())
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
 	}
-
-	srvCfg := server.Config{
+	srv := server.New(server.Config{
 		Workers:         *workers,
 		Queue:           *queue,
 		Store:           store,
 		Tel:             sess.Tel,
 		DefaultDeadline: *jobDL,
 		BaseDir:         *baseDir,
-	}
-	if coord != nil {
-		srvCfg.Distrib = coord.Handler()
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fail(err)
-	}
-	srv := server.New(srvCfg)
+	})
 	hs := &http.Server{Handler: srv.Handler()}
 
 	sess.Manifest.Set("addr", ln.Addr().String())
@@ -186,10 +131,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	sess.Manifest.Set("queue", *queue)
 
 	fmt.Fprintf(stdout, "tesa-server: listening on %s (%d workers, queue %d)\n", ln.Addr(), *workers, *queue)
-	if coord != nil {
-		fmt.Fprintf(stdout, "tesa-server: distributed sweep at /v1/distrib (%d shards, space %s)\n",
-			coord.Shards(), coord.Fingerprint())
-	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 
@@ -202,9 +143,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 	case <-ctx.Done():
 		fmt.Fprintln(stdout, "tesa-server: interrupted, draining")
-		if coord != nil {
-			coord.Close()
-		}
 		dctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 		if err := srv.Drain(dctx); err != nil {
 			fmt.Fprintln(stderr, err)

@@ -163,6 +163,25 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestUsageErrorsExit2: flags the server does not have exit 2 before
+// it listens. The context is already canceled, so a run that accepted
+// them would drain at once and exit 0 instead.
+func TestUsageErrorsExit2(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := map[string][]string{
+		"removed distrib":            {"-distrib", "x.json"},
+		"removed distrib checkpoint": {"-distrib-checkpoint", "x.ckpt"},
+	}
+	for name, args := range cases {
+		var stdout, stderr syncBuffer
+		args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+		if code := run(ctx, args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2; stderr:\n%s", name, code, stderr.String())
+		}
+	}
+}
+
 // scrape fetches url's body.
 func scrape(t *testing.T, url string) string {
 	t.Helper()

@@ -31,14 +31,7 @@
 // 15 fps and 85 C. -checkpoint appends one crash-safe JSONL record per
 // completed shard and -resume continues from one (both may name the
 // same file); the checkpoint header carries the run id of the -manifest
-// records. Distributed mode (internal/distrib): `tesa sweep -coordinate
-// addr -job spec.json` serves the lease-based sweep protocol, `tesa
-// sweep -worker url` executes leased shards; the coordinator's
-// -checkpoint ledger resumes in either mode or locally. The
-// coordinator's first stdout line names the address it bound, so
-// -coordinate 127.0.0.1:0 picks a free port. A worker's
-// -faults may add worker-level rules (crash@shard, stall@shard,
-// lie@shard); a worker caught lying exits 4.
+// records.
 //
 // pareto sweeps the Eq. (6) weights (-front weights, -points settings)
 // or evolves an NSGA-II population front over cost, DRAM power and peak
@@ -287,7 +280,7 @@ func (c *command) resolve(fromFlags func() (*jobspec.Spec, error)) (*jobspec.Res
 }
 
 // start opens the run's observability session and memo store and
-// records the job (nil in sweep worker mode) in the manifest.
+// records the job in the manifest.
 func (c *command) start(r *jobspec.Resolved) error {
 	sess, err := c.obs.Setup("tesa "+c.kind, c.args, c.sum)
 	if err != nil {
@@ -298,9 +291,6 @@ func (c *command) start(r *jobspec.Resolved) error {
 		if c.store, c.memoDone, err = c.memo.Store(); err != nil {
 			return err
 		}
-	}
-	if r == nil {
-		return nil
 	}
 	m := sess.Manifest
 	if r.Kind == jobspec.KindSim {

@@ -92,8 +92,13 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"removed ranking size":   {"-surrogate-k", "4"},
 		"bad front":              {"pareto", "-front", "hull"},
 		"bad faults":             {"-faults", "melt@thermal"},
-		"worker with job":        {"sweep", "-worker", "http://127.0.0.1:1", "-job", spec("sweep")},
-		"coordinate only":        {"sweep", "-coordinate", "127.0.0.1:0"},
+		"shard faults":           {"sweep", "-faults", "lie@shard"},
+		"removed coordinate":     {"sweep", "-coordinate", "127.0.0.1:0", "-job", spec("sweep")},
+		"removed worker":         {"sweep", "-worker", "http://127.0.0.1:1"},
+		"removed worker name":    {"sweep", "-worker-name", "w1"},
+		"removed lease ttl":      {"sweep", "-lease-ttl", "10s"},
+		"removed lease shards":   {"sweep", "-lease-shards", "4"},
+		"removed verify frac":    {"sweep", "-verify-frac", "0.1"},
 	}
 	for name, args := range cases {
 		if code, _, stderr := runTesa(t, args...); code != 2 {

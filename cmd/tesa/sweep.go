@@ -4,23 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"tesa"
 	"tesa/internal/cli"
-	"tesa/internal/distrib"
-	"tesa/internal/faults"
 	"tesa/internal/jobspec"
 )
 
 // sweepCmd is `tesa sweep`: the exhaustive sweep of a design space,
-// checked against the multi-start annealer (Sec. IV-A), locally or as a
-// distributed coordinator or worker.
+// checked against the multi-start annealer (Sec. IV-A).
 func sweepCmd(c *command) func(ctx context.Context) error {
 	f := c.jobFlags(15, 85, 32, true)
 	full := c.fs.Bool("full", false, "sweep the full Table II space instead of the validation space")
@@ -28,26 +21,8 @@ func sweepCmd(c *command) func(ctx context.Context) error {
 	c.operational(true)
 	ckptPath := c.fs.String("checkpoint", "", "append sweep checkpoint records to this JSONL file")
 	resumePath := c.fs.String("resume", "", "resume the sweep from this checkpoint file")
-	coordinate := c.fs.String("coordinate", "", "serve a distributed sweep coordinator on this address (requires -job)")
-	workerURL := c.fs.String("worker", "", "join the distributed sweep coordinator at this base URL as a worker")
-	workerName := c.fs.String("worker-name", "", "worker identity reported to the coordinator (default: generated)")
-	leaseTTL := c.fs.Duration("lease-ttl", 10*time.Second, "coordinator: heartbeat deadline before a worker's leases are stolen")
-	leaseShards := c.fs.Int("lease-shards", 4, "coordinator: maximum contiguous shards granted per lease request")
-	verifyFrac := c.fs.Float64("verify-frac", 0.1, "coordinator: fraction of reported shards spot re-executed (negative = off)")
 
 	return func(ctx context.Context) error {
-		if *workerURL != "" {
-			if *c.jobPath != "" || *coordinate != "" {
-				return usageError{errors.New("-worker conflicts with -job and -coordinate: workers fetch the spec from the coordinator")}
-			}
-			if err := c.start(nil); err != nil {
-				return err
-			}
-			return c.runWorker(ctx, *workerURL, *workerName, *f.faults)
-		}
-		if *coordinate != "" && *c.jobPath == "" {
-			return usageError{errors.New("-coordinate requires -job: the spec is what workers execute")}
-		}
 		r, err := c.resolve(func() (*jobspec.Spec, error) {
 			s := f.spec(jobspec.KindSweep)
 			if *full {
@@ -68,23 +43,13 @@ func sweepCmd(c *command) func(ctx context.Context) error {
 		if err := c.start(r); err != nil {
 			return err
 		}
-		if *coordinate != "" {
-			return c.runCoordinator(ctx, coordinateConfig{
-				addr:        *coordinate,
-				ckptPath:    *ckptPath,
-				resumePath:  *resumePath,
-				leaseTTL:    *leaseTTL,
-				leaseShards: *leaseShards,
-				verifyFrac:  *verifyFrac,
-			})
-		}
-		return c.sweepLocal(ctx, r, *ckptPath, *resumePath)
+		return c.runSweep(ctx, r, *ckptPath, *resumePath)
 	}
 }
 
-// sweepLocal runs the single-process sweep, then the annealer over the
+// runSweep runs the sharded sweep, then the annealer over the
 // memo store the sweep filled, and reports whether they agree.
-func (c *command) sweepLocal(ctx context.Context, r *jobspec.Resolved, ckptPath, resumePath string) error {
+func (c *command) runSweep(ctx context.Context, r *jobspec.Resolved, ckptPath, resumePath string) error {
 	rt := c.runtime()
 	// The manifest's run id in the checkpoint header joins the checkpoint
 	// to the manifest and trace records of the run that wrote it.
@@ -183,146 +148,4 @@ func (c *command) loadCheckpoint(path string) (*tesa.CheckpointState, error) {
 	fmt.Fprintf(c.stdout, "resuming: %d of %d shards (%d of %d points) from %s\n",
 		state.Completed(), state.Shards, state.CompletedPoints(), state.Total, path)
 	return state, nil
-}
-
-// logf adapts distrib's Logf hook to stderr lines.
-func (c *command) logf(format string, args ...any) {
-	fmt.Fprintf(c.stderr, format+"\n", args...)
-}
-
-// runWorker joins a coordinator as a sweep worker and executes leased
-// shards until the sweep completes.
-func (c *command) runWorker(ctx context.Context, coordURL, name, faultSpec string) error {
-	plan, err := faults.Parse(faultSpec)
-	if err != nil {
-		return usageError{err}
-	}
-	c.sess.Manifest.Set("coordinator", coordURL)
-	stats, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
-		Coord:  coordURL,
-		Name:   name,
-		Store:  c.store,
-		Tel:    c.sess.Tel,
-		Faults: plan,
-		Logf:   c.logf,
-	})
-	fmt.Fprintf(c.stdout, "worker %s: %d shards (%d points) reported, %d stale\n",
-		stats.Name, stats.Shards, stats.Points, stats.Stale)
-	if n := stats.Crashes + stats.Stalls + stats.Lies; n > 0 {
-		fmt.Fprintf(c.stdout, "  injected faults fired: %d crash, %d stall, %d lie\n",
-			stats.Crashes, stats.Stalls, stats.Lies)
-	}
-	if errors.Is(err, distrib.ErrWorkerQuarantined) {
-		fmt.Fprintln(c.stderr, err)
-		return &exitError{cli.ExitQuarantined, "quarantined"}
-	}
-	return err
-}
-
-// coordinateConfig carries the -coordinate mode's flags.
-type coordinateConfig struct {
-	addr                 string
-	ckptPath, resumePath string
-	leaseTTL             time.Duration
-	leaseShards          int
-	verifyFrac           float64
-}
-
-// runCoordinator serves the distributed sweep protocol until every
-// shard has merged, then prints the result.
-func (c *command) runCoordinator(ctx context.Context, cc coordinateConfig) error {
-	jobPath := *c.jobPath
-	raw, err := os.ReadFile(jobPath)
-	if err != nil {
-		return err
-	}
-	cfg := distrib.Config{
-		Spec:        raw,
-		BaseDir:     filepath.Dir(jobPath),
-		LeaseTTL:    cc.leaseTTL,
-		LeaseShards: cc.leaseShards,
-		VerifyFrac:  cc.verifyFrac,
-		RunID:       c.sess.Manifest.RunID(),
-		Store:       c.store,
-		Tel:         c.sess.Tel,
-		Logf:        c.logf,
-	}
-	if cfg.Resume, err = c.loadCheckpoint(cc.resumePath); err != nil {
-		return err
-	}
-	if cc.ckptPath != "" {
-		sink, err := tesa.NewFileSink(cc.ckptPath)
-		if err != nil {
-			return err
-		}
-		defer sink.Close()
-		cfg.Ledger = sink
-	}
-	if *c.progress {
-		cfg.Progress = progressPrinter(c.stderr)
-	}
-	cfg.Progress = c.sess.Progress(cfg.Progress)
-
-	coord, err := distrib.NewCoordinator(cfg)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	c.sess.Manifest.Set("space", coord.Fingerprint())
-	c.sess.Manifest.Set("lease_ttl", cc.leaseTTL.String())
-
-	ln, err := net.Listen("tcp", cc.addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: coord.Handler()}
-	listenErr := make(chan error, 1)
-	go func() { listenErr <- hs.Serve(ln) }()
-	fmt.Fprintf(c.stdout, "coordinator: serving %d shards on %s (space %s, lease ttl %s, verify %.0f%%)\n",
-		coord.Shards(), ln.Addr(), coord.Fingerprint(), cc.leaseTTL, 100*cfg.VerifyFrac)
-
-	waitCh := make(chan struct{})
-	var res *distrib.Result
-	var waitErr error
-	go func() {
-		res, waitErr = coord.Wait(ctx)
-		close(waitCh)
-	}()
-	select {
-	case err := <-listenErr:
-		// Serve only returns before shutdown on failure.
-		return err
-	case <-waitCh:
-	}
-	if waitErr == nil {
-		// Grace period: only the worker whose report completed the sweep
-		// learns Done from that response; the others discover it on their
-		// next lease poll, which must still find a listener.
-		time.Sleep(1 * time.Second)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	hs.Shutdown(shutCtx) //nolint:errcheck // workers may still be disconnecting
-	cancel()
-
-	if waitErr != nil {
-		if errors.Is(waitErr, context.Canceled) && cc.ckptPath != "" {
-			fmt.Fprintf(c.stderr, "resume with: tesa sweep -coordinate %s -job %s -resume %s -checkpoint %s\n",
-				cc.addr, jobPath, cc.ckptPath, cc.ckptPath)
-		}
-		return waitErr
-	}
-
-	fmt.Fprintf(c.stdout, "  %d feasible of %d (%d shards)  steals %d  verifies %d  mismatches %d\n",
-		res.Feasible, res.Total, res.Shards, res.Steals, res.Verified, res.Mismatches)
-	if len(res.QuarantinedWorkers) > 0 {
-		fmt.Fprintf(c.stdout, "  quarantined workers: %s\n", strings.Join(res.QuarantinedWorkers, ", "))
-	}
-	cli.FailureSummary(c.stdout, res.Poisoned)
-	if res.Best != nil {
-		fmt.Fprintf(c.stdout, "  global optimum: %v, %v grid, objective %.4f\n",
-			res.Best.Point, res.Best.Mesh, res.Best.Objective)
-	} else {
-		fmt.Fprintln(c.stdout, "  no feasible configuration in this space")
-	}
-	return quarantined(res.Quarantined)
 }

@@ -276,13 +276,9 @@ func ckptInt(rec map[string]any, key string) (int, bool) {
 	return int(f), true
 }
 
-// WriteCheckpointHeader emits the decomposition-binding record; runID
-// ("" = none) joins the stream to the writing run's manifest. Exported
-// alongside WriteShardCheckpoint/WritePoisonedCheckpoint so the
-// distributed-sweep coordinator can merge worker reports into a ledger
-// that is byte-compatible with single-process checkpoints — the same
-// LoadCheckpoint/resume path reads both.
-func WriteCheckpointHeader(sink telemetry.EventSink, fingerprint string, total, shardSize, shards int, runID string) error {
+// writeCheckpointHeader emits the decomposition-binding record; runID
+// ("" = none) joins the stream to the writing run's manifest.
+func writeCheckpointHeader(sink telemetry.EventSink, fingerprint string, total, shardSize, shards int, runID string) error {
 	fields := map[string]any{
 		"space":      fingerprint,
 		"total":      total,
@@ -296,9 +292,9 @@ func WriteCheckpointHeader(sink telemetry.EventSink, fingerprint string, total, 
 	return sink.Flush()
 }
 
-// WriteShardCheckpoint emits one completed shard and flushes, so a kill
+// writeShardCheckpoint emits one completed shard and flushes, so a kill
 // immediately after loses at most the in-flight shards.
-func WriteShardCheckpoint(sink telemetry.EventSink, cp ShardCheckpoint) error {
+func writeShardCheckpoint(sink telemetry.EventSink, cp ShardCheckpoint) error {
 	fields := map[string]any{
 		"shard":    cp.Shard,
 		"feasible": cp.Feasible,
@@ -313,10 +309,10 @@ func WriteShardCheckpoint(sink telemetry.EventSink, cp ShardCheckpoint) error {
 	return sink.Flush()
 }
 
-// WritePoisonedCheckpoint emits one quarantined point and flushes
+// writePoisonedCheckpoint emits one quarantined point and flushes
 // immediately: the record lands before the point's shard completes, so
 // even a kill mid-shard never loses a known-poisoned point.
-func WritePoisonedCheckpoint(sink telemetry.EventSink, q QuarantinedPoint) error {
+func writePoisonedCheckpoint(sink telemetry.EventSink, q QuarantinedPoint) error {
 	fields := map[string]any{
 		"dim":    q.Point.ArrayDim,
 		"ics":    q.Point.ICSUM,

@@ -223,7 +223,7 @@ func TestLoadCheckpointTolerance(t *testing.T) {
 func TestLoadCheckpointRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := telemetry.NewJSONLSink(&buf)
-	if err := WriteCheckpointHeader(sink, "cafe0123cafe0123", 17, 5, 4, "deadbeef00112233"); err != nil {
+	if err := writeCheckpointHeader(sink, "cafe0123cafe0123", 17, 5, 4, "deadbeef00112233"); err != nil {
 		t.Fatal(err)
 	}
 	shards := []ShardCheckpoint{
@@ -231,7 +231,7 @@ func TestLoadCheckpointRoundTrip(t *testing.T) {
 		{Shard: 3, Feasible: 0},
 	}
 	for _, cp := range shards {
-		if err := WriteShardCheckpoint(sink, cp); err != nil {
+		if err := writeShardCheckpoint(sink, cp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestLoadCheckpointRoundTrip(t *testing.T) {
 		{Point: DesignPoint{ArrayDim: 204, ICSUM: 0}, Stage: "systolic", Reason: "panic"},
 	}
 	for _, q := range poisoned {
-		if err := WritePoisonedCheckpoint(sink, q); err != nil {
+		if err := writePoisonedCheckpoint(sink, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -107,7 +107,7 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 		size = o.ResumeFrom.ShardSize
 	}
 	if size <= 0 {
-		size = AutoShardSize(len(pts), workers)
+		size = autoShardSize(len(pts), workers)
 	}
 	nShards := (len(pts) + size - 1) / size
 	fingerprint := space.Fingerprint()
@@ -146,7 +146,7 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 		res.Quarantined = len(skip)
 	}
 	if o.Checkpoint != nil {
-		if err := WriteCheckpointHeader(o.Checkpoint, fingerprint, len(pts), size, nShards, o.RunID); err != nil {
+		if err := writeCheckpointHeader(o.Checkpoint, fingerprint, len(pts), size, nShards, o.RunID); err != nil {
 			return nil, fmt.Errorf("core: sweep checkpoint: %w", err)
 		}
 	}
@@ -180,7 +180,7 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 		res.Quarantined++
 		res.Poisoned = append(res.Poisoned, q)
 		if o.Checkpoint != nil {
-			if err := WritePoisonedCheckpoint(o.Checkpoint, q); err != nil {
+			if err := writePoisonedCheckpoint(o.Checkpoint, q); err != nil {
 				return fmt.Errorf("core: sweep checkpoint: %w", err)
 			}
 		}
@@ -219,7 +219,7 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 					improved = true
 				}
 				if o.Checkpoint != nil {
-					if err := WriteShardCheckpoint(o.Checkpoint, cp); err != nil && firstErr == nil {
+					if err := writeShardCheckpoint(o.Checkpoint, cp); err != nil && firstErr == nil {
 						firstErr = fmt.Errorf("core: sweep checkpoint: %w", err)
 						cancel()
 					}
@@ -350,8 +350,8 @@ func (e *Evaluator) sweepShard(ctx context.Context, pts []DesignPoint, idx, size
 // BetterPoint is the sweep's deterministic incumbent order: strictly
 // lower objective wins, exact ties break lexicographically on the
 // design point. A strict total order over distinct points, so merging
-// shard results in any completion order — including records reported
-// at-least-once by distributed workers — yields the same winner.
+// shard results in any completion order — including shards restored
+// from a checkpoint — yields the same winner.
 func BetterPoint(aObj float64, aPt DesignPoint, bObj float64, bPt DesignPoint) bool {
 	if aObj != bObj {
 		return aObj < bObj
@@ -359,31 +359,11 @@ func BetterPoint(aObj float64, aPt DesignPoint, bObj float64, bPt DesignPoint) b
 	return aPt.Less(bPt)
 }
 
-// SweepShard evaluates one contiguous shard of the canonical
-// enumeration and returns its checkpoint record plus the quarantine
-// entries for every point whose evaluation failed (the shard continues
-// past failures, exactly like the in-process sweep). It is the unit of
-// work a distributed worker executes for a leased shard, and the unit
-// the coordinator re-executes to spot-check a reported record:
-// evaluation is deterministic, so two honest executions of the same
-// shard produce identical records.
-func (e *Evaluator) SweepShard(ctx context.Context, pts []DesignPoint, idx, size int) (ShardCheckpoint, []QuarantinedPoint, error) {
-	var poisons []QuarantinedPoint
-	cp, _, _, _, err := e.runShard(ctx, pts, idx, size, nil, func(ee *EvalError) error {
-		poisons = append(poisons, QuarantinedPoint{Point: ee.Point, Stage: ee.Stage, Reason: ee.Reason(), Trace: ee.Trace})
-		return nil
-	})
-	if err != nil {
-		return ShardCheckpoint{}, nil, err
-	}
-	return cp, poisons, nil
-}
-
-// AutoShardSize targets ~16 shards per worker — fine enough that a kill
+// autoShardSize targets ~16 shards per worker — fine enough that a kill
 // forfeits little work, coarse enough that per-shard bookkeeping stays
 // negligible against millisecond-scale evaluations — capped at 64
 // points per shard for large spaces.
-func AutoShardSize(n, workers int) int {
+func autoShardSize(n, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}

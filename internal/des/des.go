@@ -21,7 +21,7 @@
 // schedule order (a strictly increasing sequence number), no map is
 // iterated, and the event log is formatted with canonical float
 // encoding — so two runs with the same seed produce bit-identical
-// event logs and temperature envelopes. See DESIGN.md §9.
+// event logs and temperature envelopes. See DESIGN.md §8.
 package des
 
 import (

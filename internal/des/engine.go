@@ -160,7 +160,7 @@ func (sv *server) enqueue(sim *Simulator, r request) {
 
 // start begins serving the queue head. Service time and power draw are
 // frozen at the current DVFS factor: latency stretches by 1/factor,
-// dynamic power scales by factor (voltage held, see DESIGN.md §9).
+// dynamic power scales by factor (voltage held, see DESIGN.md §8).
 func (sv *server) start(sim *Simulator) {
 	eng := sv.eng
 	sv.accumulate(sim.NowSec())

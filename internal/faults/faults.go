@@ -26,32 +26,15 @@
 //	            attempts, letting the degraded-retry ladder rescue the
 //	            point (default: all attempts, forcing quarantine)
 //
-// Distributed sweeps add worker-level kinds — crash, stall, lie — that
-// fire per leased shard rather than per pipeline stage. They apply only
-// to the pseudo-stage "shard" and select shards by index instead of by
-// design point:
-//
-//	shard=3     exact shard index, or shard=0-4 for a range
-//	delay=600ms stall only: how long the worker sits on the lease
-//	            without heartbeating (default 500ms)
-//
-// Example: crash the worker on its first pickup of shard 0, and lie
-// about 10% of shards:
-//
-//	crash@shard:shard=0;lie@shard:rate=0.1,seed=9
-//
-// Plan.SplitWorker separates the two halves so the worker loop consumes
-// the shard rules while the evaluator keeps the pipeline rules.
-//
 // Example: panic 2% of all systolic-stage evaluations and force thermal
 // divergence for every point at 500 um spacing:
 //
 //	TESA_FAULTS="panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500"
 //
 // Decisions are pure functions of (rule seed, stage, design point), so
-// a plan poisons the identical set of points on every run and on every
-// worker — which is what lets tests assert exact quarantine sets and
-// lets a resumed sweep skip exactly the poisoned points.
+// a plan poisons the identical set of points on every run — which is
+// what lets tests assert exact quarantine sets and lets a resumed sweep
+// skip exactly the poisoned points.
 package faults
 
 import (
@@ -86,18 +69,6 @@ const (
 	// (exercises the degraded-fidelity retry ladder and
 	// ErrSolverDiverged).
 	KindDiverge
-	// KindCrash makes a distributed sweep worker exit before executing
-	// the shard, abandoning its leases (exercises lease expiry and
-	// re-issue in internal/distrib).
-	KindCrash
-	// KindStall makes a worker sit on a leased shard past the lease TTL
-	// before completing it (exercises work stealing and stale-report
-	// merging).
-	KindStall
-	// KindLie makes a worker report a corrupted shard record claiming a
-	// better-than-true winner (exercises trust-but-verify re-evaluation
-	// and worker quarantine).
-	KindLie
 )
 
 // String returns the spec keyword for the kind.
@@ -113,12 +84,6 @@ func (k Kind) String() string {
 		return "latency"
 	case KindDiverge:
 		return "diverge"
-	case KindCrash:
-		return "crash"
-	case KindStall:
-		return "stall"
-	case KindLie:
-		return "lie"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -146,12 +111,6 @@ type Rule struct {
 	ICSSet       bool
 	ICSLo, ICSHi int
 
-	// ShardSet/ShardLo/ShardHi bound the matching shard indices for
-	// worker-level rules at the "shard" stage (inclusive; only applied
-	// when ShardSet is true, so shard=0 still works).
-	ShardSet         bool
-	ShardLo, ShardHi int
-
 	// Rate poisons this fraction of matching points via a deterministic
 	// per-point hash; 0 means 1 (every matching point).
 	Rate float64
@@ -176,17 +135,11 @@ func (r Rule) String() string {
 	if r.ICSSet {
 		opts = append(opts, rangeOpt("ics", r.ICSLo, r.ICSHi))
 	}
-	if r.ShardSet {
-		opts = append(opts, rangeOpt("shard", r.ShardLo, r.ShardHi))
-	}
 	if r.Rate > 0 && r.Rate < 1 {
 		opts = append(opts, fmt.Sprintf("rate=%g", r.Rate))
 	}
 	if r.Seed != 1 { // the seed a rule without a seed option parses to
 		opts = append(opts, fmt.Sprintf("seed=%d", r.Seed))
-	}
-	if r.Kind == KindStall && r.Delay > 0 {
-		opts = append(opts, fmt.Sprintf("delay=%s", r.Delay))
 	}
 	if r.Kind == KindLatency && r.Delay > 0 {
 		opts = append(opts, fmt.Sprintf("delay=%s", r.Delay))
@@ -226,25 +179,8 @@ func (r *Rule) matches(stage string, dim, ics int) bool {
 	return true
 }
 
-// matchesShard reports whether a worker-level rule covers the given
-// shard index, including the deterministic rate decision (keyed on the
-// shard index, so the same shards are poisoned on every run).
-func (r *Rule) matchesShard(idx int) bool {
-	if r.Stage != StageShard {
-		return false
-	}
-	if r.ShardSet && (idx < r.ShardLo || idx > r.ShardHi) {
-		return false
-	}
-	if r.Rate > 0 && r.Rate < 1 {
-		return hash01(r.Seed, StageShard, idx, 0) < r.Rate
-	}
-	return true
-}
-
 // hash01 maps (seed, stage, dim, ics) to a uniform [0,1) value — the
-// deterministic replacement for a coin flip, stable across runs and
-// workers.
+// deterministic replacement for a coin flip, stable across runs.
 func hash01(seed int64, stage string, dim, ics int) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%d|%d", seed, stage, dim, ics)
@@ -358,95 +294,6 @@ func (p *Plan) At(stage string, dim, ics int) *Outcome {
 	return out
 }
 
-// ShardOutcome is the set of worker-level faults firing when a
-// distributed sweep worker picks up one leased shard.
-type ShardOutcome struct {
-	// Crash makes the worker exit before executing the shard.
-	Crash bool
-	// Stall makes the worker sleep StallFor before executing the shard,
-	// without heartbeating — long enough for the lease to expire.
-	Stall bool
-	// StallFor is the stall duration (DefaultStall when the rule gave
-	// no delay).
-	StallFor time.Duration
-	// Lie makes the worker corrupt the shard record it reports,
-	// claiming a better-than-true winner.
-	Lie bool
-}
-
-// DefaultStall is the sleep applied by stall rules without an explicit
-// delay option; long enough to outlive the short lease TTLs used in
-// tests.
-const DefaultStall = 500 * time.Millisecond
-
-// AtShard returns the worker-level faults firing for the given shard
-// index, or nil when none do. Deterministic: the same (plan, shard)
-// always yields the same outcome on every worker.
-func (p *Plan) AtShard(idx int) *ShardOutcome {
-	if p == nil {
-		return nil
-	}
-	var out *ShardOutcome
-	for i := range p.Rules {
-		r := &p.Rules[i]
-		if !isShardKind(r.Kind) || !r.matchesShard(idx) {
-			continue
-		}
-		if out == nil {
-			out = &ShardOutcome{}
-		}
-		p.markFired(i)
-		switch r.Kind {
-		case KindCrash:
-			out.Crash = true
-		case KindStall:
-			out.Stall = true
-			d := r.Delay
-			if d <= 0 {
-				d = DefaultStall
-			}
-			if d > out.StallFor {
-				out.StallFor = d
-			}
-		case KindLie:
-			out.Lie = true
-		}
-	}
-	return out
-}
-
-// SplitWorker partitions the plan into the worker-level rules (stage
-// "shard", consumed by the distributed-sweep worker loop) and the
-// pipeline rules (everything else, injected into the evaluator as
-// usual). Either half is nil when empty, preserving the nil-plan fast
-// path; a nil receiver yields two nil halves.
-func (p *Plan) SplitWorker() (worker, pipeline *Plan) {
-	if p == nil {
-		return nil, nil
-	}
-	var w, pl Plan
-	for _, r := range p.Rules {
-		if isShardKind(r.Kind) {
-			w.Rules = append(w.Rules, r)
-		} else {
-			pl.Rules = append(pl.Rules, r)
-		}
-	}
-	if len(w.Rules) > 0 {
-		worker = &w
-	}
-	if len(pl.Rules) > 0 {
-		pipeline = &pl
-	}
-	return worker, pipeline
-}
-
-// isShardKind reports whether the kind is a worker-level fault (fires
-// per leased shard, not per pipeline stage boundary).
-func isShardKind(k Kind) bool {
-	return k == KindCrash || k == KindStall || k == KindLie
-}
-
 // Diverge reports whether a diverge rule forces thermal-solver
 // non-convergence for the given design point at the given
 // fidelity-ladder attempt (0 = full fidelity; higher attempts are the
@@ -500,16 +347,11 @@ func Parse(spec string) (*Plan, error) {
 	return &plan, nil
 }
 
-// StageShard is the pseudo-stage name for worker-level rules: the
-// fault fires when a distributed sweep worker picks up a leased shard,
-// not at a pipeline stage boundary.
-const StageShard = "shard"
-
 // knownStages guards against silently-dead rules from typo'd stage
 // names.
 var knownStages = map[string]bool{
 	"*": true, "systolic": true, "floorplan": true, "sched": true,
-	"dram": true, "cost": true, "thermal": true, StageShard: true,
+	"dram": true, "cost": true, "thermal": true,
 }
 
 func parseRule(s string) (Rule, error) {
@@ -530,12 +372,6 @@ func parseRule(s string) (Rule, error) {
 		r.Kind = KindLatency
 	case "diverge":
 		r.Kind = KindDiverge
-	case "crash":
-		r.Kind = KindCrash
-	case "stall":
-		r.Kind = KindStall
-	case "lie":
-		r.Kind = KindLie
 	default:
 		return Rule{}, fmt.Errorf("unknown fault kind %q", kindStr)
 	}
@@ -545,12 +381,6 @@ func parseRule(s string) (Rule, error) {
 	}
 	if r.Kind == KindDiverge && r.Stage != "thermal" && r.Stage != "*" {
 		return Rule{}, fmt.Errorf("diverge applies to the thermal stage, not %q", r.Stage)
-	}
-	if isShardKind(r.Kind) && r.Stage != StageShard {
-		return Rule{}, fmt.Errorf("%s is a worker-level fault and applies to the shard stage, not %q", r.Kind, r.Stage)
-	}
-	if !isShardKind(r.Kind) && r.Stage == StageShard {
-		return Rule{}, fmt.Errorf("%s is a pipeline fault and cannot apply to the shard stage", r.Kind)
 	}
 	r.Seed = 1
 	if !hasOpts {
@@ -568,32 +398,17 @@ func parseRule(s string) (Rule, error) {
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		switch key {
 		case "dim":
-			if r.Stage == StageShard {
-				return Rule{}, fmt.Errorf("dim does not apply to shard-stage rules (use shard=lo-hi)")
-			}
 			lo, hi, err := parseRange(val)
 			if err != nil {
 				return Rule{}, fmt.Errorf("dim: %w", err)
 			}
 			r.DimSet, r.DimLo, r.DimHi = true, lo, hi
 		case "ics":
-			if r.Stage == StageShard {
-				return Rule{}, fmt.Errorf("ics does not apply to shard-stage rules (use shard=lo-hi)")
-			}
 			lo, hi, err := parseRange(val)
 			if err != nil {
 				return Rule{}, fmt.Errorf("ics: %w", err)
 			}
 			r.ICSSet, r.ICSLo, r.ICSHi = true, lo, hi
-		case "shard":
-			if r.Stage != StageShard {
-				return Rule{}, fmt.Errorf("shard only applies to shard-stage rules")
-			}
-			lo, hi, err := parseRange(val)
-			if err != nil {
-				return Rule{}, fmt.Errorf("shard: %w", err)
-			}
-			r.ShardSet, r.ShardLo, r.ShardHi = true, lo, hi
 		case "rate":
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil || math.IsNaN(f) || f <= 0 || f > 1 {
@@ -607,8 +422,8 @@ func parseRule(s string) (Rule, error) {
 			}
 			r.Seed = n
 		case "delay":
-			if r.Kind != KindLatency && r.Kind != KindStall {
-				return Rule{}, fmt.Errorf("delay only applies to latency and stall rules")
+			if r.Kind != KindLatency {
+				return Rule{}, fmt.Errorf("delay only applies to latency rules")
 			}
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {

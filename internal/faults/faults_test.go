@@ -62,7 +62,7 @@ func FuzzParse(f *testing.F) {
 		"panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500,attempts=2;latency@*:delay=50ms",
 		"nan@cost:dim=64-128;error@dram:ics=0",
 		"error@cost:rate=0.5,seed=0",
-		"crash@shard:shard=2-2;stall@shard:shard=1-3,delay=600ms;lie@shard:rate=0.1,seed=9",
+		"panic@*:dim=64,ics=250-500,rate=0.3,seed=7",
 	} {
 		f.Add(spec)
 	}
@@ -133,6 +133,10 @@ func TestParseErrors(t *testing.T) {
 		"latency@thermal:delay=-5ms",  // non-positive delay
 		"diverge@thermal:attempts=0",  // non-positive attempts
 		"panic@thermal;explode@sched", // bad rule in a multi-rule spec
+		"crash@shard:shard=0",         // no worker-level kinds or shard stage
+		"stall@shard:delay=600ms",     // no worker-level kinds or shard stage
+		"lie@shard",                   // no worker-level kinds or shard stage
+		"panic@thermal:shard=0",       // no shard option
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -240,133 +244,32 @@ func TestDivergeAttempts(t *testing.T) {
 	}
 }
 
-// TestParseShardRules: the worker-level grammar — crash/stall/lie bound
-// to the shard pseudo-stage, shard index ranges, stall delays — parses,
-// round-trips, and rejects category mixups.
-func TestParseShardRules(t *testing.T) {
-	p, err := Parse("crash@shard:shard=0;stall@shard:shard=1-3,delay=600ms;lie@shard:rate=0.1,seed=9")
+// TestFiredCounts: each rule counts the boundaries it poisoned, keyed by
+// its spec syntax; rules that never fired are omitted.
+func TestFiredCounts(t *testing.T) {
+	p, err := Parse("panic@systolic:dim=64;diverge@thermal;nan@cost:dim=200")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Rules) != 3 {
-		t.Fatalf("parsed %d rules, want 3", len(p.Rules))
+	if got := p.FiredCounts(); got != nil {
+		t.Errorf("FiredCounts before any probe = %v, want nil", got)
 	}
-	r := p.Rules[0]
-	if r.Kind != KindCrash || r.Stage != StageShard || !r.ShardSet || r.ShardLo != 0 || r.ShardHi != 0 {
-		t.Errorf("rule 0 = %+v", r)
+	p.At("systolic", 64, 0)
+	p.At("systolic", 64, 500)
+	p.At("systolic", 96, 0)
+	p.Diverge(64, 0, 0)
+	got := p.FiredCounts()
+	want := map[string]int64{"panic@systolic:dim=64": 2, "diverge@thermal": 1}
+	if len(got) != len(want) {
+		t.Fatalf("FiredCounts = %v, want %v", got, want)
 	}
-	r = p.Rules[1]
-	if r.Kind != KindStall || !r.ShardSet || r.ShardLo != 1 || r.ShardHi != 3 || r.Delay != 600*time.Millisecond {
-		t.Errorf("rule 1 = %+v", r)
-	}
-	r = p.Rules[2]
-	if r.Kind != KindLie || r.ShardSet || r.Rate != 0.1 || r.Seed != 9 {
-		t.Errorf("rule 2 = %+v", r)
-	}
-	p2, err := Parse(p.String())
-	if err != nil {
-		t.Fatalf("re-parse %q: %v", p.String(), err)
-	}
-	for i := range p.Rules {
-		if p.Rules[i] != p2.Rules[i] {
-			t.Errorf("rule %d round-trip: %+v != %+v", i, p.Rules[i], p2.Rules[i])
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("FiredCounts[%q] = %d, want %d", k, got[k], n)
 		}
-	}
-	bad := []string{
-		"crash@thermal",          // worker kind on a pipeline stage
-		"crash@*",                // worker kinds don't wildcard
-		"panic@shard",            // pipeline kind on the shard stage
-		"crash@shard:dim=64",     // design-point predicate on a shard rule
-		"crash@shard:ics=500",    // design-point predicate on a shard rule
-		"panic@thermal:shard=0",  // shard predicate on a pipeline rule
-		"crash@shard:delay=10ms", // delay is stall/latency-only
-	}
-	for _, spec := range bad {
-		if _, err := Parse(spec); err == nil {
-			t.Errorf("Parse(%q) accepted, want error", spec)
-		}
-	}
-}
-
-// TestAtShard: shard predicates select exactly the specified shard
-// indices, outcomes merge across rules, stalls default their duration,
-// and pipeline probes never see worker rules (nor vice versa).
-func TestAtShard(t *testing.T) {
-	p, err := Parse("crash@shard:shard=0;stall@shard:shard=0-2;lie@shard:shard=2-4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := p.AtShard(0)
-	if o == nil || !o.Crash || !o.Stall || o.Lie || o.StallFor != DefaultStall {
-		t.Errorf("AtShard(0) = %+v, want crash+stall with default duration", o)
-	}
-	o = p.AtShard(2)
-	if o == nil || o.Crash || !o.Stall || !o.Lie {
-		t.Errorf("AtShard(2) = %+v, want stall+lie", o)
-	}
-	if o = p.AtShard(5); o != nil {
-		t.Errorf("AtShard(5) = %+v, want nil", o)
-	}
-	if out := p.At("thermal", 64, 0); out != nil {
-		t.Errorf("worker rules leaked into At: %+v", out)
 	}
 	var nilPlan *Plan
-	if nilPlan.AtShard(0) != nil {
-		t.Error("nil plan must be the disabled fast path")
-	}
-
-	// Rate decisions are keyed on the shard index and deterministic.
-	rated, _ := Parse("lie@shard:rate=0.3,seed=7")
-	rated2, _ := Parse("lie@shard:rate=0.3,seed=7")
-	hits := 0
-	for idx := 0; idx < 1000; idx++ {
-		a := rated.AtShard(idx) != nil
-		if b := rated2.AtShard(idx) != nil; a != b {
-			t.Fatalf("identical plans disagree at shard %d", idx)
-		}
-		if a {
-			hits++
-		}
-	}
-	if frac := float64(hits) / 1000; frac < 0.2 || frac > 0.4 {
-		t.Errorf("rate=0.3 poisoned %.2f of shards", frac)
-	}
-}
-
-// TestSplitWorker: a mixed plan partitions into worker and pipeline
-// halves; pure plans yield a nil other half; counters survive the split.
-func TestSplitWorker(t *testing.T) {
-	p, err := Parse("crash@shard:shard=0;panic@systolic:dim=64;lie@shard;diverge@thermal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, pl := p.SplitWorker()
-	if w == nil || len(w.Rules) != 2 || w.Rules[0].Kind != KindCrash || w.Rules[1].Kind != KindLie {
-		t.Errorf("worker half = %v", w)
-	}
-	if pl == nil || len(pl.Rules) != 2 || pl.Rules[0].Kind != KindPanic || pl.Rules[1].Kind != KindDiverge {
-		t.Errorf("pipeline half = %v", pl)
-	}
-	if w.AtShard(0) == nil || w.At("systolic", 64, 0) != nil {
-		t.Error("worker half misrouted probes")
-	}
-	if pl.At("systolic", 64, 0) == nil || pl.AtShard(0) != nil {
-		t.Error("pipeline half misrouted probes")
-	}
-	if got := w.FiredCounts(); len(got) != 2 {
-		t.Errorf("worker FiredCounts = %v, want the crash and unbounded lie rules", got)
-	}
-
-	onlyPipeline, _ := Parse("panic@systolic")
-	if ww, ppl := onlyPipeline.SplitWorker(); ww != nil || ppl == nil {
-		t.Errorf("pipeline-only split = (%v, %v)", ww, ppl)
-	}
-	onlyWorker, _ := Parse("crash@shard")
-	if ww, ppl := onlyWorker.SplitWorker(); ww == nil || ppl != nil {
-		t.Errorf("worker-only split = (%v, %v)", ww, ppl)
-	}
-	var nilPlan *Plan
-	if ww, ppl := nilPlan.SplitWorker(); ww != nil || ppl != nil {
-		t.Error("nil plan split must be nil halves")
+	if nilPlan.FiredCounts() != nil {
+		t.Error("nil plan FiredCounts must be nil")
 	}
 }

@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 
 // FuzzParse: every spec Parse accepts marshals to a document that
 // parses again and marshals to the same bytes, so a spec forwarded in
-// canonical form (a server's job record, a distributed sweep's lease)
-// is the job that was submitted.
+// canonical form (a server's job record) is the job that was
+// submitted.
 func FuzzParse(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {
@@ -229,6 +229,8 @@ func TestResolveErrors(t *testing.T) {
 			`{"version":"tesa.jobspec/v1","kind":"optimize","workload_ref":"mlperf"}`, "unknown workload_ref"},
 		{"bad fault spec",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","policies":{"faults":"zap@nowhere"}}`, "faults"},
+		{"removed shard fault",
+			`{"version":"tesa.jobspec/v1","kind":"optimize","policies":{"faults":"lie@shard"}}`, "faults"},
 		{"invalid space axis",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","space":{"array_dims":[-4],"ics_ums":[0]}}`,
 			"array dim"},

@@ -132,9 +132,10 @@ func Execute(ctx context.Context, r *Resolved, rt Runtime) (*Outcome, error) {
 }
 
 // NewEvaluator builds the job's evaluator wired into the runtime — the
-// exact construction the executors use, exported so distributed-sweep
-// coordinators and workers evaluate a spec identically to a local run
-// (same options, constraints, fault plan, and stage timeout).
+// exact construction the executors use, exported so a caller that
+// drives the evaluator directly evaluates a spec identically to an
+// executed job (same options, constraints, fault plan, and stage
+// timeout).
 func NewEvaluator(r *Resolved, rt Runtime) (*core.Evaluator, error) {
 	return newEvaluator(r, r.Opts, rt)
 }

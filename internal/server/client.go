@@ -88,7 +88,7 @@ func (c *Client) SubmitSpec(ctx context.Context, spec *jobspec.Spec) (*Status, e
 }
 
 // Status fetches one job's current status. Idempotent, so transport
-// errors retry too — a coordinator blip doesn't fail the poll loop.
+// errors retry too — a server blip doesn't fail the poll loop.
 func (c *Client) Status(ctx context.Context, id string) (*Status, error) {
 	var st Status
 	if err := c.doRetry(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil, http.StatusOK, &st, true); err != nil {
@@ -139,7 +139,7 @@ func (c *Client) getBody(ctx context.Context, path string) (map[string]any, erro
 // final status. It prefers the SSE events stream (onProgress, when
 // non-nil, receives each update) and reconnects with the Last-Event-ID
 // of the final frame it saw when the stream drops mid-job, so a
-// coordinator blip costs a resume, not a restart. Only after the retry
+// server blip costs a resume, not a restart. Only after the retry
 // budget is spent does it fall back to polling every pollEvery
 // (0 = 250ms).
 func (c *Client) Wait(ctx context.Context, id string, pollEvery time.Duration, onProgress func(map[string]any)) (*Status, error) {

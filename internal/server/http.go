@@ -24,9 +24,6 @@ const maxSpecBytes = 1 << 20
 //	GET    /healthz             liveness: 200 as long as the process serves
 //	GET    /readyz              readiness: 503 once draining begins
 //
-// When Config.Distrib is set, the coordinator's protocol is mounted
-// under /v1/distrib/ with the prefix stripped.
-//
 // Telemetry endpoints (/metrics, /progress, ...) are served separately
 // by telemetry.Server so the observability surface stays uniform across
 // CLIs and the job server.
@@ -36,9 +33,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
-	if s.cfg.Distrib != nil {
-		mux.Handle("/v1/distrib/", http.StripPrefix("/v1/distrib", s.cfg.Distrib))
-	}
 	return mux
 }
 

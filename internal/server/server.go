@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -70,10 +69,6 @@ type Config struct {
 	// BaseDir anchors relative workload_file paths in submitted specs
 	// ("" = the server's working directory).
 	BaseDir string
-	// Distrib, when non-nil, is mounted under /v1/distrib/ with the
-	// prefix stripped — point it at a distrib Coordinator's Handler to
-	// run the distributed sweep protocol on the job server's listener.
-	Distrib http.Handler
 }
 
 // Job is the server-side record of one submitted spec.

@@ -75,65 +75,3 @@ func (s *JSONLSink) Flush() error {
 	defer s.mu.Unlock()
 	return s.bw.Flush()
 }
-
-// MultiSink fans every event out to all child sinks — e.g. a
-// distributed-sweep coordinator mirroring its checkpoint ledger into the
-// live trace stream. Nil children are skipped, so callers can compose
-// optional sinks without guards.
-type MultiSink struct {
-	sinks []EventSink
-}
-
-// NewMultiSink composes sinks into one fan-out EventSink. Nil entries
-// are dropped; if at most one non-nil sink remains there is nothing to
-// fan out, so that sink (or nil) is returned directly, preserving the
-// single-sink fast path.
-func NewMultiSink(sinks ...EventSink) EventSink {
-	kept := make([]EventSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return &MultiSink{sinks: kept}
-}
-
-// Emit forwards the event to every child. Children own their copy of
-// the fields map per the EventSink contract, so each gets its own
-// shallow clone.
-func (m *MultiSink) Emit(event string, fields map[string]any) {
-	if m == nil {
-		return
-	}
-	for i, s := range m.sinks {
-		f := fields
-		if i < len(m.sinks)-1 && fields != nil {
-			f = make(map[string]any, len(fields))
-			for k, v := range fields {
-				f[k] = v
-			}
-		}
-		s.Emit(event, f)
-	}
-}
-
-// Flush flushes every child, returning the first error but flushing the
-// rest regardless.
-func (m *MultiSink) Flush() error {
-	if m == nil {
-		return nil
-	}
-	var first error
-	for _, s := range m.sinks {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

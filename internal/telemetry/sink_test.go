@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -85,77 +84,5 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 			t.Fatalf("line %d: bad or duplicate record %+v", n, rec)
 		}
 		seen[rec.Seq] = true
-	}
-}
-
-// errSentinel distinguishes a propagated child error in MultiSink
-// tests.
-var errSentinel = errors.New("sentinel flush failure")
-
-// captureSink records emitted events and whether it was flushed, for
-// MultiSink fan-out assertions.
-type captureSink struct {
-	mu       sync.Mutex
-	events   []map[string]any
-	flushed  int
-	flushErr error
-}
-
-func (c *captureSink) Emit(event string, fields map[string]any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec := map[string]any{"__event": event}
-	for k, v := range fields {
-		rec[k] = v
-	}
-	c.events = append(c.events, rec)
-	// Mutate the map we were handed: the sink owns it, and MultiSink
-	// must have cloned it for the other children.
-	if fields != nil {
-		fields["__mutated"] = true
-	}
-}
-
-func (c *captureSink) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushed++
-	return c.flushErr
-}
-
-// TestMultiSink: fan-out reaches every child with an independent fields
-// map, nil children collapse away, and Flush visits everyone even after
-// an error.
-func TestMultiSink(t *testing.T) {
-	a, b := &captureSink{}, &captureSink{flushErr: errSentinel}
-	m := NewMultiSink(a, nil, b)
-	m.Emit("checkpoint.shard", map[string]any{"shard": 3})
-	m.Emit("checkpoint.shard", nil)
-	for _, c := range []*captureSink{a, b} {
-		if len(c.events) != 2 || c.events[0]["shard"] != 3 {
-			t.Fatalf("child events = %v", c.events)
-		}
-		if _, leaked := c.events[0]["__mutated"]; leaked {
-			t.Error("children shared one fields map")
-		}
-	}
-	if err := m.Flush(); err != errSentinel {
-		t.Errorf("Flush = %v, want the child error", err)
-	}
-	if a.flushed != 1 || b.flushed != 1 {
-		t.Errorf("flush counts = %d, %d, want 1, 1", a.flushed, b.flushed)
-	}
-
-	// Degenerate compositions keep the fast paths.
-	if NewMultiSink() != nil || NewMultiSink(nil, nil) != nil {
-		t.Error("all-nil composition must be nil")
-	}
-	if got := NewMultiSink(nil, a); got != EventSink(a) {
-		t.Errorf("single-sink composition = %v, want the sink itself", got)
-	}
-	var nilMulti *MultiSink
-	nilMulti.Emit("x", nil)
-	if nilMulti.Flush() != nil {
-		t.Error("nil MultiSink must be inert")
 	}
 }
