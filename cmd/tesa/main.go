@@ -1,6 +1,7 @@
-// Command tesa is TESA's design-space exploration front end: one
-// command whose subcommands map one-to-one onto the jobspec kinds that
-// tesa-server runs.
+// Command tesa is TESA's command-line front end: the design-space
+// exploration subcommands, which map one-to-one onto the jobspec kinds
+// that tesa-server runs, plus the paper's single-point tools, the
+// report generator and the trace analyzer.
 //
 // Usage:
 //
@@ -8,18 +9,24 @@
 //	tesa sweep [flags]        exhaustive sweep vs the annealer (Sec. IV-A)
 //	tesa pareto [flags]       cost/DRAM-power front (CSV on stdout)
 //	tesa sim [flags]          dynamic multi-tenant scenario for one point
+//	tesa thermal [flags]      one point's hottest-phase thermal map (Fig. 6)
+//	tesa cycles [flags]       analytic model vs fold-level cycle simulation
+//	tesa report [flags]       regenerate the paper's tables and figures
+//	tesa trace report|diff    analyze -trace and -manifest JSONL streams
 //
 // A bare `tesa [flags]` is `tesa optimize`. Run `tesa <kind> -h` for a
 // subcommand's flags.
 //
-// Every subcommand builds a versioned jobspec (tesa.jobspec/v1) from its
-// config flags, or loads one with -job, resolves it, and executes it
-// through jobspec.Execute — the executor tesa-server and the library
-// use — so a spec means the same run everywhere. Config flags (-tech,
-// -grid, ...) conflict with -job; operational flags (-progress,
-// -deadline, -checkpoint, -memo-dir, the telemetry flags) compose with it, and an explicit -deadline overrides the spec's
-// deadline_sec. The spec's policies (faults, stage timeout, failure
-// bounds) and deadline apply in every subcommand.
+// The four job subcommands (optimize, sweep, pareto, sim) build a
+// versioned jobspec (tesa.jobspec/v1) from their config flags, or load
+// one with -job, resolve it, and execute it through jobspec.Execute —
+// the executor tesa-server and the library use — so a spec means the
+// same run everywhere. Config flags (-tech, -grid, ...) conflict with
+// -job; operational flags (-progress, -deadline, -checkpoint,
+// -memo-dir, the telemetry flags) compose with it, and an explicit
+// -deadline overrides the spec's deadline_sec. The spec's policies
+// (faults, stage timeout, failure bounds) and deadline apply in every
+// job subcommand.
 //
 // optimize prints the winning MCM, its mesh, SRAM capacity, full
 // evaluation, schedule and floorplan. -workload runs a JSON workload
@@ -52,10 +59,36 @@
 // ties between chains go to the smaller design point (the sweep's
 // order), so the winner does not depend on scheduling.
 //
+// thermal evaluates one design point (-dim, -ics) with the full models
+// and prints its hottest-phase thermal map as ASCII art; -csv also
+// writes the temperature field. It shares -tech, -freq, -fps, -temp and
+// -grid with the job subcommands and resolves them the same way.
+//
+// cycles cross-validates the analytical performance model against the
+// fold-level cycle simulation (the SCALE-Sim analytical vs
+// cycle-accurate relationship) for a -dim array: the stall-free
+// simulation must reproduce the analytic cycle count of every network,
+// and the stall share shows where the paper's stall-free assumption
+// holds under the DSE's channel provisioning.
+//
+// report regenerates the paper's tables (-table 3|4|5), figures
+// (-fig 1|5|6), the Sec. IV-B headline (-headline), the Sec. IV-A
+// optimizer validation (-validate) or all of them (-all), each next to
+// the quantity the paper reports; see EXPERIMENTS.md. Every evaluator
+// of the run shares one telemetry hub and one memo store.
+//
+// trace analyzes the JSONL streams the other subcommands emit without
+// re-running anything. `tesa trace report run.jsonl ...` prints each
+// run's identity, per-stage latency breakdown, caching effectiveness,
+// fidelity tallies and event histogram; `tesa trace diff [-threshold
+// 0.10] [-strict] before.jsonl after.jsonl` compares two runs stage by
+// stage and, with -strict, exits 3 on any flagged regression.
+//
 // Observability: -metrics prints an end-of-run summary, -trace streams
 // JSONL events, -pprof serves net/http/pprof, -metrics-addr serves live
 // /metrics, /debug/vars, /progress and /debug/pprof, and -manifest
-// writes the run manifest as JSONL start/end records.
+// writes the run manifest as JSONL start/end records. Every subcommand
+// but trace takes these flags.
 //
 // Failure handling: a design point whose evaluation fails (panic, NaN,
 // diverged solve, stage timeout) is quarantined and the search goes on
@@ -64,9 +97,10 @@
 // deterministic faults.
 //
 // Exit codes: 0 ok; 1 error; 2 usage or spec error; 3 no feasible
-// solution, sweep disagreement, or a sim point that does not fit; 4
-// completed with quarantined points; 130 interrupted (SIGINT/SIGTERM or
-// deadline).
+// solution, sweep disagreement, a sim or thermal point that does not
+// fit, an analytic/cycle divergence, or a regression under trace diff
+// -strict; 4 completed with quarantined points; 130 interrupted
+// (SIGINT/SIGTERM or deadline).
 package main
 
 import (
@@ -88,6 +122,10 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first signal asks the run to stop at its next cancellation
+	// point (report sections, search evaluations); a second one kills
+	// the process.
+	context.AfterFunc(ctx, stop)
 	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
 	os.Exit(code)
@@ -100,6 +138,10 @@ var subcommands = map[string]func(c *command) func(ctx context.Context) error{
 	jobspec.KindSweep:    sweepCmd,
 	jobspec.KindPareto:   paretoCmd,
 	jobspec.KindSim:      simCmd,
+	"thermal":            thermalCmd,
+	"cycles":             cyclesCmd,
+	"report":             reportCmd,
+	"trace":              traceCmd,
 }
 
 // run executes one tesa command line (without the program name) and
@@ -147,7 +189,7 @@ func newCommand(kind string, stdout, stderr io.Writer) *command {
 	fs := flag.NewFlagSet("tesa "+kind, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tesa [optimize|sweep|pareto|sim] [flags]\n\nflags of tesa %s:\n", kind)
+		fmt.Fprintf(stderr, "usage: tesa [optimize|sweep|pareto|sim|thermal|cycles|report|trace] [flags]\n\nflags of tesa %s:\n", kind)
 		fs.PrintDefaults()
 	}
 	return &command{kind: kind, fs: fs, stdout: stdout, stderr: stderr, sum: stdout}
@@ -167,18 +209,26 @@ type jobFlags struct {
 	stageTO         *time.Duration
 }
 
-// jobFlags registers the shared config flags with the subcommand's
-// defaults; search adds the policy flags.
-func (c *command) jobFlags(fps, temp float64, grid int, search bool) *jobFlags {
+// pointFlags registers the evaluation flags every design-point
+// subcommand shares (-tech, -freq, -fps, -temp, -grid) with the
+// subcommand's defaults.
+func (c *command) pointFlags(fps, temp float64, grid int) *jobFlags {
 	fs := c.fs
-	f := &jobFlags{
+	return &jobFlags{
 		tech: fs.String("tech", "2d", "integration technology: 2d or 3d"),
 		freq: fs.Float64("freq", 400, "operating frequency in MHz"),
 		fps:  fs.Float64("fps", fps, "latency constraint in frames per second"),
 		temp: fs.Float64("temp", temp, "thermal budget in Celsius"),
 		grid: fs.Int("grid", grid, "thermal grid cells per side"),
-		seed: fs.Int64("seed", 1, "optimizer or scenario seed"),
 	}
+}
+
+// jobFlags registers the shared config flags of the job subcommands:
+// the point flags plus -seed; search adds the policy flags.
+func (c *command) jobFlags(fps, temp float64, grid int, search bool) *jobFlags {
+	fs := c.fs
+	f := c.pointFlags(fps, temp, grid)
+	f.seed = fs.Int64("seed", 1, "optimizer or scenario seed")
 	if search {
 		f.faults = fs.String("faults", os.Getenv("TESA_FAULTS"), "fault-injection spec, e.g. panic@thermal:rate=0.05 (default $TESA_FAULTS)")
 		f.maxFail = fs.Int("max-failures", 0, "abort once more than this many points are quarantined (0 = unlimited)")
@@ -238,6 +288,8 @@ func (e *exitError) Error() string { return e.status }
 var (
 	errNoSolution  = &exitError{3, "no-solution"}
 	errQuarantined = &exitError{cli.ExitQuarantined, "ok-quarantined"}
+	// errFlagsReported is a usage error its flag set already printed.
+	errFlagsReported = &exitError{2, "error"}
 )
 
 // resolve materializes the job: the -job spec, or the one fromFlags
@@ -279,20 +331,25 @@ func (c *command) resolve(fromFlags func() (*jobspec.Spec, error)) (*jobspec.Res
 	return r, nil
 }
 
+// setup opens the run's observability session.
+func (c *command) setup() (err error) {
+	c.sess, err = c.obs.Setup("tesa "+c.kind, c.args, c.sum)
+	return err
+}
+
 // start opens the run's observability session and memo store and
 // records the job in the manifest.
 func (c *command) start(r *jobspec.Resolved) error {
-	sess, err := c.obs.Setup("tesa "+c.kind, c.args, c.sum)
-	if err != nil {
+	if err := c.setup(); err != nil {
 		return err
 	}
-	c.sess = sess
 	if c.memo != nil {
+		var err error
 		if c.store, c.memoDone, err = c.memo.Store(); err != nil {
 			return err
 		}
 	}
-	m := sess.Manifest
+	m := c.sess.Manifest
 	if r.Kind == jobspec.KindSim {
 		m.Set("point", fmt.Sprintf("%dx%d@%d", r.SimPoint.ArrayDim, r.SimPoint.ArrayDim, r.SimPoint.ICSUM))
 		m.Set("draws", r.SimDraws)

@@ -50,6 +50,9 @@ func TestGoldenStdout(t *testing.T) {
 		{"sim", 0, []string{"sim", "-grid", "16", "-fps", "15", "-duration", "1", "-dt", "0.1", "-seed", "42", "-draws", "2",
 			"-tenant", "ar:MobileNet:diurnal:10:0.1", "-tenant", "vr:ResNet-50:poisson:5:0.1"}},
 		{"simjob", 0, []string{"sim", "-job", filepath.Join(specDir, "sim.json"), "-json"}},
+		{"cycles", 0, []string{"cycles"}},
+		{"thermal", 0, []string{"thermal", "-grid", "16"}},
+		{"report", 0, []string{"report", "-fig", "1", "-grid", "16", "-report-grid", "16"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -70,7 +73,7 @@ func TestGoldenStdout(t *testing.T) {
 }
 
 // TestUsageErrorsExit2 covers the command-line and spec errors of every
-// subcommand: each exits 2 before running anything.
+// subcommand: each exits 2 before running or printing anything.
 func TestUsageErrorsExit2(t *testing.T) {
 	spec := func(kind string) string { return filepath.Join(specDir, kind+".json") }
 	cases := map[string][]string{
@@ -99,10 +102,21 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"removed lease ttl":      {"sweep", "-lease-ttl", "10s"},
 		"removed lease shards":   {"sweep", "-lease-shards", "4"},
 		"removed verify frac":    {"sweep", "-verify-frac", "0.1"},
+		"thermal bad tech":       {"thermal", "-tech", "4d"},
+		"thermal zero fps":       {"thermal", "-fps", "0"},
+		"thermal zero dim":       {"thermal", "-dim", "0"},
+		"thermal negative ics":   {"thermal", "-ics", "-1"},
+		"thermal seed":           {"thermal", "-seed", "2"},
+		"cycles zero dim":        {"cycles", "-dim", "0"},
+		"report bad table":       {"report", "-table", "7"},
+		"report bad fig":         {"report", "-fig", "2"},
+		"report nothing":         {"report"},
+		"trace one diff file":    {"trace", "diff", "a.jsonl"},
+		"trace bogus mode":       {"trace", "bogus"},
 	}
 	for name, args := range cases {
-		if code, _, stderr := runTesa(t, args...); code != 2 {
-			t.Errorf("%s: exit %d, want 2; stderr:\n%s", name, code, stderr)
+		if code, stdout, stderr := runTesa(t, args...); code != 2 || stdout != "" {
+			t.Errorf("%s: exit %d, want 2 with empty stdout; stdout:\n%s\nstderr:\n%s", name, code, stdout, stderr)
 		}
 	}
 	if code, _, _ := runTesa(t, "sim", "-h"); code != 0 {
@@ -331,10 +345,12 @@ func shellWords(line string) []string {
 }
 
 // TestDocCommandsParse parses every `tesa …` command in the code blocks
-// of README.md and EXPERIMENTS.md against its subcommand's flag set, so
-// the docs cannot drift from the flags.
+// of README.md and EXPERIMENTS.md against its subcommand's flag set
+// (and `tesa trace diff` against the diff flags), so the docs cannot
+// drift from the flags. Every subcommand must appear at least once, and
+// every `go run ./cmd/…` must name a command that exists.
 func TestDocCommandsParse(t *testing.T) {
-	n := 0
+	seen := map[string]int{}
 	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -364,6 +380,11 @@ func TestDocCommandsParse(t *testing.T) {
 				words = words[3:]
 			case len(words) >= 1 && (words[0] == "tesa" || words[0] == "./tesa"):
 				words = words[1:]
+			case len(words) >= 3 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./cmd/"):
+				if _, err := os.Stat(filepath.Join("../..", words[2])); err != nil {
+					t.Errorf("%s: %q runs a command that does not exist: %v", doc, line, err)
+				}
+				continue
 			default:
 				continue
 			}
@@ -373,14 +394,28 @@ func TestDocCommandsParse(t *testing.T) {
 			}
 			c := newCommand(kind, &bytes.Buffer{}, &bytes.Buffer{})
 			subcommands[kind](c)
-			if err := c.fs.Parse(words); err != nil {
+			err := c.fs.Parse(words)
+			if kind == "trace" && err == nil && c.fs.Arg(0) == "diff" {
+				fs, _, _ := diffFlags(c)
+				err = fs.Parse(c.fs.Args()[1:])
+			}
+			if err != nil {
 				t.Errorf("%s: %q: %v", doc, line, err)
 			}
-			n++
+			seen[kind]++
 		}
 	}
-	t.Logf("parsed %d tesa commands", n)
+	n := 0
+	for _, k := range seen {
+		n += k
+	}
+	t.Logf("parsed %d tesa commands: %v", n, seen)
 	if n < 10 {
 		t.Errorf("found only %d tesa commands in the docs", n)
+	}
+	for kind := range subcommands {
+		if seen[kind] == 0 {
+			t.Errorf("no `tesa %s` command in the docs", kind)
+		}
 	}
 }

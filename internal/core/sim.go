@@ -16,7 +16,7 @@ import (
 
 // stageSim is the pipeline-stage name of the dynamic-scenario
 // co-simulation (EvalError.Stage, and — prefixed "sim." — the telemetry
-// span names, which tesa-trace folds into its stage table next to the
+// span names, which `tesa trace` folds into its stage table next to the
 // "stage." spans).
 const stageSim = "sim"
 

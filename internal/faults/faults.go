@@ -44,8 +44,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -205,43 +203,6 @@ type Outcome struct {
 // fast path: every probe is a single nil check.
 type Plan struct {
 	Rules []Rule
-
-	// fired counts, per rule, how many stage boundaries the rule
-	// actually poisoned — the chaos run's ground truth for "did my fault
-	// spec fire at all". A slice of atomics parallel to Rules (not a
-	// mutex-guarded map) so concurrent sweep workers never serialize on
-	// the injection probe; firedOnce sizes it lazily because plans are
-	// also built as plain literals in tests.
-	firedOnce sync.Once
-	fired     []atomic.Int64
-}
-
-// markFired bumps rule i's injection counter.
-func (p *Plan) markFired(i int) {
-	p.firedOnce.Do(func() { p.fired = make([]atomic.Int64, len(p.Rules)) })
-	if i < len(p.fired) {
-		p.fired[i].Add(1)
-	}
-}
-
-// FiredCounts reports how many times each rule fired, keyed by the
-// rule's spec syntax (Rule.String); rules that never fired are omitted,
-// and nil is returned when nothing fired at all. Safe to call while
-// injection is running — counts are monotonic snapshots.
-func (p *Plan) FiredCounts() map[string]int64 {
-	if p == nil || p.fired == nil {
-		return nil
-	}
-	var out map[string]int64
-	for i := range p.Rules {
-		if n := p.fired[i].Load(); n > 0 {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[p.Rules[i].String()] += n
-		}
-	}
-	return out
 }
 
 // Empty reports whether the plan injects nothing.
@@ -275,7 +236,6 @@ func (p *Plan) At(stage string, dim, ics int) *Outcome {
 		if out == nil {
 			out = &Outcome{}
 		}
-		p.markFired(i)
 		switch r.Kind {
 		case KindPanic:
 			out.Panic = true
@@ -311,7 +271,6 @@ func (p *Plan) Diverge(dim, ics, attempt int) bool {
 			continue
 		}
 		if r.Attempts == 0 || attempt < r.Attempts {
-			p.markFired(i)
 			return true
 		}
 	}

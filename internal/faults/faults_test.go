@@ -243,33 +243,3 @@ func TestDivergeAttempts(t *testing.T) {
 		t.Error("nil plan must be the disabled fast path")
 	}
 }
-
-// TestFiredCounts: each rule counts the boundaries it poisoned, keyed by
-// its spec syntax; rules that never fired are omitted.
-func TestFiredCounts(t *testing.T) {
-	p, err := Parse("panic@systolic:dim=64;diverge@thermal;nan@cost:dim=200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.FiredCounts(); got != nil {
-		t.Errorf("FiredCounts before any probe = %v, want nil", got)
-	}
-	p.At("systolic", 64, 0)
-	p.At("systolic", 64, 500)
-	p.At("systolic", 96, 0)
-	p.Diverge(64, 0, 0)
-	got := p.FiredCounts()
-	want := map[string]int64{"panic@systolic:dim=64": 2, "diverge@thermal": 1}
-	if len(got) != len(want) {
-		t.Fatalf("FiredCounts = %v, want %v", got, want)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("FiredCounts[%q] = %d, want %d", k, got[k], n)
-		}
-	}
-	var nilPlan *Plan
-	if nilPlan.FiredCounts() != nil {
-		t.Error("nil plan FiredCounts must be nil")
-	}
-}

@@ -24,7 +24,7 @@ type HistogramStats struct {
 
 // MetricsSnapshot is a point-in-time copy of a registry's metrics in a
 // JSON-marshalable shape: the payload of /debug/vars, the metrics
-// section of a run manifest, and the input of the tesa-trace analyzer.
+// section of a run manifest, and the input of the `tesa trace` analyzer.
 // All float values are finite.
 type MetricsSnapshot struct {
 	// UptimeSec is the registry's age when the snapshot was taken.
