@@ -142,7 +142,7 @@ func BenchmarkAblationObjective(b *testing.B) {
 func BenchmarkFrequencySweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := cfg.FrequencySweep(tesa.Tech3D, 30, 75, []float64{500, 450, 400})
+		rows, err := cfg.FrequencySweep(context.Background(), tesa.Tech3D, 30, 75, []float64{500, 450, 400})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -215,8 +215,8 @@ var (
 	ErrStagePanic = core.ErrStagePanic
 	// ErrNonFinite marks a NaN/Inf stage output caught at the boundary.
 	ErrNonFinite = core.ErrNonFinite
-	// ErrSolverDiverged marks a thermal solve that failed at every rung
-	// of the degraded-fidelity retry ladder.
+	// ErrSolverDiverged marks a thermal grid solve that did not
+	// converge.
 	ErrSolverDiverged = core.ErrSolverDiverged
 	// ErrStageTimeout marks a stage exceeding the per-stage wall-clock
 	// budget (Evaluator.SetStageTimeout).

@@ -47,9 +47,9 @@ func benchConfig() *core.ExperimentConfig {
 // BenchmarkTableV regenerates Table V: TESA outputs at every constraint
 // corner (2-D and 3-D, 400/500 MHz, 15/30 fps, 75/85 C).
 func BenchmarkTableV(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		rows, err := cfg.TableV()
+		rows, err := cfg.TableV(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,9 +60,9 @@ func BenchmarkTableV(b *testing.B) {
 // BenchmarkTableIV regenerates Table IV: SC2's temperature-unaware
 // chiplet sizing and its actual thermal behaviour.
 func BenchmarkTableIV(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		rows, err := cfg.TableIV()
+		rows, err := cfg.TableIV(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,9 +73,9 @@ func BenchmarkTableIV(b *testing.B) {
 // BenchmarkTableIII regenerates Table III: the W1/W2 adoptions against
 // TESA at 500 MHz on 3-D MCMs.
 func BenchmarkTableIII(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		res, err := cfg.TableIII()
+		res, err := cfg.TableIII(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,9 +86,9 @@ func BenchmarkTableIII(b *testing.B) {
 // BenchmarkFig5 regenerates Fig. 5: the SC1 maximum-parallelism baseline
 // exceeding the 75 C budget in both technologies.
 func BenchmarkFig5(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		rs, err := cfg.Fig5()
+		rs, err := cfg.Fig5(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6 regenerates Fig. 6: steady-state thermal maps of TESA
 // outputs.
 func BenchmarkFig6(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	corners := []core.Corner{
 		{Tech: tesa.Tech2D, FreqMHz: 400, FPS: 30, BudgetC: 75},
 		{Tech: tesa.Tech3D, FreqMHz: 400, FPS: 30, BudgetC: 75},
@@ -107,7 +107,7 @@ func BenchmarkFig6(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, c := range corners {
-			row, err := cfg.RunCorner(c)
+			row, err := cfg.RunCornerContext(ctx, c)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,9 +125,9 @@ func BenchmarkFig6(b *testing.B) {
 // and the explored fraction (the paper reports 100% agreement while
 // exploring <15%).
 func BenchmarkOptimizerValidation(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		v, err := cfg.ValidateOptimizer(core.Corner{Tech: tesa.Tech2D, FreqMHz: 400, FPS: 15, BudgetC: 85})
+		v, err := cfg.ValidateOptimizerContext(ctx, core.Corner{Tech: tesa.Tech2D, FreqMHz: 400, FPS: 15, BudgetC: 85})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,9 +142,9 @@ func BenchmarkOptimizerValidation(b *testing.B) {
 // BenchmarkHeadline regenerates the Sec. IV-B headline claims: TESA vs
 // SC1/SC2 savings and the 2-D vs 3-D comparison.
 func BenchmarkHeadline(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		h, err := cfg.RunHeadline()
+		h, err := cfg.RunHeadline(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,9 +274,9 @@ func BenchmarkEvaluateDSE(b *testing.B) {
 // BenchmarkFig1 regenerates the paper's Fig. 1 motivation scenarios:
 // dense/large, small/spread, maximal, and TESA-tuned MCMs.
 func BenchmarkFig1(b *testing.B) {
-	cfg := benchConfig()
+	cfg, ctx := benchConfig(), context.Background()
 	for i := 0; i < b.N; i++ {
-		ss, err := cfg.Fig1()
+		ss, err := cfg.Fig1(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,8 +22,13 @@ func cyclesCmd(c *command) func(ctx context.Context) error {
 	c.obs = cli.ObservabilityFlags(c.fs)
 
 	return func(ctx context.Context) error {
-		if *dim <= 0 {
+		switch {
+		case *dim <= 0:
 			return usageError{fmt.Errorf("-dim %d: want a positive array dimension", *dim)}
+		case !(*freqMHz > 0) || math.IsInf(*freqMHz, 1):
+			return usageError{fmt.Errorf("-freq %g: want a positive frequency in MHz", *freqMHz)}
+		case *channels < 0:
+			return usageError{fmt.Errorf("-channels %d: want a non-negative channel count", *channels)}
 		}
 		if err := c.setup(); err != nil {
 			return err

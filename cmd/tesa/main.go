@@ -80,7 +80,7 @@
 // trace analyzes the JSONL streams the other subcommands emit without
 // re-running anything. `tesa trace report run.jsonl ...` prints each
 // run's identity, per-stage latency breakdown, caching effectiveness,
-// fidelity tallies and event histogram; `tesa trace diff [-threshold
+// quarantines and event histogram; `tesa trace diff [-threshold
 // 0.10] [-strict] before.jsonl after.jsonl` compares two runs stage by
 // stage and, with -strict, exits 3 on any flagged regression.
 //

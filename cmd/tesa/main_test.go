@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"tesa/internal/golden"
 	"tesa/internal/jobspec"
@@ -22,8 +23,13 @@ const specDir = "../../internal/jobspec/testdata"
 // stdout and stderr.
 func runTesa(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
+	return runTesaContext(context.Background(), args...)
+}
+
+// runTesaContext is runTesa under ctx.
+func runTesaContext(ctx context.Context, args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), args, &stdout, &stderr)
+	code := run(ctx, args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 
@@ -96,6 +102,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"bad front":              {"pareto", "-front", "hull"},
 		"bad faults":             {"-faults", "melt@thermal"},
 		"shard faults":           {"sweep", "-faults", "lie@shard"},
+		"removed diverge option": {"-faults", "diverge@thermal:attempts=2"},
 		"removed coordinate":     {"sweep", "-coordinate", "127.0.0.1:0", "-job", spec("sweep")},
 		"removed worker":         {"sweep", "-worker", "http://127.0.0.1:1"},
 		"removed worker name":    {"sweep", "-worker-name", "w1"},
@@ -108,6 +115,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"thermal negative ics":   {"thermal", "-ics", "-1"},
 		"thermal seed":           {"thermal", "-seed", "2"},
 		"cycles zero dim":        {"cycles", "-dim", "0"},
+		"cycles zero freq":       {"cycles", "-freq", "0"},
+		"cycles negative chans":  {"cycles", "-channels", "-1"},
+		"report zero grid":       {"report", "-fig", "1", "-grid", "0"},
+		"report zero rep grid":   {"report", "-fig", "1", "-report-grid", "0"},
 		"report bad table":       {"report", "-table", "7"},
 		"report bad fig":         {"report", "-fig", "2"},
 		"report nothing":         {"report"},
@@ -121,6 +132,24 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 	if code, _, _ := runTesa(t, "sim", "-h"); code != 0 {
 		t.Errorf("-h: exit %d, want 0", code)
+	}
+}
+
+// TestReportInterrupt: a cancelled context (a SIGINT in main) stops
+// tesa report inside a section, not at the next section boundary;
+// Table V alone runs for seconds.
+func TestReportInterrupt(t *testing.T) {
+	const after = 300 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(after, cancel)
+	start := time.Now()
+	code, _, stderr := runTesaContext(ctx, "report", "-table", "5", "-grid", "32", "-report-grid", "32")
+	if code != 130 {
+		t.Fatalf("exit %d, want 130; stderr:\n%s", code, stderr)
+	}
+	if d := time.Since(start) - after; d > 2*time.Second {
+		t.Errorf("report exited %v after the cancel, want within 2s", d)
 	}
 }
 

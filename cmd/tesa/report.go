@@ -30,6 +30,10 @@ func reportCmd(c *command) func(ctx context.Context) error {
 			return usageError{fmt.Errorf("-table %d: want 3, 4 or 5", *table)}
 		case *fig != 0 && *fig != 1 && *fig != 5 && *fig != 6:
 			return usageError{fmt.Errorf("-fig %d: want 1, 5 or 6", *fig)}
+		case *grid <= 0:
+			return usageError{fmt.Errorf("-grid %d: want a positive thermal grid", *grid)}
+		case *reportGrid <= 0:
+			return usageError{fmt.Errorf("-report-grid %d: want a positive thermal grid", *reportGrid)}
 		case *table == 0 && *fig == 0 && !*headline && !*validate && !*all:
 			return usageError{errors.New("nothing to regenerate: give -table, -fig, -headline, -validate or -all")}
 		}
@@ -65,35 +69,35 @@ func reportCmd(c *command) func(ctx context.Context) error {
 			}
 		}
 		section(*table == 5, "Table V: TESA outputs across constraint corners", func() error {
-			rows, err := cfg.TableV()
+			rows, err := cfg.TableV(ctx)
 			if err == nil {
 				p("%s", core.FormatTableV(rows))
 			}
 			return err
 		})
 		section(*table == 4, "Table IV: SC2 (chiplet sizing without temperature)", func() error {
-			rows, err := cfg.TableIV()
+			rows, err := cfg.TableIV(ctx)
 			if err == nil {
 				p("%s", core.FormatTableIV(rows))
 			}
 			return err
 		})
 		section(*table == 3, "Table III: W1/W2 adoptions vs TESA (500 MHz, 3-D)", func() error {
-			res, err := cfg.TableIII()
+			res, err := cfg.TableIII(ctx)
 			if err == nil {
 				p("%s", cfg.FormatTableIII(res))
 			}
 			return err
 		})
 		section(*fig == 1, "Fig. 1: motivation scenarios (a)-(d)", func() error {
-			ss, err := cfg.Fig1()
+			ss, err := cfg.Fig1(ctx)
 			if err == nil {
 				p("%s", core.FormatFig1(ss, tesa.DefaultConstraints()))
 			}
 			return err
 		})
 		section(*fig == 5, "Fig. 5: SC1 temperature-unaware max parallelism", func() error {
-			rs, err := cfg.Fig5()
+			rs, err := cfg.Fig5(ctx)
 			if err != nil {
 				return err
 			}
@@ -124,7 +128,7 @@ func reportCmd(c *command) func(ctx context.Context) error {
 			return nil
 		})
 		section(*headline, "Headline: TESA vs baselines, 2-D vs 3-D", func() error {
-			h, err := cfg.RunHeadline()
+			h, err := cfg.RunHeadline(ctx)
 			if err == nil {
 				p("%s", h.Format())
 			}

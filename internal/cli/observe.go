@@ -153,7 +153,7 @@ func progressFields(p tesa.Progress) map[string]any {
 
 // Finish finalizes the run: the manifest's phase-"end" record — status,
 // wall/CPU time, and the final metrics snapshot with its quarantine and
-// fidelity tallies — goes to the -manifest file, the -trace stream, and
+// memo tallies — goes to the -manifest file, the -trace stream, and
 // /debug/vars; the -metrics summary prints; the trace flushes and the
 // server shuts down. Idempotent, so commands with multiple exit paths
 // can call it from each.

@@ -45,9 +45,8 @@ var (
 	// memo cache, or a checkpoint.
 	ErrNonFinite = errors.New("core: non-finite stage output")
 
-	// ErrSolverDiverged marks a thermal evaluation whose CG solve failed
-	// to converge at every fidelity level of the degraded-retry ladder
-	// (full grid, relaxed tolerance, coarse grid, lumped fallback).
+	// ErrSolverDiverged marks a thermal evaluation whose grid solve did
+	// not converge (it wraps thermal.ErrNoConvergence).
 	ErrSolverDiverged = errors.New("core: thermal solver diverged")
 
 	// ErrStageTimeout marks a stage that exceeded the evaluator's

@@ -67,15 +67,6 @@ type Evaluation struct {
 	// LeakIters is the maximum leakage-temperature iterations over
 	// phases.
 	LeakIters int
-	// ThermalFidelity records which rung of the degraded-retry ladder
-	// produced the thermal numbers: "full" (first attempt), "relaxed"
-	// (looser CG tolerance), "coarse" (halved grid), or "lumped"
-	// (steady-state 1-resistor fallback). Empty when thermal analysis
-	// did not run.
-	ThermalFidelity string
-	// ThermalRetries counts the ladder rungs that failed before
-	// ThermalFidelity succeeded (0 = the full-fidelity solve converged).
-	ThermalRetries int
 
 	// TotalPowerW is the worst-phase chiplet power including leakage at
 	// the converged temperature; DynamicPowerW is its dynamic part.
@@ -156,7 +147,7 @@ type Evaluator struct {
 	stageTimeout time.Duration
 
 	// wsPool recycles thermal solver arenas across grid solves; a
-	// workspace is not goroutine-safe, so thermalAttempt checks one out
+	// workspace is not goroutine-safe, so thermalAnalysis checks one out
 	// for the duration of its leakage loop, and Simulate for its run.
 	wsPool sync.Pool
 

@@ -141,19 +141,17 @@ func TableVCorners() []Corner {
 	return cs
 }
 
-// RunCorner optimizes one constraint corner and re-evaluates the winner
-// at the reporting grid (a context.Background() wrapper over
-// RunCornerContext). Results are cached per corner, so experiment
-// drivers that share corners (Table V, the headline study) pay once.
-func (cfg *ExperimentConfig) RunCorner(c Corner) (*TableVRow, error) {
-	return cfg.RunCornerContext(context.Background(), c)
-}
-
-// RunCornerContext is RunCorner with cooperative cancellation: the
-// underlying optimization observes ctx between evaluations and the
-// method returns ctx.Err() promptly when cancelled. A corner that has
-// no feasible MCM is a valid result (Found=false), not an error.
+// RunCornerContext optimizes one constraint corner and re-evaluates the
+// winner at the reporting grid. Results are cached per corner, so
+// experiment drivers that share corners (Table V, the headline study)
+// pay once. It returns ctx.Err() when ctx is already cancelled, cached
+// or not, and the optimization observes ctx between evaluations. A
+// corner that has no feasible MCM is a valid result (Found=false), not
+// an error.
 func (cfg *ExperimentConfig) RunCornerContext(ctx context.Context, c Corner) (*TableVRow, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cfg.mu.Lock()
 	if row, ok := cfg.corners[c]; ok {
 		cfg.mu.Unlock()
@@ -194,11 +192,12 @@ func (cfg *ExperimentConfig) RunCornerContext(ctx context.Context, c Corner) (*T
 }
 
 // TableV regenerates the paper's Table V: TESA outputs across every
-// constraint corner for both technologies.
-func (cfg *ExperimentConfig) TableV() ([]*TableVRow, error) {
+// constraint corner for both technologies. It stops with ctx.Err()
+// when ctx is cancelled.
+func (cfg *ExperimentConfig) TableV(ctx context.Context) ([]*TableVRow, error) {
 	var rows []*TableVRow
 	for _, c := range TableVCorners() {
-		row, err := cfg.RunCorner(c)
+		row, err := cfg.RunCornerContext(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -234,12 +233,16 @@ type TableIVRow struct {
 
 // TableIV regenerates the paper's Table IV: SC2's 2-D and 3-D MCMs for
 // each frequency/latency corner, evaluated against the strict 75 C
-// budget with the full thermal and leakage models.
-func (cfg *ExperimentConfig) TableIV() ([]*TableIVRow, error) {
+// budget with the full thermal and leakage models. It stops with
+// ctx.Err() between rows when ctx is cancelled.
+func (cfg *ExperimentConfig) TableIV(ctx context.Context) ([]*TableIVRow, error) {
 	var rows []*TableIVRow
 	for _, tech := range []Tech{Tech2D, Tech3D} {
 		for _, f := range []float64{400, 500} {
 			for _, fps := range []float64{15, 30} {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 				c := Corner{tech, f, fps, 75}
 				opts, cons := cfg.optionsFor(c)
 				res, err := RunSC2(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed)
@@ -293,25 +296,34 @@ type TableIIIResult struct {
 }
 
 // TableIII regenerates the paper's Table III comparison at 500 MHz, 3-D,
-// 30 fps, 75 C.
-func (cfg *ExperimentConfig) TableIII() (*TableIIIResult, error) {
+// 30 fps, 75 C. It stops with ctx.Err() between baseline runs when ctx
+// is cancelled.
+func (cfg *ExperimentConfig) TableIII(ctx context.Context) (*TableIIIResult, error) {
 	c := Corner{Tech3D, 500, 30, 75}
 	opts, cons := cfg.optionsFor(c)
 	res := &TableIIIResult{}
-	var err error
-	if res.W1Original, err = RunW1(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed, false); err != nil {
-		return nil, err
+	for _, run := range []struct {
+		out        **BaselineResult
+		w2, constr bool
+	}{
+		{&res.W1Original, false, false},
+		{&res.W1Constrained, false, true},
+		{&res.W2Original, true, false},
+		{&res.W2Constrained, true, true},
+	} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		baseline := RunW1
+		if run.w2 {
+			baseline = RunW2
+		}
+		var err error
+		if *run.out, err = baseline(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed, run.constr); err != nil {
+			return nil, err
+		}
 	}
-	if res.W1Constrained, err = RunW1(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed, true); err != nil {
-		return nil, err
-	}
-	if res.W2Original, err = RunW2(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed, false); err != nil {
-		return nil, err
-	}
-	if res.W2Constrained, err = RunW2(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed, true); err != nil {
-		return nil, err
-	}
-	row, err := cfg.RunCorner(c)
+	row, err := cfg.RunCornerContext(ctx, c)
 	if err != nil {
 		return nil, err
 	}
@@ -347,9 +359,13 @@ type Fig5Result struct {
 
 // Fig5 regenerates the paper's Fig. 5: SC1 MCMs for 2-D and 3-D at
 // 500 MHz, 30 fps, and what they actually do thermally against 75 C.
-func (cfg *ExperimentConfig) Fig5() ([]*Fig5Result, error) {
+// It stops with ctx.Err() between technologies when ctx is cancelled.
+func (cfg *ExperimentConfig) Fig5(ctx context.Context) ([]*Fig5Result, error) {
 	var out []*Fig5Result
 	for _, tech := range []Tech{Tech2D, Tech3D} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		c := Corner{tech, 500, 30, 75}
 		opts, cons := cfg.optionsFor(c)
 		res, err := RunSC1(cfg.Workload, opts, cons, cfg.Models, cfg.Space)
@@ -483,19 +499,13 @@ type ValidationResult struct {
 	SpaceSize     int
 }
 
-// ValidateOptimizer reproduces the paper's Sec. IV-A study: exhaustively
-// evaluate the configured design space, then check the MSA optimizer
-// finds the same global optimum while exploring a small fraction of the
-// space. The paper could only afford a ~5k-point validation sub-space
+// ValidateOptimizerContext reproduces the paper's Sec. IV-A study:
+// exhaustively evaluate the configured design space, then check the MSA
+// optimizer finds the same global optimum while exploring a small
+// fraction of the space. The paper could only afford a ~5k-point validation sub-space
 // (SCALE-Sim points take minutes to hours); our substrates let the full
 // Table II space be swept, which makes the "<15% explored" claim testable
-// directly.
-func (cfg *ExperimentConfig) ValidateOptimizer(c Corner) (*ValidationResult, error) {
-	return cfg.ValidateOptimizerContext(context.Background(), c)
-}
-
-// ValidateOptimizerContext is ValidateOptimizer with cooperative
-// cancellation through both the exhaustive sweep and the annealer run.
+// directly. Both the exhaustive sweep and the annealer run observe ctx.
 func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Corner) (*ValidationResult, error) {
 	space := cfg.Space
 	opts, cons := cfg.optionsFor(c)

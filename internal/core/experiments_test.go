@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -22,20 +24,27 @@ func fastConfig() *ExperimentConfig {
 	return &cfg
 }
 
-// TestRunCornerCaching: repeated corner runs return the cached row.
+// TestRunCornerCaching: repeated corner runs return the cached row, and
+// a cancelled context stops even a cached one.
 func TestRunCornerCaching(t *testing.T) {
 	cfg := fastConfig()
 	c := Corner{Tech2D, 400, 15, 85}
-	a, err := cfg.RunCorner(c)
+	ctx := context.Background()
+	a, err := cfg.RunCornerContext(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cfg.RunCorner(c)
+	b, err := cfg.RunCornerContext(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("corner result not cached")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := cfg.RunCornerContext(cancelled, c); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled cached corner err = %v, want context.Canceled", err)
 	}
 }
 
@@ -43,7 +52,7 @@ func TestRunCornerCaching(t *testing.T) {
 // evaluation satisfies the corner's constraints at the reporting grid.
 func TestRunCornerShape(t *testing.T) {
 	cfg := fastConfig()
-	row, err := cfg.RunCorner(Corner{Tech2D, 400, 15, 85})
+	row, err := cfg.RunCornerContext(context.Background(), Corner{Tech2D, 400, 15, 85})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +75,7 @@ func TestRunCornerShape(t *testing.T) {
 // reduced space at test scale.
 func TestValidateOptimizerAgreement(t *testing.T) {
 	cfg := fastConfig()
-	v, err := cfg.ValidateOptimizer(Corner{Tech2D, 400, 15, 85})
+	v, err := cfg.ValidateOptimizerContext(context.Background(), Corner{Tech2D, 400, 15, 85})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +99,7 @@ func TestValidateOptimizerAgreement(t *testing.T) {
 func TestFig1Scenarios(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Space = DefaultSpace()
-	ss, err := cfg.Fig1()
+	ss, err := cfg.Fig1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestFig1Scenarios(t *testing.T) {
 // the remedial action when the high frequency has no solution.
 func TestFrequencySweepRemedial(t *testing.T) {
 	cfg := fastConfig()
-	rows, err := cfg.FrequencySweep(Tech2D, 15, 85, []float64{400, 300})
+	rows, err := cfg.FrequencySweep(context.Background(), Tech2D, 15, 85, []float64{400, 300})
 	if err != nil {
 		t.Fatal(err)
 	}

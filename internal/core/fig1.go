@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -23,7 +24,9 @@ type Fig1Scenario struct {
 //	(b) shrinking the chiplets to spread them out violates performance;
 //	(c) maximum-size chiplets violate power and temperature;
 //	(d) temperature-aware tuning of size and spacing satisfies everything.
-func (cfg *ExperimentConfig) Fig1() ([]*Fig1Scenario, error) {
+//
+// It stops with ctx.Err() between scenarios when ctx is cancelled.
+func (cfg *ExperimentConfig) Fig1(ctx context.Context) ([]*Fig1Scenario, error) {
 	c := Corner{Tech2D, 400, 30, 75}
 	opts, cons := cfg.optionsFor(c)
 	opts.Grid = cfg.ReportGrid
@@ -55,6 +58,9 @@ func (cfg *ExperimentConfig) Fig1() ([]*Fig1Scenario, error) {
 		{ArrayDim: 256, ICSUM: 0},
 	}
 	for i, p := range points {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ev, err := e.EvaluateFull(p)
 		if err != nil {
 			return nil, err
@@ -63,7 +69,7 @@ func (cfg *ExperimentConfig) Fig1() ([]*Fig1Scenario, error) {
 	}
 
 	// (d): TESA's own answer.
-	row, err := cfg.RunCorner(c)
+	row, err := cfg.RunCornerContext(ctx, c)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -17,8 +18,8 @@ type FrequencyRow struct {
 // action: "TESA can help chip designers identify thermally infeasible
 // solutions and take remedial decisions, e.g., reducing frequency". The
 // canonical demonstration: 3-D at 75 C has no solution at 500 MHz but
-// does at 400 MHz.
-func (cfg *ExperimentConfig) FrequencySweep(tech Tech, fps, budgetC float64, freqsMHz []float64) ([]*FrequencyRow, error) {
+// does at 400 MHz. Each frequency's search observes ctx.
+func (cfg *ExperimentConfig) FrequencySweep(ctx context.Context, tech Tech, fps, budgetC float64, freqsMHz []float64) ([]*FrequencyRow, error) {
 	if len(freqsMHz) == 0 {
 		return nil, fmt.Errorf("core: no frequencies to sweep")
 	}
@@ -27,7 +28,7 @@ func (cfg *ExperimentConfig) FrequencySweep(tech Tech, fps, budgetC float64, fre
 		if f <= 0 {
 			return nil, fmt.Errorf("core: non-positive frequency %g MHz", f)
 		}
-		row, err := cfg.RunCorner(Corner{Tech: tech, FreqMHz: f, FPS: fps, BudgetC: budgetC})
+		row, err := cfg.RunCornerContext(ctx, Corner{Tech: tech, FreqMHz: f, FPS: fps, BudgetC: budgetC})
 		if err != nil {
 			return nil, err
 		}

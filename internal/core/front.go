@@ -98,10 +98,10 @@ type member struct {
 // Soundness: evolution runs on DSE-mode evaluations (cheap), but every
 // member of the returned front is re-evaluated in full reporting mode
 // before being returned, so each reported point carries full-fidelity
-// numbers regardless of degraded-fidelity rungs along the way — and
-// dominance is re-checked on those upgraded numbers, so a fidelity
-// shift on the thermal axis cannot leak a dominated point into the
-// reported front. The run is deterministic for a seed: one PRNG,
+// numbers — including the peak temperature a DSE evaluation skips once
+// an earlier constraint fails — and dominance is re-checked on those
+// upgraded numbers, so a shift on the thermal axis cannot leak a
+// dominated point into the reported front. The run is deterministic for a seed: one PRNG,
 // sequential evaluation, and every sort tie-broken by design point.
 //
 // When no feasible point is found the error wraps ErrNoFeasibleStart.

@@ -111,7 +111,7 @@ func checkFinite(t *testing.T, ev *Evaluation, opts Options) {
 		"Chiplet.W":     ev.Chiplet.WidthMM,
 		"Chiplet.H":     ev.Chiplet.HeightMM,
 	}
-	if !opts.DisableThermal && ev.ThermalFidelity != "" {
+	if !opts.DisableThermal && !math.IsNaN(ev.PeakTempC) {
 		// Runaway points clamp their peak; every thermal outcome that was
 		// produced must still be finite.
 		scalars["PeakTempC"] = ev.PeakTempC

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -30,13 +31,15 @@ type Headline struct {
 }
 
 // RunHeadline computes the headline comparison. It reuses full corner
-// optimizations, so it is the most expensive experiment driver.
-func (cfg *ExperimentConfig) RunHeadline() (*Headline, error) {
+// optimizations, so it is the most expensive experiment driver. Its
+// corner searches observe ctx, and it stops with ctx.Err() between
+// corners when ctx is cancelled.
+func (cfg *ExperimentConfig) RunHeadline(ctx context.Context) (*Headline, error) {
 	h := &Headline{}
 
 	// TESA at SC1's corner.
 	corner := Corner{Tech2D, 500, 30, 85}
-	tesa, err := cfg.RunCorner(corner)
+	tesa, err := cfg.RunCornerContext(ctx, corner)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +55,7 @@ func (cfg *ExperimentConfig) RunHeadline() (*Headline, error) {
 	}
 	// SC2 at the binding 75 C corner.
 	strict := Corner{Tech2D, 500, 15, 75}
-	tesaStrict, err := cfg.RunCorner(strict)
+	tesaStrict, err := cfg.RunCornerContext(ctx, strict)
 	if err != nil {
 		return nil, err
 	}
@@ -71,11 +74,11 @@ func (cfg *ExperimentConfig) RunHeadline() (*Headline, error) {
 	var opsGain, costDelta, dramDelta float64
 	for _, f := range []float64{400, 500} {
 		for _, fps := range []float64{15, 30} {
-			r2, err := cfg.RunCorner(Corner{Tech2D, f, fps, 85})
+			r2, err := cfg.RunCornerContext(ctx, Corner{Tech2D, f, fps, 85})
 			if err != nil {
 				return nil, err
 			}
-			r3, err := cfg.RunCorner(Corner{Tech3D, f, fps, 85})
+			r3, err := cfg.RunCornerContext(ctx, Corner{Tech3D, f, fps, 85})
 			if err != nil {
 				return nil, err
 			}

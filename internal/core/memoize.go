@@ -274,18 +274,16 @@ func (e *Evaluator) screen(p DesignPoint) (obj float64, survives bool, err error
 }
 
 // thermalOutcome is what the thermal stage adds to a DSE evaluation:
-// its peak temperature, runaway verdict, leakage iterations, power
-// split and fidelity. It is the value, and the persisted form, of a
-// "thermal" record.
+// its peak temperature, runaway verdict, leakage iterations and power
+// split. It is the value, and the persisted form, of a "thermal"
+// record.
 type thermalOutcome struct {
-	PeakTempC       jf     `json:"peak_temp_c"`
-	Runaway         bool   `json:"runaway,omitempty"`
-	LeakIters       int    `json:"leak_iters"`
-	TotalPowerW     jf     `json:"total_power_w"`
-	DynamicPowerW   jf     `json:"dynamic_power_w"`
-	LeakageW        jf     `json:"leakage_w"`
-	ThermalFidelity string `json:"thermal_fidelity,omitempty"`
-	ThermalRetries  int    `json:"thermal_retries,omitempty"`
+	PeakTempC     jf   `json:"peak_temp_c"`
+	Runaway       bool `json:"runaway,omitempty"`
+	LeakIters     int  `json:"leak_iters"`
+	TotalPowerW   jf   `json:"total_power_w"`
+	DynamicPowerW jf   `json:"dynamic_power_w"`
+	LeakageW      jf   `json:"leakage_w"`
 }
 
 // sharedThermal is the thermal stage of a DSE evaluation, memoized as a
@@ -307,14 +305,12 @@ func (e *Evaluator) sharedThermal(ev *Evaluation, profiles []netProfile, place *
 			return nil, err
 		}
 		out := thermalOutcome{
-			PeakTempC:       jf(ev.PeakTempC),
-			Runaway:         ev.Runaway,
-			LeakIters:       ev.LeakIters,
-			TotalPowerW:     jf(ev.TotalPowerW),
-			DynamicPowerW:   jf(ev.DynamicPowerW),
-			LeakageW:        jf(ev.LeakageW),
-			ThermalFidelity: ev.ThermalFidelity,
-			ThermalRetries:  ev.ThermalRetries,
+			PeakTempC:     jf(ev.PeakTempC),
+			Runaway:       ev.Runaway,
+			LeakIters:     ev.LeakIters,
+			TotalPowerW:   jf(ev.TotalPowerW),
+			DynamicPowerW: jf(ev.DynamicPowerW),
+			LeakageW:      jf(ev.LeakageW),
 		}
 		if store.HasDisk() {
 			if raw, err := json.Marshal(out); err == nil {
@@ -335,8 +331,6 @@ func (e *Evaluator) sharedThermal(ev *Evaluation, profiles []netProfile, place *
 		ev.TotalPowerW = float64(out.TotalPowerW)
 		ev.DynamicPowerW = float64(out.DynamicPowerW)
 		ev.LeakageW = float64(out.LeakageW)
-		ev.ThermalFidelity = out.ThermalFidelity
-		ev.ThermalRetries = out.ThermalRetries
 	}
 	return nil
 }
@@ -540,59 +534,55 @@ func (f *jf) UnmarshalJSON(b []byte) error {
 // DSE consumer (annealer, sweep, progress reporting) reads, none of the
 // per-point structures. A decoded record yields a compact Evaluation.
 type evalRecord struct {
-	Dim             int            `json:"dim"`
-	ICS             int            `json:"ics"`
-	Feasible        bool           `json:"feasible"`
-	Violations      []string       `json:"violations,omitempty"`
-	Fits            bool           `json:"fits"`
-	Mesh            floorplan.Mesh `json:"mesh"`
-	Chiplet         area.Chiplet   `json:"chiplet"`
-	MakespanSec     jf             `json:"makespan_sec"`
-	LatencyFactor   jf             `json:"latency_factor"`
-	PeakTempC       jf             `json:"peak_temp_c"`
-	Runaway         bool           `json:"runaway,omitempty"`
-	LeakIters       int            `json:"leak_iters"`
-	ThermalFidelity string         `json:"thermal_fidelity,omitempty"`
-	ThermalRetries  int            `json:"thermal_retries,omitempty"`
-	TotalPowerW     jf             `json:"total_power_w"`
-	DynamicPowerW   jf             `json:"dynamic_power_w"`
-	LeakageW        jf             `json:"leakage_w"`
-	MCMCost         cost.Breakdown `json:"mcm_cost"`
-	DRAMPowerW      jf             `json:"dram_power_w"`
-	DRAMChannels    int            `json:"dram_channels"`
-	OPS             jf             `json:"ops"`
-	PeakOPS         jf             `json:"peak_ops"`
-	Objective       jf             `json:"objective"`
-	ChipletTraffic  []int64        `json:"chiplet_traffic,omitempty"`
+	Dim            int            `json:"dim"`
+	ICS            int            `json:"ics"`
+	Feasible       bool           `json:"feasible"`
+	Violations     []string       `json:"violations,omitempty"`
+	Fits           bool           `json:"fits"`
+	Mesh           floorplan.Mesh `json:"mesh"`
+	Chiplet        area.Chiplet   `json:"chiplet"`
+	MakespanSec    jf             `json:"makespan_sec"`
+	LatencyFactor  jf             `json:"latency_factor"`
+	PeakTempC      jf             `json:"peak_temp_c"`
+	Runaway        bool           `json:"runaway,omitempty"`
+	LeakIters      int            `json:"leak_iters"`
+	TotalPowerW    jf             `json:"total_power_w"`
+	DynamicPowerW  jf             `json:"dynamic_power_w"`
+	LeakageW       jf             `json:"leakage_w"`
+	MCMCost        cost.Breakdown `json:"mcm_cost"`
+	DRAMPowerW     jf             `json:"dram_power_w"`
+	DRAMChannels   int            `json:"dram_channels"`
+	OPS            jf             `json:"ops"`
+	PeakOPS        jf             `json:"peak_ops"`
+	Objective      jf             `json:"objective"`
+	ChipletTraffic []int64        `json:"chiplet_traffic,omitempty"`
 }
 
 // newEvalRecord flattens a DSE evaluation into its persisted form.
 func newEvalRecord(ev *Evaluation) *evalRecord {
 	return &evalRecord{
-		Dim:             ev.Point.ArrayDim,
-		ICS:             ev.Point.ICSUM,
-		Feasible:        ev.Feasible,
-		Violations:      ev.Violations,
-		Fits:            ev.Fits,
-		Mesh:            ev.Mesh,
-		Chiplet:         ev.Chiplet,
-		MakespanSec:     jf(ev.MakespanSec),
-		LatencyFactor:   jf(ev.LatencyFactor),
-		PeakTempC:       jf(ev.PeakTempC),
-		Runaway:         ev.Runaway,
-		LeakIters:       ev.LeakIters,
-		ThermalFidelity: ev.ThermalFidelity,
-		ThermalRetries:  ev.ThermalRetries,
-		TotalPowerW:     jf(ev.TotalPowerW),
-		DynamicPowerW:   jf(ev.DynamicPowerW),
-		LeakageW:        jf(ev.LeakageW),
-		MCMCost:         ev.MCMCost,
-		DRAMPowerW:      jf(ev.DRAMPowerW),
-		DRAMChannels:    ev.DRAMChannels,
-		OPS:             jf(ev.OPS),
-		PeakOPS:         jf(ev.PeakOPS),
-		Objective:       jf(ev.Objective),
-		ChipletTraffic:  ev.ChipletTraffic,
+		Dim:            ev.Point.ArrayDim,
+		ICS:            ev.Point.ICSUM,
+		Feasible:       ev.Feasible,
+		Violations:     ev.Violations,
+		Fits:           ev.Fits,
+		Mesh:           ev.Mesh,
+		Chiplet:        ev.Chiplet,
+		MakespanSec:    jf(ev.MakespanSec),
+		LatencyFactor:  jf(ev.LatencyFactor),
+		PeakTempC:      jf(ev.PeakTempC),
+		Runaway:        ev.Runaway,
+		LeakIters:      ev.LeakIters,
+		TotalPowerW:    jf(ev.TotalPowerW),
+		DynamicPowerW:  jf(ev.DynamicPowerW),
+		LeakageW:       jf(ev.LeakageW),
+		MCMCost:        ev.MCMCost,
+		DRAMPowerW:     jf(ev.DRAMPowerW),
+		DRAMChannels:   ev.DRAMChannels,
+		OPS:            jf(ev.OPS),
+		PeakOPS:        jf(ev.PeakOPS),
+		Objective:      jf(ev.Objective),
+		ChipletTraffic: ev.ChipletTraffic,
 	}
 }
 
@@ -602,29 +592,27 @@ func newEvalRecord(ev *Evaluation) *evalRecord {
 // reporting it.
 func (r *evalRecord) evaluation() *Evaluation {
 	return &Evaluation{
-		Point:           DesignPoint{ArrayDim: r.Dim, ICSUM: r.ICS},
-		Feasible:        r.Feasible,
-		Violations:      r.Violations,
-		Fits:            r.Fits,
-		Mesh:            r.Mesh,
-		Chiplet:         r.Chiplet,
-		MakespanSec:     float64(r.MakespanSec),
-		LatencyFactor:   float64(r.LatencyFactor),
-		PeakTempC:       float64(r.PeakTempC),
-		Runaway:         r.Runaway,
-		LeakIters:       r.LeakIters,
-		ThermalFidelity: r.ThermalFidelity,
-		ThermalRetries:  r.ThermalRetries,
-		TotalPowerW:     float64(r.TotalPowerW),
-		DynamicPowerW:   float64(r.DynamicPowerW),
-		LeakageW:        float64(r.LeakageW),
-		MCMCost:         r.MCMCost,
-		DRAMPowerW:      float64(r.DRAMPowerW),
-		DRAMChannels:    r.DRAMChannels,
-		OPS:             float64(r.OPS),
-		PeakOPS:         float64(r.PeakOPS),
-		Objective:       float64(r.Objective),
-		ChipletTraffic:  r.ChipletTraffic,
-		compact:         true,
+		Point:          DesignPoint{ArrayDim: r.Dim, ICSUM: r.ICS},
+		Feasible:       r.Feasible,
+		Violations:     r.Violations,
+		Fits:           r.Fits,
+		Mesh:           r.Mesh,
+		Chiplet:        r.Chiplet,
+		MakespanSec:    float64(r.MakespanSec),
+		LatencyFactor:  float64(r.LatencyFactor),
+		PeakTempC:      float64(r.PeakTempC),
+		Runaway:        r.Runaway,
+		LeakIters:      r.LeakIters,
+		TotalPowerW:    float64(r.TotalPowerW),
+		DynamicPowerW:  float64(r.DynamicPowerW),
+		LeakageW:       float64(r.LeakageW),
+		MCMCost:        r.MCMCost,
+		DRAMPowerW:     float64(r.DRAMPowerW),
+		DRAMChannels:   r.DRAMChannels,
+		OPS:            float64(r.OPS),
+		PeakOPS:        float64(r.PeakOPS),
+		Objective:      float64(r.Objective),
+		ChipletTraffic: r.ChipletTraffic,
+		compact:        true,
 	}
 }

@@ -52,42 +52,10 @@ func (p phasePower) dominatedBy(q phasePower) bool {
 	return true
 }
 
-// thermalFidelity is one rung of the degraded-retry ladder: the grid
-// resolution and CG solver relaxation the rung solves at.
-type thermalFidelity struct {
-	name      string  // recorded in Evaluation.ThermalFidelity
-	grid      int     // thermal grid resolution
-	tolScale  float64 // CG tolerance multiplier (1 = full fidelity)
-	iterScale float64 // CG iteration-budget multiplier
-	lumped    bool    // skip CG entirely: 1-resistor steady-state estimate
-}
-
-// thermalLadder is the degraded-retry schedule for a full-fidelity grid:
-// the nominal solve, then a relaxed CG tolerance with a doubled
-// iteration budget, then a coarsened grid, and finally the lumped
-// steady-state fallback whose closed form cannot diverge. Each rung
-// trades accuracy for conditioning, so an ill-conditioned corner of the
-// space still produces a (lower-fidelity) temperature instead of
-// aborting the run.
-func thermalLadder(grid int) []thermalFidelity {
-	coarse := grid / 2
-	if coarse < 8 {
-		coarse = 8
-	}
-	return []thermalFidelity{
-		{name: "full", grid: grid, tolScale: 1, iterScale: 1},
-		{name: "relaxed", grid: grid, tolScale: 100, iterScale: 2},
-		{name: "coarse", grid: coarse, tolScale: 100, iterScale: 2},
-		{name: "lumped", grid: coarse, lumped: true},
-	}
-}
-
 // thermalAnalysis runs the paper's per-phase steady-state evaluation
-// with leakage-temperature convergence and fills the thermal/power
-// fields of ev. CG non-convergence no longer aborts the evaluation:
-// the analysis walks the degraded-fidelity ladder and only reports
-// ErrSolverDiverged once every rung — including the lumped fallback —
-// has failed.
+// with leakage-temperature convergence at Options.Grid and fills the
+// thermal/power fields of ev. A CG solve that does not converge fails
+// the analysis with ErrSolverDiverged, which quarantines the point.
 func (e *Evaluator) thermalAnalysis(ev *Evaluation, profiles []netProfile, place *floorplan.Placement, est sram.Estimate) error {
 	n := ev.Mesh.Count()
 
@@ -134,62 +102,15 @@ func (e *Evaluator) thermalAnalysis(ev *Evaluation, profiles []netProfile, place
 		return err
 	}
 
-	var lastErr error
-	for attempt, fid := range thermalLadder(e.Opts.Grid) {
-		if e.injected != nil && e.injected.Diverge(ev.Point.ArrayDim, ev.Point.ICSUM, attempt) {
-			lastErr = fmt.Errorf("%w (injected at fidelity %s)", thermal.ErrNoConvergence, fid.name)
-			continue
-		}
-		err := e.thermalAttempt(ev, phases, place, domainMM, est, fid)
-		if err == nil {
-			ev.ThermalFidelity = fid.name
-			ev.ThermalRetries = attempt
-			e.tel.Registry().Counter("thermal.fidelity." + fid.name).Inc()
-			if attempt > 0 {
-				e.tel.Registry().Counter("thermal.retry.degraded").Inc()
-			}
-			return nil
-		}
-		if !errors.Is(err, thermal.ErrNoConvergence) {
-			return err
-		}
-		lastErr = err
+	if e.injected != nil && e.injected.Diverge(ev.Point.ArrayDim, ev.Point.ICSUM) {
+		return fmt.Errorf("%w: %w (injected)", ErrSolverDiverged, thermal.ErrNoConvergence)
 	}
-	return fmt.Errorf("%w: %v", ErrSolverDiverged, lastErr)
-}
 
-// workspace checks a solver arena out of the pool (workspaces are
-// per-goroutine; thermalAttempt holds one for its whole leakage loop, a
-// sim run for its whole scenario).
-func (e *Evaluator) workspace() *thermal.Workspace {
-	if v := e.wsPool.Get(); v != nil {
-		return v.(*thermal.Workspace)
-	}
-	return thermal.NewWorkspace()
-}
-
-// thermalAttempt runs the per-phase leakage-temperature analysis at one
-// fidelity rung, resetting ev's thermal fields first so a previous
-// failed rung leaves no partial state behind. Only a CG non-convergence
-// (thermal.ErrNoConvergence) is retryable; any other error is final.
-func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *floorplan.Placement, domainMM float64, est sram.Estimate, fid thermalFidelity) error {
 	ev.PeakTempC = math.Inf(-1)
-	ev.Runaway = false
-	ev.LeakIters = 0
-	ev.DynamicPowerW = 0
-	ev.TotalPowerW = 0
-	ev.LeakageW = 0
-	ev.Hottest = nil
-	ev.HottestStack = nil
-
-	n := ev.Mesh.Count()
-	grid := fid.grid
+	grid := e.Opts.Grid
 	// Every grid solve runs in a pooled solver arena.
-	var ws *thermal.Workspace
-	if !fid.lumped {
-		ws = e.workspace()
-		defer e.wsPool.Put(ws)
-	}
+	ws := e.workspace()
+	defer e.wsPool.Put(ws)
 	coverage := place.Coverage(grid)
 	// Power is injected only into the active die area (inside the 3-D
 	// assembly margin); the margin silicon still conducts.
@@ -262,28 +183,26 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 				if err != nil {
 					return err
 				}
-				stk.Solver = thermal.SolverParams{TolScale: fid.tolScale, IterScale: fid.iterScale}
 			case threeD:
 				setLayerPower(stk, "sram", maps.SRAM)
 				setLayerPower(stk, "array", maps.Array)
 			default:
 				setLayerPower(stk, "die", maps.Array)
 			}
-			if fid.lumped {
-				res = stk.LumpedEstimate()
-			} else {
-				res = &scratch
-				if ev.Full {
-					res = new(thermal.Result)
-				}
-				if err := stk.SolveWorkspaceInto(ws, res); err != nil {
-					return err
-				}
-				if res.Projected {
-					solveProjected.Inc()
-				}
-				solveCount.Inc()
+			res = &scratch
+			if ev.Full {
+				res = new(thermal.Result)
 			}
+			if err := stk.SolveWorkspaceInto(ws, res); err != nil {
+				if errors.Is(err, thermal.ErrNoConvergence) {
+					return fmt.Errorf("%w: %w", ErrSolverDiverged, err)
+				}
+				return err
+			}
+			if res.Projected {
+				solveProjected.Inc()
+			}
+			solveCount.Inc()
 			solveIters.Add(int64(res.Iterations))
 			if math.IsNaN(res.PeakC) || math.IsInf(res.PeakC, 0) {
 				// A non-finite solve means the linear system itself broke
@@ -365,6 +284,16 @@ func (e *Evaluator) thermalAttempt(ev *Evaluation, phases []phasePower, place *f
 		ev.PeakTempC = runawayLimitC
 	}
 	return nil
+}
+
+// workspace checks a solver arena out of the pool (workspaces are
+// per-goroutine; thermalAnalysis holds one for its whole leakage loop, a
+// sim run for its whole scenario).
+func (e *Evaluator) workspace() *thermal.Workspace {
+	if v := e.wsPool.Get(); v != nil {
+		return v.(*thermal.Workspace)
+	}
+	return thermal.NewWorkspace()
 }
 
 // setLayerPower replaces the power map of stk's layer name.

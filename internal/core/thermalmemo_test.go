@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -77,7 +78,7 @@ func TestThermalMemoSharesExcludedFields(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", p, err)
 				}
-				solved[p] = ev.ThermalFidelity != ""
+				solved[p] = !math.IsNaN(ev.PeakTempC)
 			}
 
 			second := memoCornerEvaluator(t, v.vary)
@@ -98,7 +99,7 @@ func TestThermalMemoSharesExcludedFields(t *testing.T) {
 				if a, b := recordJSON(t, got), recordJSON(t, want); a != b {
 					t.Errorf("%v: served evaluation diverged from a fresh one:\nshared %s\nfresh  %s", p, a, b)
 				}
-				if got.ThermalFidelity != "" {
+				if !math.IsNaN(got.PeakTempC) {
 					if solved[p] {
 						shared++
 					} else {
@@ -234,7 +235,7 @@ func TestThermalMemoSkipsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.ThermalFidelity == "" {
+	if math.IsNaN(ev.PeakTempC) {
 		t.Fatalf("%v never reaches thermal; the test exercises nothing", p)
 	}
 	if n := thermalRecords(clean.Memo()); n != 1 {

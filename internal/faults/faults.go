@@ -1,11 +1,10 @@
 // Package faults is TESA's deterministic fault-injection subsystem: a
 // seedable chaos layer that the evaluation pipeline consults at every
 // stage boundary. It exists to prove the hardened pipeline — panic
-// isolation, non-finite validation, degraded-fidelity thermal retries,
-// and the quarantine ledger — against the failure modes a multi-hour
-// DSE run actually meets: a pathological design point that panics a
-// model, feeds a NaN downstream, stalls a stage, or defeats the thermal
-// CG solver.
+// isolation, non-finite validation, stage timeouts, and the quarantine
+// ledger — against the failure modes a multi-hour DSE run actually
+// meets: a pathological design point that panics a model, feeds a NaN
+// downstream, stalls a stage, or defeats the thermal CG solver.
 //
 // A Plan is a list of rules parsed from a compact spec (the TESA_FAULTS
 // environment variable or the CLIs' -faults flag):
@@ -22,9 +21,6 @@
 //	rate=0.05   poison this fraction of matching points (default: all)
 //	seed=7      PRNG seed for the rate decision (default 1)
 //	delay=50ms  sleep duration for latency faults (default 25ms)
-//	attempts=2  diverge only: fail only the first N solver-fidelity
-//	            attempts, letting the degraded-retry ladder rescue the
-//	            point (default: all attempts, forcing quarantine)
 //
 // Example: panic 2% of all systolic-stage evaluations and force thermal
 // divergence for every point at 500 um spacing:
@@ -64,8 +60,7 @@ const (
 	// wall-clock budget and ErrStageTimeout).
 	KindLatency
 	// KindDiverge forces the thermal solver to report non-convergence
-	// (exercises the degraded-fidelity retry ladder and
-	// ErrSolverDiverged).
+	// (exercises the ErrSolverDiverged quarantine path).
 	KindDiverge
 )
 
@@ -117,10 +112,6 @@ type Rule struct {
 	Seed int64
 	// Delay is the latency-kind sleep.
 	Delay time.Duration
-	// Attempts, for diverge rules, fails only solver-fidelity attempts
-	// 0..Attempts-1; 0 fails every attempt including the lumped
-	// fallback.
-	Attempts int
 }
 
 // String renders the rule back in spec syntax (not necessarily
@@ -141,9 +132,6 @@ func (r Rule) String() string {
 	}
 	if r.Kind == KindLatency && r.Delay > 0 {
 		opts = append(opts, fmt.Sprintf("delay=%s", r.Delay))
-	}
-	if r.Kind == KindDiverge && r.Attempts > 0 {
-		opts = append(opts, fmt.Sprintf("attempts=%d", r.Attempts))
 	}
 	s := fmt.Sprintf("%s@%s", r.Kind, r.Stage)
 	if len(opts) > 0 {
@@ -255,22 +243,14 @@ func (p *Plan) At(stage string, dim, ics int) *Outcome {
 }
 
 // Diverge reports whether a diverge rule forces thermal-solver
-// non-convergence for the given design point at the given
-// fidelity-ladder attempt (0 = full fidelity; higher attempts are the
-// degraded retries).
-func (p *Plan) Diverge(dim, ics, attempt int) bool {
+// non-convergence for the given design point.
+func (p *Plan) Diverge(dim, ics int) bool {
 	if p == nil {
 		return false
 	}
 	for i := range p.Rules {
 		r := &p.Rules[i]
-		if r.Kind != KindDiverge {
-			continue
-		}
-		if !r.matches("thermal", dim, ics) {
-			continue
-		}
-		if r.Attempts == 0 || attempt < r.Attempts {
+		if r.Kind == KindDiverge && r.matches("thermal", dim, ics) {
 			return true
 		}
 	}
@@ -389,15 +369,6 @@ func parseRule(s string) (Rule, error) {
 				return Rule{}, fmt.Errorf("delay must be a positive duration, got %q", val)
 			}
 			r.Delay = d
-		case "attempts":
-			if r.Kind != KindDiverge {
-				return Rule{}, fmt.Errorf("attempts only applies to diverge rules")
-			}
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return Rule{}, fmt.Errorf("attempts must be a positive integer, got %q", val)
-			}
-			r.Attempts = n
 		default:
 			return Rule{}, fmt.Errorf("unknown option %q", key)
 		}

@@ -59,7 +59,7 @@ func TestParseSpec(t *testing.T) {
 // original.
 func FuzzParse(f *testing.F) {
 	for _, spec := range []string{
-		"panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500,attempts=2;latency@*:delay=50ms",
+		"panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500;latency@*:delay=50ms",
 		"nan@cost:dim=64-128;error@dram:ics=0",
 		"error@cost:rate=0.5,seed=0",
 		"panic@*:dim=64,ics=250-500,rate=0.3,seed=7",
@@ -96,7 +96,7 @@ func FuzzParse(f *testing.F) {
 
 // TestParseRoundTrip: String() renders re-parseable specs.
 func TestParseRoundTrip(t *testing.T) {
-	spec := "panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500,attempts=2;latency@*:delay=50ms"
+	spec := "panic@systolic:rate=0.02,seed=3;diverge@thermal:ics=500;latency@*:delay=50ms"
 	p, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -129,9 +129,8 @@ func TestParseErrors(t *testing.T) {
 		"panic@thermal:dim=128-64",    // inverted range
 		"panic@thermal:dim=-4",        // negative bound
 		"panic@thermal:delay=10ms",    // delay on a non-latency rule
-		"error@thermal:attempts=2",    // attempts on a non-diverge rule
 		"latency@thermal:delay=-5ms",  // non-positive delay
-		"diverge@thermal:attempts=0",  // non-positive attempts
+		"diverge@thermal:attempts=2",  // no attempts option
 		"panic@thermal;explode@sched", // bad rule in a multi-rule spec
 		"crash@shard:shard=0",         // no worker-level kinds or shard stage
 		"stall@shard:delay=600ms",     // no worker-level kinds or shard stage
@@ -218,28 +217,26 @@ func TestRateDeterminism(t *testing.T) {
 	}
 }
 
-// TestDivergeAttempts: diverge rules gate on the fidelity-ladder attempt
-// index, and never surface through At (the thermal loop consults Diverge
+// TestDiverge: diverge rules select their points through Diverge and
+// never surface through At (the thermal analysis consults Diverge
 // directly).
-func TestDivergeAttempts(t *testing.T) {
+func TestDiverge(t *testing.T) {
 	all, _ := Parse("diverge@thermal")
-	first2, _ := Parse("diverge@thermal:attempts=2")
-	for attempt := 0; attempt < 4; attempt++ {
-		if !all.Diverge(64, 0, attempt) {
-			t.Errorf("unbounded diverge passed attempt %d", attempt)
-		}
-		if got, want := first2.Diverge(64, 0, attempt), attempt < 2; got != want {
-			t.Errorf("attempts=2 Diverge(attempt=%d) = %v, want %v", attempt, got, want)
-		}
+	some, _ := Parse("diverge@thermal:ics=500")
+	if !all.Diverge(64, 0) || !some.Diverge(64, 500) {
+		t.Error("matching point did not diverge")
+	}
+	if some.Diverge(64, 0) {
+		t.Error("ics=500 rule diverged at ics=0")
 	}
 	if o := all.At("thermal", 64, 0); o != nil {
 		t.Errorf("diverge rule leaked into At: %+v", o)
 	}
-	if all.Diverge(64, 0, 0) && (&Plan{}).Diverge(64, 0, 0) {
+	if (&Plan{}).Diverge(64, 0) {
 		t.Error("empty plan diverges")
 	}
 	var nilPlan *Plan
-	if nilPlan.Diverge(64, 0, 0) || nilPlan.At("thermal", 64, 0) != nil || !nilPlan.Empty() {
+	if nilPlan.Diverge(64, 0) || nilPlan.At("thermal", 64, 0) != nil || !nilPlan.Empty() {
 		t.Error("nil plan must be the disabled fast path")
 	}
 }

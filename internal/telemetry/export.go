@@ -99,7 +99,7 @@ func (r *Registry) copyMaps() (map[string]*Counter, map[string]*Gauge, map[strin
 const promNamespace = "tesa_"
 
 // PromName converts an internal metric name ("stage.thermal",
-// "thermal.fidelity.full") into a valid Prometheus metric name:
+// "thermal.solve.count") into a valid Prometheus metric name:
 // the tesa_ namespace plus the name with every byte outside
 // [a-zA-Z0-9_:] replaced by '_'. The namespace prefix also makes a
 // leading digit legal. Deterministic, so the same internal name always

@@ -20,7 +20,7 @@ const ManifestEvent = "run.manifest"
 // command registers (space fingerprint, model version, seeds, fault
 // spec, ...). It accumulates via Set during the run and is finalized
 // once at exit with wall/CPU time and the metrics snapshot — which
-// carries the fidelity-ladder, memo, and quarantine tallies as
+// carries the thermal-solve, memo, and quarantine tallies as
 // counters. Safe for concurrent use; a nil *Manifest is a valid no-op.
 type Manifest struct {
 	mu      sync.Mutex
@@ -104,7 +104,7 @@ func (m *Manifest) snapshotLocked(phase string) map[string]any {
 // Finalize returns the end-of-run record (phase "end"): the Snapshot
 // fields plus the exit status, wall-clock seconds, user/system CPU
 // seconds (zero where the platform cannot report them), and the full
-// metrics snapshot — whose counters are the run's fidelity-ladder,
+// metrics snapshot — whose counters are the run's thermal-solve,
 // memo, and quarantine tallies. The caller owns the map.
 func (m *Manifest) Finalize(reg *Registry, status string) map[string]any {
 	if m == nil {

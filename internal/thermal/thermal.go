@@ -42,23 +42,13 @@ import (
 	"math"
 )
 
-// ErrNoConvergence marks a conjugate-gradient solve that exhausted its
-// iteration budget without reaching the residual tolerance — typically
-// an ill-conditioned corner of the design space (degenerate geometry,
-// extreme conductivity contrast). Callers match it with errors.Is and
-// may retry at degraded fidelity (looser tolerance, coarser grid, or
-// the LumpedEstimate fallback) instead of aborting a whole sweep.
+// ErrNoConvergence marks a solve that did not reach the residual
+// tolerance: conjugate gradients exhausted their iteration cap, or the
+// multigrid coarse-level factorization met a non-positive pivot. Either
+// means an ill-conditioned system (degenerate geometry, extreme
+// conductivity contrast). Callers match it with errors.Is; a design-space
+// exploration quarantines the point instead of aborting the run.
 var ErrNoConvergence = errors.New("thermal: CG did not converge")
-
-// SolverParams tunes the conjugate-gradient iteration. The zero value
-// is full fidelity; the degraded-retry ladder passes scales > 1 to
-// trade accuracy for convergence robustness.
-type SolverParams struct {
-	// TolScale multiplies the relative residual tolerance (0 = 1).
-	TolScale float64
-	// IterScale multiplies the 20*n iteration cap (0 = 1).
-	IterScale float64
-}
 
 // Layer is one material layer of the stack, bottom to top.
 type Layer struct {
@@ -90,8 +80,6 @@ type Stack struct {
 	// ConvectionKPerW is the lumped convection resistance from the top
 	// layer to ambient (0.4 K/W for edge devices).
 	ConvectionKPerW float64
-	// Solver tunes the CG iteration (zero value = full fidelity).
-	Solver SolverParams
 	// Layers, bottom to top.
 	Layers []Layer
 }
@@ -154,17 +142,6 @@ func (s *Stack) validatePower() error {
 	return nil
 }
 
-// TotalPower returns the stack's total dissipation in watts.
-func (s *Stack) TotalPower() float64 {
-	var total float64
-	for _, l := range s.Layers {
-		for _, p := range l.Power {
-			total += p
-		}
-	}
-	return total
-}
-
 // Result is a solved temperature field.
 type Result struct {
 	// Temps[l] is layer l's row-major temperature map in Celsius.
@@ -218,51 +195,6 @@ func harm(a, b float64) float64 {
 // after the first from the projection onto the loop's earlier solutions.
 func (s *Stack) Solve() (*Result, error) {
 	return s.SolveWorkspace(nil)
-}
-
-// LumpedEstimate is the zero-dimensional steady-state fallback of the
-// degraded-retry ladder: the whole stack collapses to one thermal node
-// whose rise above ambient is the total dissipation times the lumped
-// convection resistance plus the series vertical conduction resistance
-// of the full slab (mean conductivity per layer). The temperature field
-// is uniform — no hot-spot structure — so it systematically rounds the
-// spatial peak toward the mean; it exists so an ill-conditioned point
-// still gets a physically-plausible, finite temperature instead of
-// killing a sweep. It cannot fail.
-func (s *Stack) LumpedEstimate() *Result {
-	g := s.Grid
-	nc := g * g
-	nl := len(s.Layers)
-	total := s.TotalPower()
-	slabArea := s.CellM * s.CellM * float64(nc)
-	r := s.ConvectionKPerW
-	for _, l := range s.Layers {
-		var kSum float64
-		for _, k := range l.K {
-			kSum += k
-		}
-		if kMean := kSum / float64(nc); kMean > 0 && slabArea > 0 {
-			r += l.ThicknessM / (kMean * slabArea)
-		}
-	}
-	rise := total * r
-	if math.IsNaN(rise) || math.IsInf(rise, 0) || rise < 0 {
-		rise = 0
-	}
-	res := &Result{
-		Temps: make([][]float64, nl),
-		PeakC: s.AmbientC + rise,
-		MeanC: s.AmbientC + rise,
-		Rises: make([]float64, nl*nc),
-	}
-	for l := 0; l < nl; l++ {
-		res.Temps[l] = make([]float64, nc)
-		for idx := 0; idx < nc; idx++ {
-			res.Temps[l][idx] = s.AmbientC + rise
-			res.Rises[l*nc+idx] = rise
-		}
-	}
-	return res
 }
 
 func dot(a, b []float64) float64 {

@@ -192,7 +192,7 @@ func (ts *TransientStepper) Step() (*Result, error) {
 		rhs[i] = ts.q[i] + ts.cOverDt[i]*ts.x[i]
 	}
 	copy(ts.ws.rises(), ts.x)
-	if _, _, err := ts.ws.solve(ts.s.Solver, true); err != nil {
+	if _, _, err := ts.ws.solve(true); err != nil {
 		return nil, err
 	}
 	copy(ts.x, ts.ws.rises())

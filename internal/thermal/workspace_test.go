@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -184,10 +185,35 @@ func TestWorkspaceErrors(t *testing.T) {
 	if _, err := bad.SolveWorkspace(nil); err == nil {
 		t.Error("invalid stack accepted")
 	}
-	s := nonuniform(8)
-	s.Solver = SolverParams{IterScale: 1e-9}
-	if _, err := s.SolveWorkspace(nil); err == nil {
+	defer capIterations(0)()
+	if _, err := nonuniform(8).SolveWorkspace(nil); err == nil {
 		t.Error("exhausted budget did not error")
+	}
+}
+
+// nonuniform builds a single-layer stack with one hot cell, so the CG
+// solve needs real iterations (unlike the uniform analytic case).
+func nonuniform(grid int) *Stack {
+	s := singleLayer(grid, 0)
+	s.Layers[0].Power[grid+1] = 5
+	return s
+}
+
+// capIterations sets the CG iteration cap per grid node and returns the
+// function that restores it.
+func capIterations(perNode int) (restore func()) {
+	old := cgItersPerNode
+	cgItersPerNode = perNode
+	return func() { cgItersPerNode = old }
+}
+
+// TestSolverNonConvergence: an exhausted iteration budget reports
+// ErrNoConvergence (matchable with errors.Is) instead of returning a
+// half-converged field.
+func TestSolverNonConvergence(t *testing.T) {
+	defer capIterations(0)()
+	if _, err := nonuniform(8).Solve(); !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
 }
 
@@ -244,12 +270,12 @@ func TestHarmZeroGuard(t *testing.T) {
 
 // TestIterationsGridIndependent: multigrid preconditioning keeps cold
 // solves of the four-chiplet stack within 15 CG iterations as the grid
-// doubles; the next leakage iteration, solved in the same workspace from
+// doubles and at the report grid 88; the next leakage iteration, solved in the same workspace from
 // its projection onto the first solution, never takes more iterations
 // than the same solve cold in a fresh workspace; and re-solving the
 // unchanged stack there takes none, its solution being in the basis.
 func TestIterationsGridIndependent(t *testing.T) {
-	for _, grid := range []int{16, 32, 64} {
+	for _, grid := range []int{16, 32, 64, 88} {
 		for _, threeD := range []bool{false, true} {
 			s := oracleStack(t, grid, threeD)
 			ws := NewWorkspace()

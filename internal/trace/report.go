@@ -8,7 +8,7 @@ import (
 
 // WriteReport renders a run summary as the human-readable per-stage
 // report: identity, outcome, the stage latency table (p50/p95/p99,
-// self vs cumulative share), effectiveness rates, fidelity tallies,
+// self vs cumulative share), effectiveness rates, simulation tallies,
 // quarantines, and event counts.
 func WriteReport(w io.Writer, s *Summary) {
 	if s.Path != "" {
@@ -46,13 +46,6 @@ func WriteReport(w io.Writer, s *Summary) {
 	if eff := s.Effectiveness(); len(eff) > 0 {
 		for _, r := range eff {
 			fmt.Fprintf(w, "%-22s %6.1f%%  (%d of %d)\n", r.Name, 100*r.Frac, r.Hits, r.Total)
-		}
-		fmt.Fprintln(w)
-	}
-	if fid := s.FidelityTallies(); len(fid) > 0 {
-		fmt.Fprint(w, "thermal fidelity ladder:")
-		for _, r := range fid {
-			fmt.Fprintf(w, "  %s=%d", r.Name, r.Hits)
 		}
 		fmt.Fprintln(w)
 	}

@@ -304,21 +304,3 @@ func (s *Summary) SimTallies() []Rate {
 	})
 	return out
 }
-
-// FidelityTallies returns the thermal fidelity-ladder counters
-// (thermal.fidelity.<rung> successes), sorted by descending count.
-func (s *Summary) FidelityTallies() []Rate {
-	var out []Rate
-	for name, v := range s.Metrics.Counters {
-		if rung, ok := strings.CutPrefix(name, "thermal.fidelity."); ok {
-			out = append(out, Rate{Name: rung, Hits: v, Total: v, Frac: 1})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}

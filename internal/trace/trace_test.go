@@ -26,8 +26,6 @@ func synthesizeRun(t *testing.T, thermalSec, systolicSec float64, cacheHits int6
 	reg.Counter("evaluator.cache.miss").Add(10)
 	reg.Counter("start.screened").Add(1200)
 	reg.Counter("start.thermal").Add(60)
-	reg.Counter("thermal.fidelity.full").Add(9)
-	reg.Counter("thermal.fidelity.coarse").Add(1)
 
 	m := telemetry.NewManifest("tesa-test", []string{"-x"})
 	tel.Emit(telemetry.ManifestEvent, m.Snapshot())
@@ -92,11 +90,6 @@ func TestReadRoundTrip(t *testing.T) {
 	}
 	if _, ok := eff["memo store"]; ok {
 		t.Error("memo rate reported with no memo counters")
-	}
-
-	fid := s.FidelityTallies()
-	if len(fid) != 2 || fid[0].Name != "full" || fid[0].Hits != 9 {
-		t.Errorf("fidelity tallies %+v", fid)
 	}
 }
 
