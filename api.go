@@ -38,16 +38,13 @@
 //
 // # Long-running searches
 //
-// Exhaustive sweeps of the Table II space can run for hours, so the
-// search layer is built around context-first entrypoints:
+// The search layer is built around context-first entrypoints:
 // Evaluator.OptimizeContext and Evaluator.ExhaustiveContext observe
 // cancellation and deadlines between evaluations, ExhaustiveContext
-// shards the space and can checkpoint each completed shard to a JSONL
-// stream (SweepOptions.Checkpoint) and resume a killed run
-// (LoadCheckpoint + SweepOptions.ResumeFrom), and both stream
-// incremental incumbents through a ProgressFunc. Failures use the
-// exported sentinel errors (ErrInvalidSpace, ErrNoFeasibleStart,
-// ErrCheckpointCorrupt) and support errors.Is.
+// drains one queue of design points on a GOMAXPROCS-wide worker pool,
+// and both stream incremental incumbents through a ProgressFunc.
+// Failures use the exported sentinel errors (ErrInvalidSpace,
+// ErrNoFeasibleStart) and support errors.Is.
 package tesa
 
 import (
@@ -96,15 +93,9 @@ type (
 	OptimizeOptions = core.OptimizeOptions
 	// ExhaustiveResult is a full-space sweep outcome.
 	ExhaustiveResult = core.ExhaustiveResult
-	// SweepOptions tunes Evaluator.ExhaustiveContext: shard size,
-	// checkpointing, resume, and progress streaming.
+	// SweepOptions tunes Evaluator.ExhaustiveContext: progress
+	// streaming and the failure policies.
 	SweepOptions = core.SweepOptions
-	// CheckpointState is the resumable state recovered from a sweep
-	// checkpoint (see LoadCheckpoint and SweepOptions.ResumeFrom).
-	CheckpointState = core.CheckpointState
-	// ShardCheckpoint is one completed shard's record inside a
-	// CheckpointState.
-	ShardCheckpoint = core.ShardCheckpoint
 	// FrontMember is one full-fidelity point of an NSGA-II
 	// multi-objective front (Evaluator.NSGA2FrontContext).
 	FrontMember = core.FrontMember
@@ -202,9 +193,6 @@ var (
 	// ErrNoFeasibleStart is OptimizeContext's "solution does not exist"
 	// outcome: no feasible starting configuration was found.
 	ErrNoFeasibleStart = core.ErrNoFeasibleStart
-	// ErrCheckpointCorrupt marks an unreadable sweep checkpoint or one
-	// that does not match the space being swept.
-	ErrCheckpointCorrupt = core.ErrCheckpointCorrupt
 )
 
 // Evaluation-failure taxonomy: the causes an *EvalError can wrap. Match
@@ -231,10 +219,6 @@ var (
 // for Evaluator.InjectFaults. An empty spec returns a nil plan, which
 // disables injection.
 func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
-
-// LoadCheckpoint parses a sweep checkpoint stream written through
-// SweepOptions.Checkpoint, for resuming via SweepOptions.ResumeFrom.
-func LoadCheckpoint(r io.Reader) (*CheckpointState, error) { return core.LoadCheckpoint(r) }
 
 // Baselines.
 var (
@@ -313,8 +297,8 @@ type (
 	// JSONLSink writes one JSON object per trace event.
 	JSONLSink = telemetry.JSONLSink
 	// FileSink is a crash-safe JSONL sink over a file path (temp-file +
-	// rename creation, fsync per flush) — what the CLIs use for sweep
-	// checkpoints.
+	// rename creation, fsync per flush) — what the CLIs use for run
+	// manifests.
 	FileSink = telemetry.FileSink
 	// MetricsServer is the live exposition HTTP server: /metrics
 	// (Prometheus text), /debug/vars (JSON snapshot), /progress, and

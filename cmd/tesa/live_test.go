@@ -82,8 +82,8 @@ func TestLiveExposition(t *testing.T) {
 	go func() {
 		exit <- run(context.Background(), []string{"sweep", "-grid", "8", "-metrics-addr", addr,
 			"-faults", "latency@thermal:dim=128,ics=1000,delay=500ms",
-			"-manifest", filepath.Join(dir, "run.jsonl"), "-trace", filepath.Join(dir, "trace.jsonl"),
-			"-checkpoint", filepath.Join(dir, "run.ckpt")}, &stdout, &stderr)
+			"-manifest", filepath.Join(dir, "run.jsonl"), "-trace", filepath.Join(dir, "trace.jsonl")},
+			&stdout, &stderr)
 	}()
 
 	// Poll /progress until the sweep has published a phase with a

@@ -22,11 +22,11 @@
 // one with -job, resolve it, and execute it through jobspec.Execute —
 // the executor tesa-server and the library use — so a spec means the
 // same run everywhere. Config flags (-tech, -grid, ...) conflict with
-// -job; operational flags (-progress, -deadline, -checkpoint,
-// -memo-dir, the telemetry flags) compose with it, and an explicit
-// -deadline overrides the spec's deadline_sec. The spec's policies
-// (faults, stage timeout, failure bounds) and deadline apply in every
-// job subcommand.
+// -job; operational flags (-progress, -deadline, -memo-dir, the
+// telemetry flags) compose with it, and an explicit -deadline
+// overrides the spec's deadline_sec. The spec's policies (faults,
+// stage timeout, failure bounds) and deadline apply in every job
+// subcommand.
 //
 // optimize prints the winning MCM, its mesh, SRAM capacity, full
 // evaluation, schedule and floorplan. -workload runs a JSON workload
@@ -35,10 +35,7 @@
 // sweep evaluates the validation space (64x64..128x128 arrays; -full
 // for the whole Table II space) and checks that the annealer, sharing
 // the sweep's memo store, matches the global optimum. Its defaults are
-// 15 fps and 85 C. -checkpoint appends one crash-safe JSONL record per
-// completed shard and -resume continues from one (both may name the
-// same file); the checkpoint header carries the run id of the -manifest
-// records.
+// 15 fps and 85 C.
 //
 // pareto sweeps the Eq. (6) weights (-front weights, -points settings)
 // or evolves an NSGA-II population front over cost, DRAM power and peak

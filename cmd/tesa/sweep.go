@@ -2,12 +2,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"time"
 
-	"tesa"
 	"tesa/internal/cli"
 	"tesa/internal/jobspec"
 )
@@ -17,10 +14,7 @@ import (
 func sweepCmd(c *command) func(ctx context.Context) error {
 	f := c.jobFlags(15, 85, 32, true)
 	full := c.fs.Bool("full", false, "sweep the full Table II space instead of the validation space")
-	shard := c.fs.Int("shard", 0, "points per sweep shard (0 = automatic)")
 	c.operational(true)
-	ckptPath := c.fs.String("checkpoint", "", "append sweep checkpoint records to this JSONL file")
-	resumePath := c.fs.String("resume", "", "resume the sweep from this checkpoint file")
 
 	return func(ctx context.Context) error {
 		r, err := c.resolve(func() (*jobspec.Spec, error) {
@@ -28,7 +22,6 @@ func sweepCmd(c *command) func(ctx context.Context) error {
 			if *full {
 				s.Space = &jobspec.Space{Preset: "default"}
 			}
-			s.Sweep = &jobspec.Sweep{ShardSize: *shard}
 			return s, nil
 		})
 		if err != nil {
@@ -43,52 +36,24 @@ func sweepCmd(c *command) func(ctx context.Context) error {
 		if err := c.start(r); err != nil {
 			return err
 		}
-		return c.runSweep(ctx, r, *ckptPath, *resumePath)
+		return c.runSweep(ctx, r)
 	}
 }
 
-// runSweep runs the sharded sweep, then the annealer over the
+// runSweep runs the exhaustive sweep, then the annealer over the
 // memo store the sweep filled, and reports whether they agree.
-func (c *command) runSweep(ctx context.Context, r *jobspec.Resolved, ckptPath, resumePath string) error {
-	rt := c.runtime()
-	// The manifest's run id in the checkpoint header joins the checkpoint
-	// to the manifest and trace records of the run that wrote it.
-	rt.RunID = c.sess.Manifest.RunID()
-	var err error
-	if rt.Resume, err = c.loadCheckpoint(resumePath); err != nil {
-		return err
-	}
-	var sink *tesa.FileSink
-	if ckptPath != "" {
-		// FileSink creates the checkpoint via temp-file + rename and
-		// fsyncs every record, so a SIGKILL tears at most the final line,
-		// which LoadCheckpoint tolerates.
-		if sink, err = tesa.NewFileSink(ckptPath); err != nil {
-			return err
-		}
-		rt.Checkpoint = sink
-	}
+func (c *command) runSweep(ctx context.Context, r *jobspec.Resolved) error {
 	p := func(format string, args ...any) { fmt.Fprintf(c.stdout, format, args...) }
 	p("exhaustive sweep: %d design vectors (%s, %.0f MHz, %.0f fps, %.0f C)\n",
 		r.Space.Size(), r.Opts.Tech, r.Opts.FreqHz/1e6, r.Cons.FPS, r.Cons.TempBudgetC)
 	start := time.Now()
-	out, err := c.execute(ctx, r, rt)
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
+	out, err := c.execute(ctx, r, c.runtime())
 	if err != nil {
-		if errors.Is(err, context.Canceled) && ckptPath != "" {
-			fmt.Fprintf(c.stderr, "resume with: tesa sweep -resume %s -checkpoint %s [same flags]\n", ckptPath, ckptPath)
-		}
 		return err
 	}
 	ex := out.Sweep
-	p("  %d feasible of %d (%.1f%%), %.1fs", ex.Feasible, ex.Total,
+	p("  %d feasible of %d (%.1f%%), %.1fs\n", ex.Feasible, ex.Total,
 		100*float64(ex.Feasible)/float64(ex.Total), time.Since(start).Seconds())
-	if ex.Resumed > 0 {
-		p(" (%d points evaluated, %d resumed)", ex.Evaluated, ex.Resumed)
-	}
-	p("\n")
 	cli.FailureSummary(c.stdout, ex.Poisoned)
 	if ex.Best != nil {
 		p("  global optimum: %v, %v grid, objective %.4f\n", ex.Best.Point, ex.Best.Mesh, ex.Best.Objective)
@@ -128,24 +93,4 @@ func (c *command) runSweep(ctx context.Context, r *jobspec.Resolved, ckptPath, r
 		return verdict
 	}
 	return quarantined(ex.Quarantined + op.Quarantined)
-}
-
-// loadCheckpoint reads the checkpoint to resume from (nil without one)
-// and announces it.
-func (c *command) loadCheckpoint(path string) (*tesa.CheckpointState, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	state, err := tesa.LoadCheckpoint(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(c.stdout, "resuming: %d of %d shards (%d of %d points) from %s\n",
-		state.Completed(), state.Shards, state.CompletedPoints(), state.Total, path)
-	return state, nil
 }

@@ -72,7 +72,7 @@ func TestOptimizeContextCancelMid(t *testing.T) {
 }
 
 // TestExhaustiveContextPreCancelled mirrors the optimizer check for the
-// sharded sweep.
+// sweep.
 func TestExhaustiveContextPreCancelled(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
 	ctx, cancel := context.WithCancel(context.Background())

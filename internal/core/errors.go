@@ -22,11 +22,6 @@ var (
 	// with a feasible MCM") finds no feasible configuration, i.e. the
 	// paper's "solution does not exist" outcome.
 	ErrNoFeasibleStart = errors.New("core: no feasible starting configuration")
-
-	// ErrCheckpointCorrupt marks an unreadable or inconsistent sweep
-	// checkpoint: malformed records, a missing or conflicting header, or
-	// a checkpoint that does not match the space being swept.
-	ErrCheckpointCorrupt = errors.New("core: corrupt checkpoint")
 )
 
 // Evaluation-failure taxonomy. A failed evaluation of a single design
@@ -41,8 +36,8 @@ var (
 	ErrStagePanic = errors.New("core: stage panic")
 
 	// ErrNonFinite marks a NaN or Inf stage output caught by the
-	// boundary validation before it could poison downstream stages, the
-	// memo cache, or a checkpoint.
+	// boundary validation before it could poison downstream stages or
+	// the memo cache.
 	ErrNonFinite = errors.New("core: non-finite stage output")
 
 	// ErrSolverDiverged marks a thermal evaluation whose grid solve did
@@ -90,12 +85,12 @@ func (e *EvalError) Error() string {
 func (e *EvalError) Unwrap() error { return e.Err }
 
 // Reason returns the short machine-readable failure class used in
-// quarantine ledgers, checkpoint records, and telemetry counter names:
-// "panic", "non-finite", "solver-diverged", "timeout", "invalid-step",
-// or "error". The thermal package's transient input sentinels map into
-// the same classes, so a DES scenario that feeds the solver a bad
-// power trace or timestep quarantines exactly like any other poisoned
-// point.
+// quarantine ledgers, eval.quarantined trace events, and telemetry
+// counter names: "panic", "non-finite", "solver-diverged", "timeout",
+// "invalid-step", or "error". The thermal package's transient input
+// sentinels map into the same classes, so a DES scenario that feeds the
+// solver a bad power trace or timestep quarantines exactly like any
+// other poisoned point.
 func (e *EvalError) Reason() string {
 	switch {
 	case errors.Is(e.Err, ErrStagePanic):
@@ -114,9 +109,7 @@ func (e *EvalError) Reason() string {
 }
 
 // QuarantinedPoint is one entry of a run's quarantine ledger: a design
-// point whose evaluation failed, with the stage and failure class. The
-// sweep engine persists these as checkpoint.poisoned records so a
-// resumed run skips the poisoned points instead of re-evaluating them.
+// point whose evaluation failed, with the stage and failure class.
 type QuarantinedPoint struct {
 	Point  DesignPoint
 	Stage  string

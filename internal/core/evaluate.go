@@ -448,7 +448,7 @@ func (e *Evaluator) quarantine(ee *EvalError) {
 // fault (latency stall, panic, injected error, NaN poisoning), enforces
 // the per-stage wall-clock budget, and validates that the stage's
 // scalar outputs are finite so a NaN cannot flow into downstream
-// stages, the memo cache, or a checkpoint.
+// stages or the memo cache.
 func (e *Evaluator) stageGuard(stage string, p DesignPoint, began time.Time, vals ...float64) error {
 	if e.flight != nil {
 		e.flight.Record(fmt.Sprintf("stage.%s dim=%d ics=%d took=%s",

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tesa/internal/dnn"
+	"tesa/internal/telemetry"
 )
 
 // fastConfig returns an experiment configuration scaled for unit tests:
@@ -126,6 +127,26 @@ func TestFig1Scenarios(t *testing.T) {
 	out := FormatFig1(ss, DefaultConstraints())
 	if !strings.Contains(out, "(d)") || !strings.Contains(out, "satisfies all constraints") {
 		t.Errorf("format output incomplete:\n%s", out)
+	}
+}
+
+// TestFig1SharesReportHub: the scenario evaluator runs on the
+// experiment's telemetry hub, so a traced report counts Fig. 1's three
+// scenario analyses. The corner row (d) is computed first without a hub
+// and served from the corner cache, so the hub sees only the scenarios.
+func TestFig1SharesReportHub(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Space = DefaultSpace()
+	cfg.Grid, cfg.ReportGrid = 8, 12
+	if _, err := cfg.RunCornerContext(context.Background(), Corner{Tech2D, 400, 30, 75}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = telemetry.New(nil)
+	if _, err := cfg.Fig1(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := thermalCalls(cfg.Telemetry); n != 3 {
+		t.Errorf("hub counted %d thermal analyses, want the 3 scenario points", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 
 	"tesa/internal/dnn"
 	"tesa/internal/faults"
-	"tesa/internal/telemetry"
 )
 
 // faultSpace is a small all-fitting space for the chaos tests: every
@@ -121,104 +119,6 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestFaultSweepCheckpointResume: a chaos sweep persists its poisoned
-// points, and a resume re-evaluates none of the space — poisoned points
-// included.
-func TestFaultSweepCheckpointResume(t *testing.T) {
-	space := faultSpace()
-	var buf bytes.Buffer
-	sink := telemetry.NewJSONLSink(&buf)
-
-	e := chaosEvaluator(t)
-	e.InjectFaults(injectPlan(t, "panic@sched:dim=184;nan@thermal:dim=192,ics=0"))
-	res, err := e.ExhaustiveContext(context.Background(), space,
-		&SweepOptions{ShardSize: 2, Checkpoint: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Quarantined != 3 { // dim=184 at both spacings, plus (192,0)
-		t.Fatalf("quarantined %d points (%v), want 3", res.Quarantined, res.Poisoned)
-	}
-	if res.Best == nil {
-		t.Fatal("chaos sweep found no feasible point; the space no longer exercises the scenario")
-	}
-
-	state, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(state.Poisoned) != 3 {
-		t.Fatalf("checkpoint recovered %d poisoned records, want 3", len(state.Poisoned))
-	}
-
-	// Resume on a fresh evaluator with injection off: if the skip set
-	// works, nothing is re-evaluated, so the faults' absence is invisible.
-	fresh := chaosEvaluator(t)
-	got, err := fresh.ExhaustiveContext(context.Background(), space,
-		&SweepOptions{ShardSize: 2, ResumeFrom: state})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Evaluated != 0 {
-		t.Errorf("resume re-evaluated %d points, want 0", got.Evaluated)
-	}
-	if got.Resumed != got.Total {
-		t.Errorf("resume credited %d of %d points", got.Resumed, got.Total)
-	}
-	if got.Quarantined != 3 || len(got.Poisoned) != 3 {
-		t.Errorf("resume carried %d quarantined (%v), want 3", got.Quarantined, got.Poisoned)
-	}
-	if got.Best == nil || got.Best.Point != res.Best.Point {
-		t.Errorf("resumed best %+v != original %v", got.Best, res.Best.Point)
-	}
-}
-
-// TestFaultSweepInterruptedResume: a chaos sweep killed mid-run persists
-// the poisoned points seen so far; the resumed run skips them and still
-// completes with the full ledger.
-func TestFaultSweepInterruptedResume(t *testing.T) {
-	space := tinySpace()                 // 100 points, 20 shards of 5
-	spec := "error@systolic:dim=180-200" // 6 dims x 5 spacings = 30 points
-	var buf bytes.Buffer
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sink := &cancellingSink{inner: telemetry.NewJSONLSink(&buf), after: 10, cancel: cancel}
-
-	killed := chaosEvaluator(t)
-	killed.InjectFaults(injectPlan(t, spec))
-	if _, err := killed.ExhaustiveContext(ctx, space, &SweepOptions{ShardSize: 5, Checkpoint: sink}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted sweep err = %v, want context.Canceled", err)
-	}
-
-	state, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := len(state.Poisoned)
-	if before == 0 {
-		t.Fatal("kill landed before any poisoned record; widen the fault predicate")
-	}
-
-	fresh := chaosEvaluator(t)
-	fresh.InjectFaults(injectPlan(t, spec))
-	got, err := fresh.ExhaustiveContext(context.Background(), space,
-		&SweepOptions{ShardSize: 5, ResumeFrom: state})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Quarantined != 30 {
-		t.Errorf("final ledger has %d points, want 30", got.Quarantined)
-	}
-	if got.Evaluated+got.Resumed != got.Total {
-		t.Errorf("coverage gap: %d evaluated + %d resumed != %d", got.Evaluated, got.Resumed, got.Total)
-	}
-	// The checkpointed poisoned points must not have been re-evaluated.
-	if fresh.QuarantinedCount() != 30-before {
-		t.Errorf("resume re-ran %d poisoned evaluations, want %d (skipping %d from the checkpoint)",
-			fresh.QuarantinedCount(), 30-before, before)
-	}
-}
-
 // TestSweepFailurePolicies: MaxFailures aborts with ErrTooManyFailures
 // once exceeded, FailFast surfaces the first EvalError itself.
 func TestSweepFailurePolicies(t *testing.T) {
@@ -241,24 +141,6 @@ func TestSweepFailurePolicies(t *testing.T) {
 	var ee *EvalError
 	if !errors.As(err, &ee) || !errors.Is(err, faults.ErrInjected) {
 		t.Errorf("FailFast err = %v, want the injected *EvalError", err)
-	}
-
-	// MaxFailures counts poisoned points credited from a resume too.
-	resumed := chaosEvaluator(t)
-	state := &CheckpointState{
-		Fingerprint: space.Fingerprint(), Total: space.Size(), ShardSize: 2, Shards: 5,
-		Done: map[int]ShardCheckpoint{},
-		Poisoned: map[DesignPoint]QuarantinedPoint{
-			{ArrayDim: 180, ICSUM: 0}:   {Point: DesignPoint{ArrayDim: 180, ICSUM: 0}, Stage: "systolic", Reason: "error"},
-			{ArrayDim: 180, ICSUM: 250}: {Point: DesignPoint{ArrayDim: 180, ICSUM: 250}, Stage: "systolic", Reason: "error"},
-			{ArrayDim: 184, ICSUM: 0}:   {Point: DesignPoint{ArrayDim: 184, ICSUM: 0}, Stage: "systolic", Reason: "error"},
-		},
-	}
-	resumed.InjectFaults(injectPlan(t, spec))
-	_, err = resumed.ExhaustiveContext(context.Background(), space,
-		&SweepOptions{ShardSize: 2, ResumeFrom: state, MaxFailures: 3})
-	if !errors.Is(err, ErrTooManyFailures) {
-		t.Errorf("resumed MaxFailures err = %v, want ErrTooManyFailures", err)
 	}
 }
 

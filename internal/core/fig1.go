@@ -30,7 +30,7 @@ func (cfg *ExperimentConfig) Fig1(ctx context.Context) ([]*Fig1Scenario, error) 
 	c := Corner{Tech2D, 400, 30, 75}
 	opts, cons := cfg.optionsFor(c)
 	opts.Grid = cfg.ReportGrid
-	e, err := NewEvaluator(cfg.Workload, opts, cons, cfg.Models)
+	e, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
 	}

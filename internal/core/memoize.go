@@ -30,7 +30,7 @@ const ModelVersion = "tesa-models-1"
 // UseMemo replaces the evaluator's private memo store with s: stage
 // results and whole-point DSE evaluations are served by
 // content-addressed fingerprint, so evaluators sharing one store — sweep
-// shards, annealing chains, the validation experiment's exhaustive and
+// workers, annealing chains, the validation experiment's exhaustive and
 // optimizer evaluators — compute each distinct input once. Every served
 // value is one a fresh evaluator would have computed bit-identically, so
 // results are unchanged; only wall-clock drops. Call before the first

@@ -131,8 +131,8 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// Fingerprint is a stable hash of the space's axes, used to bind sweep
-// checkpoints to the space they were taken from.
+// Fingerprint is a stable hash of the space's axes, recorded in run
+// manifests to identify the space a run searched.
 func (s Space) Fingerprint() string {
 	h := fnv.New64a()
 	for _, d := range s.ArrayDims {

@@ -8,12 +8,11 @@ import "time"
 // incumbent is good enough) without waiting for the run to finish.
 type Progress struct {
 	// Phase names the emitting engine stage: "anneal" for the
-	// multi-start optimizer, "sweep" for the sharded exhaustive engine.
+	// multi-start optimizer, "sweep" for the exhaustive engine.
 	Phase string
 	// Done counts completed evaluations (anneal) or evaluated points
-	// including resumed ones (sweep); Total is the number of points in
-	// the space for sweeps and 0 for anneal runs, whose length is not
-	// known in advance.
+	// (sweep); Total is the number of points in the space for sweeps
+	// and 0 for anneal runs, whose length is not known in advance.
 	Done, Total int
 	// Incumbent is the best feasible evaluation seen so far, nil while
 	// nothing feasible has been found.
@@ -22,8 +21,7 @@ type Progress struct {
 	// to periodic completion ticks).
 	Improved bool
 	// Quarantined counts design points whose evaluation failed and was
-	// quarantined so far (including ones credited from a resumed
-	// checkpoint).
+	// quarantined so far.
 	Quarantined int
 	// Elapsed is the wall-clock time since the engine started.
 	Elapsed time.Duration

@@ -29,8 +29,7 @@
 //
 // Decisions are pure functions of (rule seed, stage, design point), so
 // a plan poisons the identical set of points on every run — which is
-// what lets tests assert exact quarantine sets and lets a resumed sweep
-// skip exactly the poisoned points.
+// what lets tests assert exact quarantine sets.
 package faults
 
 import (

@@ -82,8 +82,6 @@ type Spec struct {
 	// Seed is the optimizer seed (nil = 1). Sweeps ignore it.
 	Seed *int64 `json:"seed,omitempty"`
 
-	// Sweep tunes the sweep engine; only valid when Kind is "sweep".
-	Sweep *Sweep `json:"sweep,omitempty"`
 	// Pareto tunes the weight sweep; only valid when Kind is "pareto".
 	Pareto *Pareto `json:"pareto,omitempty"`
 	// Sim describes the dynamic scenario; required when Kind is "sim".
@@ -134,12 +132,6 @@ type Space struct {
 	// ArrayDims and ICSUMs are explicit axes for a custom space.
 	ArrayDims []int `json:"array_dims,omitempty"`
 	ICSUMs    []int `json:"ics_ums,omitempty"`
-}
-
-// Sweep tunes the exhaustive engine.
-type Sweep struct {
-	// ShardSize is the points-per-shard granularity (0 = automatic).
-	ShardSize int `json:"shard_size,omitempty"`
 }
 
 // Pareto tunes the front engine.
@@ -295,9 +287,6 @@ func (s *Spec) Validate() error {
 		default:
 			return fmt.Errorf("jobspec: unknown space preset %q (want default or validation)", s.Space.Preset)
 		}
-	}
-	if s.Sweep != nil && s.Kind != KindSweep {
-		return fmt.Errorf("jobspec: sweep section on a %q job", s.Kind)
 	}
 	if s.Pareto != nil && s.Kind != KindPareto {
 		return fmt.Errorf("jobspec: pareto section on a %q job", s.Kind)

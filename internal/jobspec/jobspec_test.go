@@ -132,7 +132,10 @@ func TestParseStrict(t *testing.T) {
 			"both array_dims and ics_ums"},
 		{"sweep section on optimize",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","sweep":{"shard_size":4}}`,
-			"sweep section"},
+			"unknown field"},
+		{"removed sweep section",
+			`{"version":"tesa.jobspec/v1","kind":"sweep","sweep":{"shard_size":4}}`,
+			"unknown field"},
 		{"pareto section on sweep",
 			`{"version":"tesa.jobspec/v1","kind":"sweep","pareto":{"points":3}}`,
 			"pareto section"},

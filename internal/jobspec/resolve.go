@@ -34,8 +34,6 @@ type Resolved struct {
 	Space core.Space
 	// Seed is the optimizer seed (ignored by sweeps).
 	Seed int64
-	// ShardSize is the sweep shard granularity (0 = automatic).
-	ShardSize int
 	// ParetoFront is the front engine of a pareto job ("weights" or
 	// "nsga2"); ParetoPoints is the weight-setting count of a weight
 	// front, ParetoPop/ParetoGens the population shape of an NSGA-II
@@ -145,9 +143,6 @@ func (s *Spec) Resolve(baseDir string) (*Resolved, error) {
 	}
 	if s.Seed != nil {
 		r.Seed = *s.Seed
-	}
-	if s.Sweep != nil {
-		r.ShardSize = s.Sweep.ShardSize
 	}
 	if p := s.Pareto; p != nil {
 		if p.Front != "" {

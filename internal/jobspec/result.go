@@ -25,10 +25,9 @@ type Result struct {
 	// (optimize and pareto jobs).
 	Evaluations int `json:"evaluations,omitempty"`
 	Explored    int `json:"explored,omitempty"`
-	// Feasible / Evaluated / Resumed / Total are the sweep tallies.
+	// Feasible / Evaluated / Total are the sweep tallies.
 	Feasible  int `json:"feasible,omitempty"`
 	Evaluated int `json:"evaluated,omitempty"`
-	Resumed   int `json:"resumed,omitempty"`
 	Total     int `json:"total,omitempty"`
 	// Quarantined counts distinct design points whose evaluation failed;
 	// the engines skipped them and continued.
@@ -204,7 +203,6 @@ func FromSweep(res *core.ExhaustiveResult) *Result {
 		Found:       res.Best != nil,
 		Feasible:    res.Feasible,
 		Evaluated:   res.Evaluated,
-		Resumed:     res.Resumed,
 		Total:       res.Total,
 		Quarantined: res.Quarantined,
 	}

@@ -28,12 +28,6 @@ type Runtime struct {
 	// (OptimizeOptions.Parallel; 0 = GOMAXPROCS). It changes
 	// scheduling only, never the job's answer.
 	Parallel int
-	// Checkpoint receives a sweep job's checkpoint records, Resume
-	// credits the shards of an earlier checkpoint, and RunID is stamped
-	// into the checkpoint header (core.SweepOptions; all optional).
-	Checkpoint telemetry.EventSink
-	Resume     *core.CheckpointState
-	RunID      string
 	// Events receives a sim job's base-seed event log as JSONL (nil =
 	// none).
 	Events io.Writer
@@ -184,13 +178,9 @@ func (o *Outcome) sweep(ctx context.Context, r *Resolved, rt Runtime) error {
 	}
 	o.Evaluator = ev
 	o.Sweep, err = ev.ExhaustiveContext(ctx, r.Space, &core.SweepOptions{
-		ShardSize:   r.ShardSize,
-		Checkpoint:  rt.Checkpoint,
-		ResumeFrom:  rt.Resume,
 		Progress:    rt.Progress,
 		MaxFailures: r.MaxFailures,
 		FailFast:    r.FailFast,
-		RunID:       rt.RunID,
 	})
 	return err
 }

@@ -8,7 +8,7 @@
 // fingerprints for structured inputs, shortest round-trip decimals for
 // floats). Two keys are equal exactly when the memoized function would
 // produce the same value, so a store can be shared by every evaluator,
-// sweep shard and annealing chain in a process without changing any
+// sweep worker and annealing chain in a process without changing any
 // result.
 //
 // GetOrCompute deduplicates in-flight computations (single-flight): when

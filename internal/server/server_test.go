@@ -116,7 +116,7 @@ func TestServerSharedMemo(t *testing.T) {
 func TestServerEvents(t *testing.T) {
 	_, cl := testServer(t, Config{Workers: 1})
 
-	// A multi-shard sweep emits steady per-point progress, so the SSE
+	// A multi-point sweep emits steady per-point progress, so the SSE
 	// subscriber reliably attaches while updates are still flowing.
 	eventSpec := `{
 	  "version": "tesa.jobspec/v1",
@@ -159,6 +159,10 @@ func TestServerRejections(t *testing.T) {
 	if _, err := cl.Submit(ctx, []byte(`{"version":"tesa.jobspec/v1"}`)); err == nil ||
 		!strings.Contains(err.Error(), "missing kind") {
 		t.Errorf("bad spec err = %v, want missing kind", err)
+	}
+	if _, err := cl.Submit(ctx, []byte(`{"version":"tesa.jobspec/v1","kind":"sweep","sweep":{"shard_size":4}}`)); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("removed sweep section err = %v, want 400 unknown field", err)
 	}
 	if _, err := cl.Status(ctx, "deadbeefdeadbeef"); err == nil ||
 		!strings.Contains(err.Error(), "404") {
@@ -367,7 +371,7 @@ func TestEventsLastEventID(t *testing.T) {
 	_, cl := testServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	// Run a multi-shard sweep to completion so the finished job holds a
+	// Run a multi-point sweep to completion so the finished job holds a
 	// final progress snapshot with a known sequence number.
 	eventSpec := `{
 	  "version": "tesa.jobspec/v1",

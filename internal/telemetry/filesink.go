@@ -7,22 +7,22 @@ import (
 	"sync"
 )
 
-// FileSink is a crash-safe JSONL event sink over a file path, built for
-// sweep checkpoints (but usable for any trace stream):
+// FileSink is a crash-safe JSONL event sink over a file path, used for
+// run manifests (but usable for any trace stream):
 //
 //   - A fresh file is first written as path+".tmp" and atomically
 //     renamed into place on the first Flush, so the final path either
 //     does not exist or starts with complete records — a kill during
 //     the initial writes can never leave a torn header behind.
-//   - An existing file is opened in append mode, which is how a resumed
-//     sweep extends its checkpoint.
+//   - An existing file is opened in append mode, so runs that share a
+//     -manifest path accumulate their records in one file.
 //   - Every Flush drains the write buffer and fsyncs the file (and, for
 //     the first flush of a fresh file, the parent directory after the
 //     rename), so a flushed record survives a machine crash, not just a
 //     process kill.
 //
-// Emit never blocks on the disk — durability is paid at Flush, which is
-// exactly the sweep engine's per-shard checkpoint cadence.
+// Emit never blocks on the disk — durability is paid at Flush, which the
+// manifest calls once per record.
 type FileSink struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -100,7 +100,7 @@ func (s *FileSink) Flush() error {
 }
 
 // Close flushes (including the rename of a never-flushed fresh file, so
-// even an empty checkpoint ends up at its final path) and closes the
+// even an empty stream ends up at its final path) and closes the
 // file.
 func (s *FileSink) Close() error {
 	if s == nil {

@@ -81,9 +81,9 @@ func TestFileSinkCloseWithoutFlush(t *testing.T) {
 	}
 }
 
-// TestFileSinkAppend: reopening an existing file appends — the resume
-// path for sweep checkpoints — and never routes through a temp file
-// (which would clobber the prior records on rename).
+// TestFileSinkAppend: reopening an existing file appends — a second run
+// writing to the same -manifest path — and never routes through a temp
+// file (which would clobber the prior records on rename).
 func TestFileSinkAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	s, err := NewFileSink(path)

@@ -44,8 +44,7 @@ func NewManifest(command string, argv []string) *Manifest {
 }
 
 // NewRunID returns a fresh 16-hex-digit random run identifier — the
-// value that binds a run's manifest, trace, and checkpoint records
-// together.
+// value that binds a run's manifest and trace records together.
 func NewRunID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

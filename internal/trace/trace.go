@@ -1,5 +1,5 @@
 // Package trace analyzes the JSONL streams the tesa commands emit —
-// event traces, run manifests, and checkpoint files — into per-run
+// event traces and run manifests — into per-run
 // summaries, human-readable per-stage latency reports, and A/B diffs
 // between two runs. It is the reading half of internal/telemetry: what
 // the Manifest and the sinks write, this package loads back.
@@ -130,8 +130,7 @@ func Read(r io.Reader) (*Summary, error) {
 // mergeManifest folds one run.manifest record into the summary: the
 // start record contributes identity, the end record outcome and
 // metrics. Later records win, so a stream with several runs appended
-// (a resumed sweep) reports the last one — matching the checkpoint
-// loader's newest-wins record semantics.
+// (two runs sharing one -manifest file) reports the last one.
 func (s *Summary) mergeManifest(rec map[string]any) {
 	if v, ok := rec["run"].(string); ok && v != "" {
 		s.RunID = v
