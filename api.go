@@ -172,7 +172,8 @@ func ValidationSpace() Space { return core.ValidationSpace() }
 // ARVRWorkload returns the paper's six-DNN AR/VR workload: handpose
 // detection, image segmentation (U-Net), object detection (MobileNet),
 // object recognition (ResNet-50), depth estimation (DNL), and speech
-// recognition (Transformer).
+// recognition (Transformer). Each call returns its own copy, which the
+// caller may modify.
 func ARVRWorkload() Workload { return dnn.ARVRWorkload() }
 
 // SRAMKBForArray derives the per-SRAM capacity for an array dimension via

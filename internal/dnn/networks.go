@@ -357,9 +357,16 @@ func Transformer() Network {
 // ARVRWorkload returns the paper's six-DNN AR/VR workload: handpose
 // detection, image segmentation, object detection, object recognition,
 // depth estimation, and speech recognition, each an independent subtask.
-// The workload is built once per process; each call returns its own deep
-// copy, so a caller may modify the result freely.
+// Each call returns its own deep copy of the process-wide workload, so a
+// caller may modify the result freely; callers that only read it should
+// use SharedARVRWorkload instead.
 func ARVRWorkload() Workload { return arvrWorkload().clone() }
+
+// SharedARVRWorkload returns the process-wide AR/VR workload itself, not
+// a copy: every caller gets the same Networks and Layers backing arrays.
+// It is read-only; a caller that writes to it changes the workload of
+// every job in the process.
+func SharedARVRWorkload() Workload { return arvrWorkload() }
 
 // arvrWorkload builds the AR/VR workload on first use. Building it
 // formats hundreds of layer names, which dominated resolving a job spec.

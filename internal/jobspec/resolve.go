@@ -25,7 +25,10 @@ const defaultThermalDtSec = 0.05
 type Resolved struct {
 	// Kind is the validated job kind.
 	Kind string
-	// Workload is the loaded multi-DNN workload.
+	// Workload is the loaded multi-DNN workload. For the built-in
+	// workload_ref ("" or "arvr") it is the process-wide AR/VR workload
+	// (dnn.SharedARVRWorkload), shared by every resolved job and
+	// read-only; inline and file workloads are the job's own.
 	Workload dnn.Workload
 	// Opts and Cons are the evaluation configuration.
 	Opts core.Options
@@ -212,6 +215,7 @@ func (s *Spec) resolveSim(r *Resolved) error {
 
 // resolveWorkload loads the spec's workload: inline JSON, a file
 // reference, a built-in name, or (absent all three) the AR/VR default.
+// The built-in is shared, not copied: no job writes its workload.
 func (s *Spec) resolveWorkload(baseDir string) (dnn.Workload, error) {
 	switch {
 	case len(s.Workload) > 0:
@@ -235,7 +239,7 @@ func (s *Spec) resolveWorkload(baseDir string) (dnn.Workload, error) {
 		}
 		return w, nil
 	case s.WorkloadRef == "" || strings.EqualFold(s.WorkloadRef, "arvr"):
-		return dnn.ARVRWorkload(), nil
+		return dnn.SharedARVRWorkload(), nil
 	default:
 		return dnn.Workload{}, fmt.Errorf("jobspec: unknown workload_ref %q (built-ins: arvr)", s.WorkloadRef)
 	}

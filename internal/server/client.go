@@ -200,7 +200,9 @@ func (c *Client) waitEvents(ctx context.Context, id string, lastID *string, onPr
 		return nil, fmt.Errorf("client: events: %s", resp.Status)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// Most events are a few hundred bytes; the scanner grows the buffer
+	// on demand up to the 1 MiB cap for a large status event.
+	sc.Buffer(make([]byte, 0, 4*1024), 1<<20)
 	var event string
 	for sc.Scan() {
 		line := sc.Text()

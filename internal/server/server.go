@@ -372,9 +372,9 @@ func (j *Job) finish(state State, res *jobspec.Result, err error) {
 	}
 	j.state = state
 	j.result = res
-	// A terminal job never runs again; dropping its resolved spec (the
-	// workload alone is ~170 KB) keeps a long-lived server's job table
-	// down to results.
+	// A terminal job never runs again; dropping its resolved spec (an
+	// inline or file workload is the job's own copy) keeps a long-lived
+	// server's job table down to results.
 	j.resolved = nil
 	if err != nil {
 		j.errMsg = err.Error()

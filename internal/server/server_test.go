@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -468,4 +469,37 @@ func waitState(t *testing.T, cl *Client, id string, want State) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, want)
+}
+
+// TestWaitDecodesLargeStatusEvent: the SSE reader starts with a small
+// buffer, but a status event well past 64 KiB (a long failure message
+// here) still decodes whole through Client.Wait.
+func TestWaitDecodesLargeStatusEvent(t *testing.T) {
+	msg := strings.Repeat("x", 100*1024)
+	final, err := json.Marshal(Status{ID: "j1", Kind: "sweep", State: StateFailed, Error: msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/jobs/j1/events" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprintf(w, "event: progress\nid: 1\ndata: {\"done\":1}\n\n")
+		fmt.Fprintf(w, "event: status\nid: 2\ndata: %s\n\n", final)
+	}))
+	defer hs.Close()
+
+	var progress int
+	st, err := NewClient(hs.URL, hs.Client()).Wait(context.Background(), "j1", 0, func(map[string]any) { progress++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Error != msg {
+		t.Errorf("large status event decoded as state %s with a %d-byte error, want failed with %d bytes", st.State, len(st.Error), len(msg))
+	}
+	if progress != 1 {
+		t.Errorf("saw %d progress events, want 1", progress)
+	}
 }
