@@ -191,11 +191,11 @@ func BenchmarkAblationSearchStrategy(b *testing.B) {
 			b.Fatal(err)
 		}
 		budget := msa.Evaluations
-		rnd, err := mk().RandomSearch(space, 5, budget)
+		rnd, err := mk().RandomSearchContext(context.Background(), space, 5, budget)
 		if err != nil {
 			b.Fatal(err)
 		}
-		grd, err := mk().GreedySearch(space, 5, budget)
+		grd, err := mk().GreedySearchContext(context.Background(), space, 5, budget)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,6 +45,23 @@
 // and both stream incremental incumbents through a ProgressFunc.
 // Failures use the exported sentinel errors (ErrInvalidSpace,
 // ErrNoFeasibleStart) and support errors.Is.
+//
+// # Experiments and baselines
+//
+// ExperimentConfig drives the paper's tables and figures and the
+// temperature-unaware baselines they compare against: SC1 (maximum
+// parallelism), SC2 (sizing without temperature) and the W1/W2
+// adoptions, as its RunSC1, RunSC2, RunW1 and RunW2 methods. Each takes
+// a context and a constraint Corner. Every evaluator a config builds,
+// for a table, a figure or a baseline, shares the config's memo store
+// and its Telemetry hub, so repeated work is paid once per config and a
+// trace counts all of it.
+//
+//	cfg := tesa.DefaultExperimentConfig()
+//	sc2, _ := cfg.RunSC2(ctx, tesa.Corner{Tech: tesa.Tech2D, FreqMHz: 500, FPS: 15, BudgetC: 75})
+//	if sc2.Found {
+//	    fmt.Println(sc2.Actual.Point, sc2.Actual.PeakTempC) // what SC2's pick really reaches
+//	}
 package tesa
 
 import (
@@ -120,7 +137,9 @@ type (
 	FaultPlan = faults.Plan
 	// BaselineResult pairs a baseline's pick with its ground truth.
 	BaselineResult = core.BaselineResult
-	// ExperimentConfig parameterizes the paper's experiment drivers.
+	// ExperimentConfig parameterizes the paper's tables and figures
+	// and the temperature-unaware baselines (its RunSC1, RunSC2, RunW1
+	// and RunW2 methods).
 	ExperimentConfig = core.ExperimentConfig
 	// Corner is one constraint corner of the evaluation.
 	Corner = core.Corner
@@ -220,18 +239,6 @@ var (
 // for Evaluator.InjectFaults. An empty spec returns a nil plan, which
 // disables injection.
 func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
-
-// Baselines.
-var (
-	// RunSC1 is the temperature-unaware maximum-parallelism baseline.
-	RunSC1 = core.RunSC1
-	// RunSC2 is the temperature-unaware chiplet-sizing baseline.
-	RunSC2 = core.RunSC2
-	// RunW1 is the adoption of the minimize-temperature floorplanner [4].
-	RunW1 = core.RunW1
-	// RunW2 is the adoption of the T+cost+latency co-optimizer [3].
-	RunW2 = core.RunW2
-)
 
 // ThermalMapASCII renders an evaluation's hottest-phase temperature
 // field as an ASCII heat map (Fig. 6 analogue).

@@ -90,13 +90,12 @@ func TestFacadeThermalMap(t *testing.T) {
 	}
 }
 
-// TestFacadeBaselines runs SC1 via the re-exported baseline entry point.
+// TestFacadeBaselines runs SC1 through the ExperimentConfig method on
+// the facade's alias.
 func TestFacadeBaselines(t *testing.T) {
-	w := tesa.ARVRWorkload()
-	opts := tesa.DefaultOptions()
-	opts.Grid = 24
-	cons := tesa.DefaultConstraints()
-	res, err := tesa.RunSC1(w, opts, cons, tesa.DefaultModels(), tesa.DefaultSpace())
+	cfg := tesa.DefaultExperimentConfig()
+	cfg.Grid = 24
+	res, err := cfg.RunSC1(context.Background(), tesa.Corner{Tech: tesa.Tech2D, FreqMHz: 400, FPS: 30, BudgetC: 75})
 	if err != nil {
 		t.Fatal(err)
 	}

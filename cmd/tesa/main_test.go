@@ -138,20 +138,29 @@ func TestUsageErrorsExit2(t *testing.T) {
 }
 
 // TestReportInterrupt: a cancelled context (a SIGINT in main) stops
-// tesa report inside a section, not at the next section boundary;
-// Table V alone runs for seconds.
+// tesa report inside a section, not at the next section boundary.
+// Table V alone runs for seconds. Table III spends them in the W1/W2
+// baseline searches: at grid 64 the first W1 search alone outlasts the
+// bound, so a baseline that ignores ctx fails it.
 func TestReportInterrupt(t *testing.T) {
-	const after = 300 * time.Millisecond
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(after, cancel)
-	start := time.Now()
-	code, _, stderr := runTesaContext(ctx, "report", "-table", "5", "-grid", "32", "-report-grid", "32")
-	if code != 130 {
-		t.Fatalf("exit %d, want 130; stderr:\n%s", code, stderr)
-	}
-	if d := time.Since(start) - after; d > 2*time.Second {
-		t.Errorf("report exited %v after the cancel, want within 2s", d)
+	for _, args := range [][]string{
+		{"-table", "5", "-grid", "32", "-report-grid", "32"},
+		{"-table", "3", "-grid", "64", "-report-grid", "64"},
+	} {
+		t.Run("table"+args[1], func(t *testing.T) {
+			const after = 300 * time.Millisecond
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(after, cancel)
+			start := time.Now()
+			code, _, stderr := runTesaContext(ctx, append([]string{"report"}, args...)...)
+			if code != 130 {
+				t.Fatalf("exit %d, want 130; stderr:\n%s", code, stderr)
+			}
+			if d := time.Since(start) - after; d > 2*time.Second {
+				t.Errorf("report exited %v after the cancel, want within 2s", d)
+			}
+		})
 	}
 }
 

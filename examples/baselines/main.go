@@ -2,7 +2,7 @@
 // paper's SC1 (maximum parallelism) and SC2 (sizing without temperature)
 // baselines next to TESA at the same corner and reports what their picks
 // actually do thermally — the substance of the paper's Tables III/IV and
-// Fig. 5.
+// Fig. 5. The baselines are methods of tesa.ExperimentConfig.
 //
 // Run with:
 //
@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 
@@ -19,22 +18,21 @@ import (
 )
 
 func main() {
-	workload := tesa.ARVRWorkload()
-	opts := tesa.DefaultOptions()
-	opts.FreqHz = 500e6
-	opts.Grid = 32
-	cons := tesa.DefaultConstraints()
-	cons.FPS = 15
-	cons.TempBudgetC = 75 // strict budget: this is where thermal awareness bites
-	space := tesa.DefaultSpace()
-	models := tesa.DefaultModels()
-
-	fmt.Printf("corner: 2-D, 500 MHz, %.0f fps, %.0f C, %.0f W\n\n", cons.FPS, cons.TempBudgetC, cons.PowerBudgetW)
+	// One experiment config: every evaluator below, the baselines' and
+	// TESA's, shares its memo store. Winners are reported at the search
+	// grid, like the baselines' ground truth.
+	cfg := tesa.DefaultExperimentConfig()
+	cfg.ReportGrid = cfg.Grid
 	// At 75 C and 500 MHz the thermal constraint binds: the
 	// temperature-blind baselines pick hot MCMs, TESA must not.
+	corner := tesa.Corner{Tech: tesa.Tech2D, FreqMHz: 500, FPS: 15, BudgetC: 75}
+	cons := tesa.DefaultConstraints()
+	ctx := context.Background()
+
+	fmt.Printf("corner: 2-D, 500 MHz, %.0f fps, %.0f C, %.0f W\n\n", corner.FPS, corner.BudgetC, cons.PowerBudgetW)
 
 	// SC1: one chiplet per DNN at maximum spacing, temperature unaware.
-	sc1, err := tesa.RunSC1(workload, opts, cons, models, space)
+	sc1, err := cfg.RunSC1(ctx, corner)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +44,7 @@ func main() {
 	}
 
 	// SC2: the TESA optimizer with its thermal and leakage models cut out.
-	sc2, err := tesa.RunSC2(workload, opts, cons, models, space, 1)
+	sc2, err := cfg.RunSC2(ctx, corner)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,19 +59,15 @@ func main() {
 	}
 
 	// TESA itself.
-	ev, err := tesa.NewEvaluator(workload, opts, cons, tesa.Models{})
+	row, err := cfg.RunCornerContext(ctx, corner)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ev.OptimizeContext(context.Background(), space, 1, nil)
-	if err != nil && !errors.Is(err, tesa.ErrNoFeasibleStart) {
-		log.Fatal(err)
-	}
-	if !res.Found {
+	if !row.Found {
 		fmt.Println("TESA: no feasible MCM at this corner")
 		return
 	}
-	b := res.Best
+	b := row.Eval
 	fmt.Printf("TESA:                     %v, %v grid\n", b.Point, b.Mesh)
 	fmt.Printf("  peak %.1f C, %.1f W — feasible by construction\n\n", b.PeakTempC, b.TotalPowerW)
 

@@ -157,12 +157,6 @@ type Result[S any] struct {
 	Duration time.Duration
 }
 
-// Minimize runs a single annealer per Fig. 4 without cancellation (a
-// context.Background() wrapper over MinimizeContext).
-func Minimize[S any](cfg Config, init Init[S], neighbor Neighbor[S], eval Eval[S]) (Result[S], error) {
-	return MinimizeContext(context.Background(), cfg, init, neighbor, eval)
-}
-
 // MinimizeContext runs a single annealer per Fig. 4, observing ctx
 // between evaluations: when ctx is cancelled or its deadline passes, the
 // annealer stops within one evaluation's latency and returns ctx.Err()

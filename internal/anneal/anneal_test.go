@@ -62,7 +62,7 @@ func stepNeighbor(x int, rng *rand.Rand) int {
 
 func TestMinimizeFindsOptimum(t *testing.T) {
 	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.87, PerturbationsPerLevel: 10, Seed: 42}
-	res, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 90, true }, stepNeighbor, quadratic)
+	res, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 90, true }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMinimizeFindsOptimum(t *testing.T) {
 func TestInfeasibleStatesRejected(t *testing.T) {
 	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.85, PerturbationsPerLevel: 10, Seed: 1}
 	evals := 0
-	res, err := Minimize(cfg,
+	res, err := MinimizeContext(context.Background(), cfg,
 		func(*rand.Rand) (int, bool) { return 50, true },
 		stepNeighbor,
 		func(x int) (float64, bool) {
@@ -110,7 +110,7 @@ func quadratic50Only(x int) (float64, bool) {
 // "solution does not exist" outcome.
 func TestNoFeasibleStart(t *testing.T) {
 	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.85, PerturbationsPerLevel: 10, Seed: 3}
-	res, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 0, false }, stepNeighbor, quadratic)
+	res, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 0, false }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestNoFeasibleStart(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.89, PerturbationsPerLevel: 10, Seed: 99}
 	run := func() Result[int] {
-		r, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
+		r, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestMultiStartRequiresConfigs(t *testing.T) {
 // worsening moves (this is what distinguishes it from greedy descent).
 func TestUphillMovesHappen(t *testing.T) {
 	cfg := Config{TInit: 1000, TFinal: 500, Decay: 0.9, PerturbationsPerLevel: 200, Seed: 5}
-	res, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 50, true }, stepNeighbor, quadratic)
+	res, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 50, true }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,23 +52,6 @@ func TestMinimizeContextCancelMid(t *testing.T) {
 	}
 }
 
-func TestMinimizeContextMatchesMinimize(t *testing.T) {
-	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.87, PerturbationsPerLevel: 10, Seed: 9}
-	init := func(rng *rand.Rand) (int, bool) { return 80, true }
-	eval := Eval[int](func(x int) (float64, bool) { return quadratic(x) })
-	plain, err := Minimize(cfg, init, stepNeighbor, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCtx, err := MinimizeContext(context.Background(), cfg, init, stepNeighbor, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Best != withCtx.Best || plain.BestObj != withCtx.BestObj || plain.Evaluations != withCtx.Evaluations {
-		t.Errorf("context plumbing changed the search: %+v vs %+v", plain, withCtx)
-	}
-}
-
 func TestMultiStartContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -42,7 +42,7 @@ func TestObserverEventOrdering(t *testing.T) {
 	obs := &recordObserver{}
 	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.87, PerturbationsPerLevel: 10,
 		Seed: 42, Start: 7, Observer: obs}
-	res, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 90, true }, stepNeighbor, quadratic)
+	res, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 90, true }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestObserverDeterministic(t *testing.T) {
 		obs := &recordObserver{}
 		cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.89, PerturbationsPerLevel: 10,
 			Seed: 99, Observer: obs}
-		res, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
+		res, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestObserverDeterministic(t *testing.T) {
 
 	// And identical to an unobserved run: the observer is read-only.
 	plain := Config{TInit: 19, TFinal: 0.5, Decay: 0.89, PerturbationsPerLevel: 10, Seed: 99}
-	resP, err := Minimize(plain, func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
+	resP, err := MinimizeContext(context.Background(), plain, func(*rand.Rand) (int, bool) { return 80, true }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestObserverNoFeasibleStart(t *testing.T) {
 	obs := &recordObserver{}
 	cfg := Config{TInit: 19, TFinal: 0.5, Decay: 0.85, PerturbationsPerLevel: 10,
 		Seed: 3, Observer: obs}
-	res, err := Minimize(cfg, func(*rand.Rand) (int, bool) { return 0, false }, stepNeighbor, quadratic)
+	res, err := MinimizeContext(context.Background(), cfg, func(*rand.Rand) (int, bool) { return 0, false }, stepNeighbor, quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"tesa/internal/anneal"
-	"tesa/internal/dnn"
 )
 
 // BaselineResult pairs a baseline's own pick (made under its reduced
@@ -37,16 +36,13 @@ type feasibleFn func(*Evaluation) bool
 
 // optimizeObjective runs the multi-start annealer over an arbitrary
 // objective/feasibility pair, on the pool width and tie order
-// OptimizeContext uses by default (GOMAXPROCS, DesignPoint.Less). full
-// selects EvaluateFull (needed when the objective reads temperatures of
-// constraint-violating points, as W1/W2 adoptions do).
-func (e *Evaluator) optimizeObjective(space Space, seed int64, full bool, obj objectiveFn, feas feasibleFn) (*Evaluation, bool, error) {
-	eval := func(p DesignPoint) (*Evaluation, error) {
-		if full {
-			return e.EvaluateFull(p)
-		}
-		return e.Evaluate(p)
-	}
+// OptimizeContext uses by default (GOMAXPROCS, DesignPoint.Less). Every
+// point is evaluated in reporting mode (EvaluateFullContext), because
+// the W1/W2 objectives read temperatures of constraint-violating points.
+// It observes ctx between evaluations and returns ctx.Err() when
+// cancelled.
+func (e *Evaluator) optimizeObjective(ctx context.Context, space Space, seed int64, obj objectiveFn, feas feasibleFn) (*Evaluation, bool, error) {
+	eval := func(p DesignPoint) (*Evaluation, error) { return e.EvaluateFullContext(ctx, p) }
 	// Start from the best feasible sample (see sampleFeasibleStart: the
 	// feasible set can be fragmented, making the starting basin
 	// decisive). The objective may read temperature, so the screen is a
@@ -60,7 +56,7 @@ func (e *Evaluator) optimizeObjective(space Space, seed int64, full bool, obj ob
 	}
 	budget, workers := initBudget(space), runtime.GOMAXPROCS(0)
 	init := func(rng *rand.Rand) (DesignPoint, bool) {
-		return e.sampleFeasibleStart(context.Background(), space, rng, budget, workers, screen, eval, feas)
+		return e.sampleFeasibleStart(ctx, space, rng, budget, workers, screen, eval, feas)
 	}
 	var evalErr error
 	var once sync.Once
@@ -72,7 +68,7 @@ func (e *Evaluator) optimizeObjective(space Space, seed int64, full bool, obj ob
 		}
 		return obj(ev), feas(ev)
 	}
-	best, _, err := anneal.MultiStart(context.Background(), anneal.DefaultStarts(seed), workers, DesignPoint.Less,
+	best, _, err := anneal.MultiStart(ctx, anneal.DefaultStarts(seed), workers, DesignPoint.Less,
 		init, space.Neighbor, score)
 	if err != nil {
 		return nil, false, err
@@ -87,43 +83,43 @@ func (e *Evaluator) optimizeObjective(space Space, seed int64, full bool, obj ob
 	return ev, true, err
 }
 
-// groundTruth re-evaluates a baseline's pick under the full TESA models.
-func groundTruth(w dnn.Workload, opts Options, cons Constraints, models Models, p DesignPoint) (*Evaluation, error) {
-	opts.DisableThermal = false
-	opts.NoLeakage = false
-	opts.LinearLeakage = false
-	e, err := NewEvaluator(w, opts, cons, models)
+// groundTruth re-evaluates a baseline's pick at corner c under the full
+// TESA models, at the search grid.
+func (cfg *ExperimentConfig) groundTruth(ctx context.Context, c Corner, p DesignPoint) (*Evaluation, error) {
+	e, err := cfg.newEvaluator(cfg.optionsFor(c))
 	if err != nil {
 		return nil, err
 	}
-	return e.EvaluateFull(p)
+	return e.EvaluateFullContext(ctx, p)
 }
 
-// RunSC1 builds the paper's first temperature-unaware baseline: maximum
-// parallelism — each of the six DNNs runs simultaneously on a dedicated
-// chiplet, at the maximum ICS (1 mm) to be as charitable as possible
-// about lateral coupling. The chiplet is the largest array whose derived
-// six-chiplet mesh still fits at that spacing and that meets the latency
-// and dynamic-power constraints (SC1 has no thermal or leakage model).
-// Fig. 5 reports this baseline's real thermal behaviour.
-func RunSC1(w dnn.Workload, opts Options, cons Constraints, models Models, space Space) (*BaselineResult, error) {
-	scOpts := opts
-	scOpts.DisableThermal = true
-	e, err := NewEvaluator(w, scOpts, cons, models)
+// RunSC1 builds the paper's first temperature-unaware baseline at
+// corner c: maximum parallelism — each of the six DNNs runs
+// simultaneously on a dedicated chiplet, at the maximum ICS of cfg.Space
+// (1 mm) to be as charitable as possible about lateral coupling. The
+// chiplet is the largest array whose derived six-chiplet mesh still fits
+// at that spacing and that meets the latency and dynamic-power
+// constraints (SC1 has no thermal or leakage model). Fig. 5 reports this
+// baseline's real thermal behaviour. It returns ctx.Err() when ctx is
+// cancelled.
+func (cfg *ExperimentConfig) RunSC1(ctx context.Context, c Corner) (*BaselineResult, error) {
+	opts, cons := cfg.optionsFor(c)
+	opts.DisableThermal = true
+	e, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
 	}
 	maxICS := 0
-	for _, ics := range space.ICSUMs {
+	for _, ics := range cfg.Space.ICSUMs {
 		if ics > maxICS {
 			maxICS = ics
 		}
 	}
 	res := &BaselineResult{Name: "SC1"}
-	nDNN := len(w.Networks)
-	for i := len(space.ArrayDims) - 1; i >= 0; i-- {
-		p := DesignPoint{ArrayDim: space.ArrayDims[i], ICSUM: maxICS}
-		ev, err := e.Evaluate(p)
+	nDNN := len(cfg.Workload.Networks)
+	for i := len(cfg.Space.ArrayDims) - 1; i >= 0; i-- {
+		p := DesignPoint{ArrayDim: cfg.Space.ArrayDims[i], ICSUM: maxICS}
+		ev, err := e.EvaluateContext(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +128,7 @@ func RunSC1(w dnn.Workload, opts Options, cons Constraints, models Models, space
 		}
 		res.Chosen = ev
 		res.Found = true
-		res.Actual, err = groundTruth(w, opts, cons, models, p)
+		res.Actual, err = cfg.groundTruth(ctx, c, p)
 		if err != nil {
 			return nil, err
 		}
@@ -141,20 +137,21 @@ func RunSC1(w dnn.Workload, opts Options, cons Constraints, models Models, space
 	return res, nil
 }
 
-// RunSC2 builds the paper's second baseline: chiplet sizing WITHOUT
-// temperature — the full TESA optimizer with the thermal and leakage
-// models disabled and the power constraint applied to dynamic power only.
-// Table IV reports what its picks actually do thermally, including the
-// 3-D thermal-runaway rows.
-func RunSC2(w dnn.Workload, opts Options, cons Constraints, models Models, space Space, seed int64) (*BaselineResult, error) {
-	scOpts := opts
-	scOpts.DisableThermal = true
-	e, err := NewEvaluator(w, scOpts, cons, models)
+// RunSC2 builds the paper's second baseline at corner c: chiplet sizing
+// WITHOUT temperature — the full TESA optimizer over cfg.Space with the
+// thermal and leakage models disabled and the power constraint applied
+// to dynamic power only. Table IV reports what its picks actually do
+// thermally, including the 3-D thermal-runaway rows. The search observes
+// ctx.
+func (cfg *ExperimentConfig) RunSC2(ctx context.Context, c Corner) (*BaselineResult, error) {
+	opts, cons := cfg.optionsFor(c)
+	opts.DisableThermal = true
+	e, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
 	}
 	res := &BaselineResult{Name: "SC2"}
-	opt, err := e.OptimizeContext(context.Background(), space, seed, nil)
+	opt, err := e.OptimizeContext(ctx, cfg.Space, cfg.Seed, nil)
 	if errors.Is(err, ErrNoFeasibleStart) {
 		return res, nil
 	}
@@ -166,22 +163,23 @@ func RunSC2(w dnn.Workload, opts Options, cons Constraints, models Models, space
 	}
 	res.Chosen = opt.Best
 	res.Found = true
-	res.Actual, err = groundTruth(w, opts, cons, models, opt.Best.Point)
+	res.Actual, err = cfg.groundTruth(ctx, c, opt.Best.Point)
 	return res, err
 }
 
 // RunW1 reproduces the paper's adoption of W1 (TAP-2.5D, Ma et al. DATE
-// 2021): objective "minimize peak temperature", no leakage model, and —
-// in the original form — no performance or power constraints at all.
-// With constraints=false this reproduces the Table III top row (the
-// method happily picks the smallest, coolest chiplets and misses the
-// latency target by a factor of ~40); with constraints=true it adds the
-// latency and dynamic-power constraints and still lands on a thermally
-// infeasible MCM at 75 C because leakage is ignored.
-func RunW1(w dnn.Workload, opts Options, cons Constraints, models Models, space Space, seed int64, constraints bool) (*BaselineResult, error) {
-	wOpts := opts
-	wOpts.NoLeakage = true
-	e, err := NewEvaluator(w, wOpts, cons, models)
+// 2021) at corner c: objective "minimize peak temperature", no leakage
+// model, and — in the original form — no performance or power
+// constraints at all. With constraints=false this reproduces the Table
+// III top row (the method happily picks the smallest, coolest chiplets
+// and misses the latency target by a factor of ~40); with
+// constraints=true it adds the latency and dynamic-power constraints and
+// still lands on a thermally infeasible MCM at 75 C because leakage is
+// ignored. The search observes ctx.
+func (cfg *ExperimentConfig) RunW1(ctx context.Context, c Corner, constraints bool) (*BaselineResult, error) {
+	opts, cons := cfg.optionsFor(c)
+	opts.NoLeakage = true
+	e, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
 	}
@@ -199,27 +197,28 @@ func RunW1(w dnn.Workload, opts Options, cons Constraints, models Models, space 
 		}
 		return ev.LatencyFactor <= 1 && ev.DynamicPowerW <= cons.PowerBudgetW
 	}
-	ev, found, err := e.optimizeObjective(space, seed, true, obj, feas)
+	ev, found, err := e.optimizeObjective(ctx, cfg.Space, cfg.Seed, obj, feas)
 	if err != nil || !found {
 		return res, err
 	}
 	res.Chosen = ev
 	res.Found = true
-	res.Actual, err = groundTruth(w, opts, cons, models, ev.Point)
+	res.Actual, err = cfg.groundTruth(ctx, c, ev.Point)
 	return res, err
 }
 
-// RunW2 reproduces the paper's adoption of W2 (Coskun et al. TCAD 2020):
-// objective "minimize temperature + MCM cost + latency" (equally weighted
-// normalized terms), no constraints in the original form, and a LINEAR
-// leakage model that under-estimates leakage at high temperature. With
-// constraints=true the latency and power constraints are added; the pick
-// still violates the thermal budget once evaluated with the exponential
-// model, the paper's point about linearized leakage.
-func RunW2(w dnn.Workload, opts Options, cons Constraints, models Models, space Space, seed int64, constraints bool) (*BaselineResult, error) {
-	wOpts := opts
-	wOpts.LinearLeakage = true
-	e, err := NewEvaluator(w, wOpts, cons, models)
+// RunW2 reproduces the paper's adoption of W2 (Coskun et al. TCAD 2020)
+// at corner c: objective "minimize temperature + MCM cost + latency"
+// (equally weighted normalized terms), no constraints in the original
+// form, and a LINEAR leakage model that under-estimates leakage at high
+// temperature. With constraints=true the latency and power constraints
+// are added; the pick still violates the thermal budget once evaluated
+// with the exponential model, the paper's point about linearized
+// leakage. The search observes ctx.
+func (cfg *ExperimentConfig) RunW2(ctx context.Context, c Corner, constraints bool) (*BaselineResult, error) {
+	opts, cons := cfg.optionsFor(c)
+	opts.LinearLeakage = true
+	e, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
 	}
@@ -241,13 +240,13 @@ func RunW2(w dnn.Workload, opts Options, cons Constraints, models Models, space 
 		}
 		return ev.LatencyFactor <= 1 && ev.TotalPowerW <= cons.PowerBudgetW
 	}
-	ev, found, err := e.optimizeObjective(space, seed, true, obj, feas)
+	ev, found, err := e.optimizeObjective(ctx, cfg.Space, cfg.Seed, obj, feas)
 	if err != nil || !found {
 		return res, err
 	}
 	res.Chosen = ev
 	res.Found = true
-	res.Actual, err = groundTruth(w, opts, cons, models, ev.Point)
+	res.Actual, err = cfg.groundTruth(ctx, c, ev.Point)
 	return res, err
 }
 

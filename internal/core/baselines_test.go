@@ -1,30 +1,30 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"tesa/internal/dnn"
+	"tesa/internal/telemetry"
 )
 
-func baselineSetup(t *testing.T, tech Tech, freqMHz float64) (dnn.Workload, Options, Constraints, Models) {
-	t.Helper()
-	w := dnn.ARVRWorkload()
-	opts := DefaultOptions()
-	opts.Tech = tech
-	opts.FreqHz = freqMHz * 1e6
-	opts.Grid = 24
-	cons := DefaultConstraints()
-	cons.TempBudgetC = 75
-	return w, opts, cons, DefaultModels()
+// baselineConfig is the experiment the baseline tests run: the AR/VR
+// workload over space, searched at grid 24 with the given seed.
+func baselineConfig(space Space, seed int64) *ExperimentConfig {
+	cfg := fastConfig()
+	cfg.Space, cfg.Seed, cfg.Grid = space, seed, 24
+	return cfg
 }
+
+// w3D500 is the Table III corner: 3-D at 500 MHz, 30 fps, 75 C.
+var w3D500 = Corner{Tech3D, 500, 30, 75}
 
 // TestSC1MaxParallelism: SC1 must output a six-chiplet MCM (one DNN per
 // chiplet) at the maximum ICS, and its ground-truth evaluation must
 // exceed the 75 C budget — the paper's Fig. 5 result.
 func TestSC1MaxParallelism(t *testing.T) {
-	w, opts, cons, models := baselineSetup(t, Tech2D, 500)
-	res, err := RunSC1(w, opts, cons, models, DefaultSpace())
+	cfg := baselineConfig(DefaultSpace(), 1)
+	res, err := cfg.RunSC1(context.Background(), Corner{Tech2D, 500, 30, 75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSC1MaxParallelism(t *testing.T) {
 	if dim := res.Chosen.Point.ArrayDim; dim < 160 || dim > 200 {
 		t.Errorf("SC1 array %dx%d, want in the 160..200 band (paper: 180)", dim, dim)
 	}
-	if res.Actual.PeakTempC <= cons.TempBudgetC && !res.Actual.Runaway {
+	if res.Actual.PeakTempC <= 75 && !res.Actual.Runaway {
 		t.Errorf("SC1 actually feasible at %.1f C; the paper's point is that it exceeds 75 C", res.Actual.PeakTempC)
 	}
 }
@@ -51,8 +51,8 @@ func TestSC1MaxParallelism(t *testing.T) {
 // TestSC2HotterThanBudget: sizing without temperature picks MCMs that
 // violate the strict 75 C budget at 500 MHz (Table IV).
 func TestSC2HotterThanBudget(t *testing.T) {
-	w, opts, cons, models := baselineSetup(t, Tech2D, 500)
-	res, err := RunSC2(w, opts, cons, models, tinySpace(), 2)
+	cfg := baselineConfig(tinySpace(), 2)
+	res, err := cfg.RunSC2(context.Background(), Corner{Tech2D, 500, 30, 75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestSC2HotterThanBudget(t *testing.T) {
 // constraints lands on tiny, slow chiplets (the paper: 16x16 with a 36x
 // latency violation).
 func TestW1OriginalPerformanceViolation(t *testing.T) {
-	w, opts, cons, models := baselineSetup(t, Tech3D, 500)
-	res, err := RunW1(w, opts, cons, models, tinySpaceWide(), 4, false)
+	cfg := baselineConfig(tinySpaceWide(), 4)
+	res, err := cfg.RunW1(context.Background(), w3D500, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +85,7 @@ func TestW1OriginalPerformanceViolation(t *testing.T) {
 	if res.Actual.LatencyFactor < 5 {
 		t.Errorf("W1-original latency factor %.1fx, want a gross violation (paper: 36x)", res.Actual.LatencyFactor)
 	}
+	_, cons := cfg.optionsFor(w3D500)
 	desc := res.Describe(cons)
 	if !strings.Contains(desc, "INFEASIBLE") {
 		t.Errorf("Describe() = %q, want INFEASIBLE", desc)
@@ -95,8 +96,8 @@ func TestW1OriginalPerformanceViolation(t *testing.T) {
 // constraints to W1 still yields a thermally infeasible MCM at 75 C,
 // because W1 ignores leakage.
 func TestW1ConstrainedThermalViolation(t *testing.T) {
-	w, opts, cons, models := baselineSetup(t, Tech3D, 500)
-	res, err := RunW1(w, opts, cons, models, tinySpaceWide(), 4, true)
+	cfg := baselineConfig(tinySpaceWide(), 4)
+	res, err := cfg.RunW1(context.Background(), w3D500, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,101 @@ func TestW1ConstrainedThermalViolation(t *testing.T) {
 	}
 }
 
+// TestW2OriginalPerformanceViolation: W2's unconstrained T+cost+latency
+// objective trades latency away for cooler, cheaper chiplets, so its
+// pick misses the 30 fps budget (the paper: 3x2 of 56x56, latency 4x
+// over; Table III).
+func TestW2OriginalPerformanceViolation(t *testing.T) {
+	cfg := baselineConfig(tinySpaceWide(), 4)
+	res, err := cfg.RunW2(context.Background(), w3D500, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found {
+		t.Fatal("W2 found nothing")
+	}
+	if res.Name != "W2" {
+		t.Errorf("name %q, want W2", res.Name)
+	}
+	if dim := res.Chosen.Point.ArrayDim; dim > 128 {
+		t.Errorf("W2-original picked %dx%d; its objective should favour small arrays", dim, dim)
+	}
+	if res.Actual.LatencyFactor <= 1 {
+		t.Errorf("W2-original latency factor %.2fx, want a violation (paper: 4x)", res.Actual.LatencyFactor)
+	}
+	if res.Actual.Point != res.Chosen.Point {
+		t.Errorf("ground truth evaluated %v, not the pick %v", res.Actual.Point, res.Chosen.Point)
+	}
+}
+
+// TestW2ConstrainedThermalViolation: with the latency and power
+// constraints added, W2's pick satisfies them under its own linear
+// leakage model, yet exceeds 75 C once evaluated with the exponential
+// one — the paper's point about linearized leakage.
+func TestW2ConstrainedThermalViolation(t *testing.T) {
+	cfg := baselineConfig(tinySpaceWide(), 4)
+	res, err := cfg.RunW2(context.Background(), w3D500, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found {
+		t.Fatal("W2-constrained found nothing")
+	}
+	if res.Name != "W2+constraints" {
+		t.Errorf("name %q, want W2+constraints", res.Name)
+	}
+	_, cons := cfg.optionsFor(w3D500)
+	if c := res.Chosen; c.LatencyFactor > 1 || c.TotalPowerW > cons.PowerBudgetW {
+		t.Errorf("W2-constrained pick violates its own constraints: latency %.2fx, power %.1f W", c.LatencyFactor, c.TotalPowerW)
+	}
+	if res.Chosen.PeakTempC > 75 {
+		t.Errorf("W2-constrained pick already at %.1f C under its own linear leakage; the point is that it looks cool", res.Chosen.PeakTempC)
+	}
+	if res.Actual.PeakTempC <= 75 && !res.Actual.Runaway {
+		t.Errorf("W2-constrained actually feasible (%.1f C); expected thermal violation at 75 C", res.Actual.PeakTempC)
+	}
+	if res.Actual.LeakageW <= res.Chosen.LeakageW {
+		t.Errorf("exponential leakage %.2f W not above W2's linear %.2f W", res.Actual.LeakageW, res.Chosen.LeakageW)
+	}
+}
+
+// TestBaselineRerunSharesStore: the baselines build their evaluators on
+// the experiment's store and hub, so a second identical W1 run on one
+// ExperimentConfig is served entirely from the first one's records and
+// the hub sees no further thermal analysis.
+func TestBaselineRerunSharesStore(t *testing.T) {
+	cfg := baselineConfig(tinySpaceWide(), 4)
+	cfg.Telemetry = telemetry.New(nil)
+	first, err := cfg.RunW1(context.Background(), w3D500, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Found {
+		t.Fatal("W1+constraints found nothing")
+	}
+	solved := thermalCalls(cfg.Telemetry)
+	if solved == 0 {
+		t.Fatal("hub counted no thermal analyses: the baseline is not on the experiment's hub")
+	}
+	again, err := cfg.RunW1(context.Background(), w3D500, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := thermalCalls(cfg.Telemetry) - solved; n != 0 {
+		t.Errorf("second identical RunW1 ran %d thermal analyses, want 0", n)
+	}
+	if !again.Found || again.Chosen.Point != first.Chosen.Point {
+		t.Errorf("rerun changed the pick: %+v, want %v", again.Chosen, first.Chosen.Point)
+	}
+}
+
 // TestW2LinearLeakageUnderestimates: W2's linear leakage model reports
 // less leakage power than the exponential ground truth at identical
 // operating points.
 func TestW2LinearLeakageUnderestimates(t *testing.T) {
-	w, opts, cons, models := baselineSetup(t, Tech3D, 500)
+	cfg := baselineConfig(tinySpaceWide(), 4)
+	opts, cons := cfg.optionsFor(w3D500)
+	w, models := cfg.Workload, cfg.Models
 	linOpts := opts
 	linOpts.LinearLeakage = true
 	lin, err := NewEvaluator(w, linOpts, cons, models)

@@ -233,8 +233,8 @@ type TableIVRow struct {
 
 // TableIV regenerates the paper's Table IV: SC2's 2-D and 3-D MCMs for
 // each frequency/latency corner, evaluated against the strict 75 C
-// budget with the full thermal and leakage models. It stops with
-// ctx.Err() between rows when ctx is cancelled.
+// budget with the full thermal and leakage models. Its SC2 searches
+// observe ctx, and it stops with ctx.Err() when ctx is cancelled.
 func (cfg *ExperimentConfig) TableIV(ctx context.Context) ([]*TableIVRow, error) {
 	var rows []*TableIVRow
 	for _, tech := range []Tech{Tech2D, Tech3D} {
@@ -244,8 +244,7 @@ func (cfg *ExperimentConfig) TableIV(ctx context.Context) ([]*TableIVRow, error)
 					return nil, err
 				}
 				c := Corner{tech, f, fps, 75}
-				opts, cons := cfg.optionsFor(c)
-				res, err := RunSC2(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed)
+				res, err := cfg.RunSC2(ctx, c)
 				if err != nil {
 					return nil, err
 				}
@@ -296,11 +295,10 @@ type TableIIIResult struct {
 }
 
 // TableIII regenerates the paper's Table III comparison at 500 MHz, 3-D,
-// 30 fps, 75 C. It stops with ctx.Err() between baseline runs when ctx
-// is cancelled.
+// 30 fps, 75 C. Its W1/W2 searches observe ctx, and it stops with
+// ctx.Err() when ctx is cancelled.
 func (cfg *ExperimentConfig) TableIII(ctx context.Context) (*TableIIIResult, error) {
 	c := Corner{Tech3D, 500, 30, 75}
-	opts, cons := cfg.optionsFor(c)
 	res := &TableIIIResult{}
 	for _, run := range []struct {
 		out        **BaselineResult
@@ -314,12 +312,12 @@ func (cfg *ExperimentConfig) TableIII(ctx context.Context) (*TableIIIResult, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		baseline := RunW1
+		baseline := cfg.RunW1
 		if run.w2 {
-			baseline = RunW2
+			baseline = cfg.RunW2
 		}
 		var err error
-		if *run.out, err = baseline(cfg.Workload, opts, cons, cfg.Models, cfg.Space, cfg.Seed, run.constr); err != nil {
+		if *run.out, err = baseline(ctx, c, run.constr); err != nil {
 			return nil, err
 		}
 	}
@@ -359,7 +357,8 @@ type Fig5Result struct {
 
 // Fig5 regenerates the paper's Fig. 5: SC1 MCMs for 2-D and 3-D at
 // 500 MHz, 30 fps, and what they actually do thermally against 75 C.
-// It stops with ctx.Err() between technologies when ctx is cancelled.
+// It stops with ctx.Err() when ctx is cancelled, between technologies
+// or between SC1's evaluations.
 func (cfg *ExperimentConfig) Fig5(ctx context.Context) ([]*Fig5Result, error) {
 	var out []*Fig5Result
 	for _, tech := range []Tech{Tech2D, Tech3D} {
@@ -367,8 +366,7 @@ func (cfg *ExperimentConfig) Fig5(ctx context.Context) ([]*Fig5Result, error) {
 			return nil, err
 		}
 		c := Corner{tech, 500, 30, 75}
-		opts, cons := cfg.optionsFor(c)
-		res, err := RunSC1(cfg.Workload, opts, cons, cfg.Models, cfg.Space)
+		res, err := cfg.RunSC1(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -491,9 +489,12 @@ type ValidationResult struct {
 	// did not run the pipeline — revisits and points the sweep already
 	// evaluated, served by the shared store.
 	CacheHitRate float64
-	// MemoHitRate is the shared memoization store's hit rate across both
-	// evaluators — how much cross-evaluator traffic the memo layer
-	// absorbed.
+	// MemoHitRate is the shared memoization store's hit rate over the
+	// lookups of this validation's two evaluators — how much
+	// cross-evaluator traffic the memo layer absorbed. It is a delta of
+	// the experiment's store counters, so it excludes earlier tables and
+	// corners but would include lookups of tables or figures run
+	// concurrently on the same ExperimentConfig.
 	MemoHitRate   float64
 	FeasibleCount int
 	SpaceSize     int
@@ -509,6 +510,7 @@ type ValidationResult struct {
 func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Corner) (*ValidationResult, error) {
 	space := cfg.Space
 	opts, cons := cfg.optionsFor(c)
+	before := cfg.store().Stats()
 
 	ex, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
@@ -531,6 +533,8 @@ func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Cor
 		return nil, err
 	}
 
+	after := cfg.store().Stats()
+	lookups := memo.KindStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 	res := &ValidationResult{
 		Corner:           c,
 		ExhaustiveFound:  exRes.Best != nil,
@@ -539,7 +543,7 @@ func (cfg *ExperimentConfig) ValidateOptimizerContext(ctx context.Context, c Cor
 		SpaceSize:        exRes.Total,
 		ExploredFraction: float64(opRes.Explored) / float64(exRes.Total),
 		CacheHitRate:     op.CacheHitRate(),
-		MemoHitRate:      op.MemoStats().HitRate(),
+		MemoHitRate:      lookups.HitRate(),
 	}
 
 	res.ExhaustiveBest = exRes.Best

@@ -73,12 +73,22 @@ func TestRunCornerShape(t *testing.T) {
 }
 
 // TestValidateOptimizerAgreement: the Sec. IV-A check holds on the
-// reduced space at test scale.
+// reduced space at test scale. Its memo hit rate counts only the
+// validation's own lookups: a repeat on the same experiment is served
+// entirely by the first run's records.
 func TestValidateOptimizerAgreement(t *testing.T) {
 	cfg := fastConfig()
-	v, err := cfg.ValidateOptimizerContext(context.Background(), Corner{Tech2D, 400, 15, 85})
+	c := Corner{Tech2D, 400, 15, 85}
+	v, err := cfg.ValidateOptimizerContext(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := cfg.ValidateOptimizerContext(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.MemoHitRate != 1 {
+		t.Errorf("repeated validation memo hit rate %.3f, want 1 (first run: %.3f)", again.MemoHitRate, v.MemoHitRate)
 	}
 	if !v.Agreement {
 		exh, opt := math.NaN(), math.NaN()

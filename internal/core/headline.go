@@ -32,8 +32,8 @@ type Headline struct {
 
 // RunHeadline computes the headline comparison. It reuses full corner
 // optimizations, so it is the most expensive experiment driver. Its
-// corner searches observe ctx, and it stops with ctx.Err() between
-// corners when ctx is cancelled.
+// corner and baseline searches observe ctx, and it stops with ctx.Err()
+// between corners when ctx is cancelled.
 func (cfg *ExperimentConfig) RunHeadline(ctx context.Context) (*Headline, error) {
 	h := &Headline{}
 
@@ -43,8 +43,7 @@ func (cfg *ExperimentConfig) RunHeadline(ctx context.Context) (*Headline, error)
 	if err != nil {
 		return nil, err
 	}
-	opts, cons := cfg.optionsFor(corner)
-	sc1, err := RunSC1(cfg.Workload, opts, cons, cfg.Models, cfg.Space)
+	sc1, err := cfg.RunSC1(ctx, corner)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +58,7 @@ func (cfg *ExperimentConfig) RunHeadline(ctx context.Context) (*Headline, error)
 	if err != nil {
 		return nil, err
 	}
-	sOpts, sCons := cfg.optionsFor(strict)
-	sc2, err := RunSC2(cfg.Workload, sOpts, sCons, cfg.Models, cfg.Space, cfg.Seed)
+	sc2, err := cfg.RunSC2(ctx, strict)
 	if err != nil {
 		return nil, err
 	}

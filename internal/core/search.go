@@ -10,15 +10,9 @@ import (
 // climber at comparable evaluation budgets. The benchmark suite compares
 // all three against the exhaustive optimum.
 
-// RandomSearch evaluates `budget` uniform samples and returns the best
-// feasible one (a context.Background() wrapper over
-// RandomSearchContext).
-func (e *Evaluator) RandomSearch(space Space, seed int64, budget int) (*OptimizeResult, error) {
-	return e.RandomSearchContext(context.Background(), space, seed, budget)
-}
-
-// RandomSearchContext is RandomSearch observing ctx between
-// evaluations; on cancellation it returns ctx.Err().
+// RandomSearchContext evaluates `budget` uniform samples and returns
+// the best feasible one. It observes ctx between evaluations; on
+// cancellation it returns ctx.Err().
 func (e *Evaluator) RandomSearchContext(ctx context.Context, space Space, seed int64, budget int) (*OptimizeResult, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -43,17 +37,12 @@ func (e *Evaluator) RandomSearchContext(ctx context.Context, space Space, seed i
 	return res, nil
 }
 
-// GreedySearch hill-climbs from the best of a handful of random feasible
-// starts: at each step it evaluates a batch of neighbors and moves to the
-// best feasible improvement, stopping when no neighbor improves. The
-// total evaluation budget is shared with the restarts (a
-// context.Background() wrapper over GreedySearchContext).
-func (e *Evaluator) GreedySearch(space Space, seed int64, budget int) (*OptimizeResult, error) {
-	return e.GreedySearchContext(context.Background(), space, seed, budget)
-}
-
-// GreedySearchContext is GreedySearch observing ctx between
-// evaluations; on cancellation it returns ctx.Err().
+// GreedySearchContext hill-climbs from the best of a handful of random
+// feasible starts: at each step it evaluates a batch of neighbors and
+// moves to the best feasible improvement, stopping when no neighbor
+// improves. The total evaluation budget is shared with the restarts. It
+// observes ctx between evaluations; on cancellation it returns
+// ctx.Err().
 func (e *Evaluator) GreedySearchContext(ctx context.Context, space Space, seed int64, budget int) (*OptimizeResult, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // finds some feasible point on a feasible space.
 func TestRandomSearchFindsFeasible(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	res, err := e.RandomSearch(tinySpace(), 3, 60)
+	res, err := e.RandomSearchContext(context.Background(), tinySpace(), 3, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRandomSearchFindsFeasible(t *testing.T) {
 // respects the budget.
 func TestGreedyAtLeastAsGoodAsItsStart(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	res, err := e.GreedySearch(tinySpace(), 3, 80)
+	res, err := e.GreedySearchContext(context.Background(), tinySpace(), 3, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSearchStrategiesOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	eRand := testEvaluator(t, Tech2D, 400, 15, 85)
-	randRes, err := eRand.RandomSearch(space, 7, annealRes.Evaluations)
+	randRes, err := eRand.RandomSearchContext(context.Background(), space, 7, annealRes.Evaluations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestSearchStrategiesOrdering(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	if _, err := e.RandomSearch(Space{}, 1, 10); err == nil {
+	if _, err := e.RandomSearchContext(context.Background(), Space{}, 1, 10); err == nil {
 		t.Error("empty space accepted by random search")
 	}
-	if _, err := e.GreedySearch(Space{}, 1, 10); err == nil {
+	if _, err := e.GreedySearchContext(context.Background(), Space{}, 1, 10); err == nil {
 		t.Error("empty space accepted by greedy search")
 	}
 }
