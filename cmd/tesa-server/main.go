@@ -16,7 +16,7 @@
 //	tesa-server [-addr :8080] [-workers 2] [-queue 64]
 //	            [-job-deadline 0] [-base-dir .] [-drain-timeout 30s]
 //	            [-memo-dir .tesa-memo]
-//	            [-metrics] [-trace out.jsonl] [-pprof addr]
+//	            [-metrics] [-trace out.jsonl]
 //	            [-metrics-addr addr] [-manifest run.jsonl]
 //
 // Every job in the process shares one content-addressed memo store, so

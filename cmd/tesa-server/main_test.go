@@ -172,6 +172,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 	cases := map[string][]string{
 		"removed distrib":            {"-distrib", "x.json"},
 		"removed distrib checkpoint": {"-distrib-checkpoint", "x.ckpt"},
+		"removed pprof":              {"-pprof", "x"},
 	}
 	for name, args := range cases {
 		var stdout, stderr syncBuffer

@@ -82,8 +82,8 @@
 // stage and, with -strict, exits 3 on any flagged regression.
 //
 // Observability: -metrics prints an end-of-run summary, -trace streams
-// JSONL events, -pprof serves net/http/pprof, -metrics-addr serves live
-// /metrics, /debug/vars, /progress and /debug/pprof, and -manifest
+// JSONL events, -metrics-addr serves live /metrics, /debug/vars,
+// /progress and /debug/pprof (the net/http/pprof profiler), and -manifest
 // writes the run manifest as JSONL start/end records. Every subcommand
 // but trace takes these flags.
 //

@@ -111,6 +111,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"removed checkpoint":     {"sweep", "-checkpoint", "x"},
 		"removed resume":         {"sweep", "-resume", "x"},
 		"removed shard":          {"sweep", "-shard", "4"},
+		"removed pprof":          {"-pprof", "x"},
 		"thermal bad tech":       {"thermal", "-tech", "4d"},
 		"thermal zero fps":       {"thermal", "-fps", "0"},
 		"thermal zero dim":       {"thermal", "-dim", "0"},

@@ -20,8 +20,6 @@ type Observability struct {
 	Metrics bool
 	// Trace is the JSONL event-trace output path ("" = off).
 	Trace string
-	// Pprof is the standalone net/http/pprof listen address ("" = off).
-	Pprof string
 	// MetricsAddr is the live exposition address serving /metrics,
 	// /debug/vars, /progress, and /debug/pprof ("" = off).
 	MetricsAddr string
@@ -33,14 +31,13 @@ type Observability struct {
 	fs *flag.FlagSet
 }
 
-// ObservabilityFlags registers -metrics, -trace, -pprof, -metrics-addr,
-// and -manifest on fs and returns the struct they populate after
+// ObservabilityFlags registers -metrics, -trace, -metrics-addr and
+// -manifest on fs and returns the struct they populate after
 // fs.Parse.
 func ObservabilityFlags(fs *flag.FlagSet) *Observability {
 	o := &Observability{fs: fs}
 	fs.BoolVar(&o.Metrics, "metrics", false, "print an end-of-run telemetry summary")
 	fs.StringVar(&o.Trace, "trace", "", "write a JSONL event trace to this file")
-	fs.StringVar(&o.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&o.MetricsAddr, "metrics-addr", "",
 		"serve live /metrics (Prometheus), /debug/vars, /progress and /debug/pprof on this address (e.g. localhost:9090)")
 	fs.StringVar(&o.ManifestPath, "manifest", "", "write the run manifest (start and end records) as JSONL to this file")
@@ -79,7 +76,7 @@ type Session struct {
 // stderr for CSV emitters). Call Finish before every exit path —
 // os.Exit skips defers.
 func (o *Observability) Setup(command string, args []string, sum io.Writer) (*Session, error) {
-	tel, srv, telDone, err := telemetry.Setup(o.Trace, o.Pprof, o.MetricsAddr, o.Metrics)
+	tel, srv, telDone, err := telemetry.Setup(o.Trace, o.MetricsAddr, o.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tesa/internal/area"
@@ -138,6 +139,9 @@ type Evaluator struct {
 	// when tel is (Instrument creates it), so the disabled path pays one
 	// nil check.
 	flight *telemetry.FlightRecorder
+	// ctrs caches the hot path's counter handles; non-nil exactly when
+	// tel is (see counter).
+	ctrs *counterHandles
 
 	// injected is the optional fault-injection plan (nil = no
 	// injection); see InjectFaults.
@@ -165,10 +169,13 @@ type Evaluator struct {
 	perfFP  string   // performance-model (systolic/sched) fingerprint
 	thermFP string   // thermal-stage fingerprint (cfgFP minus budgets and weights)
 	netFPs  []string // per-network content fingerprints
+	// Key prefixes "<kind>:<fingerprint>|" of the per-point records.
+	evalPrefix, screenPrefix, thermPrefix, profPrefix string
 
 	mu      sync.Mutex
 	visited map[DesignPoint]struct{}   // points evaluated successfully (Explored)
 	failed  map[DesignPoint]*EvalError // quarantine ledger: poisoned points and why
+	nfailed atomic.Int64               // len(failed), readable without mu
 	hits    int                        // Evaluate calls that did not run the pipeline
 	misses  int                        // Evaluate calls that ran the pipeline
 }
@@ -182,10 +189,10 @@ type Evaluator struct {
 // the hub may be shared across evaluators.
 func (e *Evaluator) Instrument(tel *telemetry.Telemetry) {
 	e.tel = tel
+	e.flight, e.ctrs = nil, nil
 	if tel.Enabled() {
 		e.flight = telemetry.NewFlightRecorder()
-	} else {
-		e.flight = nil
+		e.ctrs = new(counterHandles)
 	}
 }
 
@@ -233,11 +240,7 @@ func (e *Evaluator) SetStageTimeout(d time.Duration) { e.stageTimeout = d }
 
 // QuarantinedCount returns the number of distinct design points whose
 // evaluation failed and was quarantined.
-func (e *Evaluator) QuarantinedCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.failed)
-}
+func (e *Evaluator) QuarantinedCount() int { return int(e.nfailed.Load()) }
 
 // QuarantineLedger returns the quarantined points with their failing
 // stage and failure class, sorted by design point for stable reports.
@@ -361,18 +364,40 @@ func (e *Evaluator) EvaluateFullContext(ctx context.Context, p DesignPoint) (*Ev
 	return e.evaluate(p, true)
 }
 
+// evaluate serves one Evaluate call and takes e.mu once to count it.
+// The quarantine ledger is consulted first, under its own lock, only
+// once it holds a point.
 func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
-	e.mu.Lock()
-	ee, failed := e.failed[p]
-	e.mu.Unlock()
-	if failed {
-		// Failures are memoized too: the pipeline is deterministic, so
-		// retrying a poisoned point would only fail the same way again.
-		e.tally(false)
-		return nil, ee
+	if e.nfailed.Load() > 0 {
+		e.mu.Lock()
+		ee, failed := e.failed[p]
+		if failed {
+			e.hits++
+		}
+		e.mu.Unlock()
+		if failed {
+			// Failures are memoized too: the pipeline is deterministic, so
+			// retrying a poisoned point would only fail the same way again.
+			e.counter(ctrCacheHit).Inc()
+			return nil, ee
+		}
 	}
 	ev, ran, err := e.sharedEvaluate(p, full)
-	e.tally(ran)
+	e.mu.Lock()
+	if ran {
+		e.misses++
+	} else {
+		e.hits++
+	}
+	if err == nil {
+		e.visited[p] = struct{}{}
+	}
+	e.mu.Unlock()
+	if ran {
+		e.counter(ctrCacheMiss).Inc()
+	} else {
+		e.counter(ctrCacheHit).Inc()
+	}
 	if err != nil {
 		if ee, ok := asEvalError(err); ok {
 			e.quarantine(ee)
@@ -381,32 +406,12 @@ func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
 	}
 	if ran {
 		if ev.Feasible {
-			e.tel.Registry().Counter("evaluator.feasible").Inc()
+			e.counter(ctrFeasible).Inc()
 		} else {
-			e.tel.Registry().Counter("evaluator.infeasible").Inc()
+			e.counter(ctrInfeasible).Inc()
 		}
 	}
-	e.mu.Lock()
-	e.visited[p] = struct{}{}
-	e.mu.Unlock()
 	return ev, nil
-}
-
-// tally counts one Evaluate call as a miss when it ran the pipeline and
-// as a hit otherwise.
-func (e *Evaluator) tally(ran bool) {
-	e.mu.Lock()
-	if ran {
-		e.misses++
-	} else {
-		e.hits++
-	}
-	e.mu.Unlock()
-	if ran {
-		e.tel.Registry().Counter("evaluator.cache.miss").Inc()
-	} else {
-		e.tel.Registry().Counter("evaluator.cache.hit").Inc()
-	}
 }
 
 // quarantine records a point-local evaluation failure in the ledger
@@ -428,6 +433,7 @@ func (e *Evaluator) quarantine(ee *EvalError) {
 		ee.Trace = e.flight.Dump()
 	}
 	e.failed[ee.Point] = ee
+	e.nfailed.Store(int64(len(e.failed)))
 	e.mu.Unlock()
 	reason := ee.Reason()
 	e.tel.Registry().Counter("eval.quarantined").Inc()

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"tesa/internal/area"
@@ -101,19 +102,33 @@ func LoadMemoDir(store *memo.Store, dir string) (func() error, error) {
 // + power decomposition + schedule), which see only the workload, tech,
 // frequency, dataflow and power parameters. netFPs fingerprint each
 // network's content for per-network systolic keys; the workload enters
-// the other three as its name plus those.
+// the other three as its name plus those. It also renders the key
+// prefix of each per-point record kind once, so a lookup only appends
+// the two integers of its design vector (see pointKey).
 func (e *Evaluator) fingerprints() {
 	e.fpOnce.Do(func() {
 		o := e.Opts
-		e.netFPs = make([]string, len(e.Workload.Networks))
-		for i := range e.Workload.Networks {
-			e.netFPs[i] = networkFP(&e.Workload.Networks[i])
-		}
+		e.netFPs = networkFPs(e.Workload.Networks)
 		wl := workloadFP(e.Workload.Name, e.netFPs)
 		e.cfgFP = memo.Hash("cfg", wl, o, e.Cons, e.Models, int64(e.stageTimeout))
 		e.thermFP = thermalFP(wl, o, e.Cons, e.Models, e.stageTimeout)
 		e.perfFP = memo.Hash("perf", wl, o.Tech, o.FreqHz, fmt.Sprint(o.Dataflow), e.Models.Power)
+		e.evalPrefix = memo.Key("eval", e.cfgFP, "")
+		e.screenPrefix = memo.Key("screen", e.cfgFP, "")
+		e.thermPrefix = memo.Key("thermal", e.thermFP, "")
+		e.profPrefix = memo.Key("profiles", e.perfFP, "")
 	})
+}
+
+// pointKey completes a per-point key prefix from fingerprints with two
+// integers: it returns memo.Key(kind, fp, strconv.Itoa(a),
+// strconv.Itoa(b)) for prefix memo.Key(kind, fp, ""), built in a stack
+// buffer with the returned string as its one allocation.
+func pointKey(prefix string, a, b int) string {
+	var buf [64]byte
+	k := strconv.AppendInt(append(buf[:0], prefix...), int64(a), 10)
+	k = strconv.AppendInt(append(k, '|'), int64(b), 10)
+	return string(k)
 }
 
 // thermalFP is the fingerprint of a point's thermal inputs: cfgFP's
@@ -129,6 +144,33 @@ func thermalFP(wl string, o Options, c Constraints, m Models, timeout time.Durat
 	o.Alpha, o.Beta, o.RefCostUSD, o.RefDRAMWatts = 0, 0, 0, 0
 	c.FPS, c.PowerBudgetW, c.TempBudgetC = 0, 0, 0
 	return memo.Hash("thermal", wl, o, c, m, int64(timeout))
+}
+
+// builtinNetFPs are the network fingerprints of the process-wide AR/VR
+// workload (dnn.SharedARVRWorkload), hashed once per process: every
+// evaluator of a built-in job shares them.
+var builtinNetFPs = sync.OnceValue(func() []string {
+	return hashNetworks(dnn.SharedARVRWorkload().Networks)
+})
+
+// networkFPs returns one content fingerprint per network. Networks that
+// are the shared built-in workload's own backing array, which is
+// read-only, take builtinNetFPs; any other workload, a modified copy of
+// the built-in one included, is hashed.
+func networkFPs(nets []dnn.Network) []string {
+	if shared := dnn.SharedARVRWorkload().Networks; len(nets) == len(shared) && len(nets) > 0 && &nets[0] == &shared[0] {
+		return builtinNetFPs()
+	}
+	return hashNetworks(nets)
+}
+
+// hashNetworks fingerprints each network with networkFP.
+func hashNetworks(nets []dnn.Network) []string {
+	fps := make([]string, len(nets))
+	for i := range nets {
+		fps[i] = networkFP(&nets[i])
+	}
+	return fps
 }
 
 // networkFP fingerprints a network without reflection or fmt: its
@@ -173,24 +215,38 @@ func appendFPString(buf []byte, s string) []byte {
 	return append(append(buf, ':'), s...)
 }
 
+// memoKind names a memoized computation; memoKinds holds the key kind
+// of each, which its memo.hit.<kind> / memo.miss.<kind> counters carry.
+type memoKind int
+
+const (
+	kindEval memoKind = iota
+	kindScreen
+	kindThermal
+	kindProfiles
+	kindSystolic
+	kindSRAM
+	kindSched
+	numMemoKinds
+)
+
+var memoKinds = [numMemoKinds]string{"eval", "screen", "thermal", "profiles", "systolic", "sram", "sched"}
+
 // memoCounter mirrors a store lookup into the telemetry hub as
 // memo.hit.<kind> / memo.miss.<kind> counters.
-func (e *Evaluator) memoCounter(kind string, hit bool) {
-	if !e.tel.Enabled() {
-		return
+func (e *Evaluator) memoCounter(kind memoKind, hit bool) {
+	id := ctrMemo + 2*counterID(kind)
+	if !hit {
+		id++
 	}
-	if hit {
-		e.tel.Registry().Counter("memo.hit." + kind).Inc()
-	} else {
-		e.tel.Registry().Counter("memo.miss." + kind).Inc()
-	}
+	e.counter(id).Inc()
 }
 
 // evalKey is the whole-point evaluation key: configuration fingerprint
 // plus the design vector.
 func (e *Evaluator) evalKey(p DesignPoint) string {
 	e.fingerprints()
-	return memo.Key("eval", e.cfgFP, strconv.Itoa(p.ArrayDim), strconv.Itoa(p.ICSUM))
+	return pointKey(e.evalPrefix, p.ArrayDim, p.ICSUM)
 }
 
 // sharedEvaluate is the one pipeline entry: whole-point DSE evaluations
@@ -205,7 +261,7 @@ func (e *Evaluator) sharedEvaluate(p DesignPoint, full bool) (ev *Evaluation, ra
 	if full {
 		if v, ok := store.Get(key); ok {
 			if ev := v.(*Evaluation); ev.Full {
-				e.memoCounter("eval", true)
+				e.memoCounter(kindEval, true)
 				return ev, false, nil
 			}
 		}
@@ -213,7 +269,7 @@ func (e *Evaluator) sharedEvaluate(p DesignPoint, full bool) (ev *Evaluation, ra
 		if err != nil {
 			return nil, true, err
 		}
-		e.memoCounter("eval", false)
+		e.memoCounter(kindEval, false)
 		store.Put(key, ev)
 		return ev, true, nil
 	}
@@ -228,7 +284,7 @@ func (e *Evaluator) sharedEvaluate(p DesignPoint, full bool) (ev *Evaluation, ra
 	if err != nil {
 		return nil, !hit, err
 	}
-	e.memoCounter("eval", hit)
+	e.memoCounter(kindEval, hit)
 	return v.(*Evaluation), !hit, nil
 }
 
@@ -251,7 +307,7 @@ type screenVerdict struct {
 func (e *Evaluator) screen(p DesignPoint) (obj float64, survives bool, err error) {
 	store := e.store()
 	e.fingerprints()
-	key := memo.Key("screen", e.cfgFP, strconv.Itoa(p.ArrayDim), strconv.Itoa(p.ICSUM))
+	key := pointKey(e.screenPrefix, p.ArrayDim, p.ICSUM)
 	v, hit, err := store.GetOrCompute(key, func() (any, error) {
 		ev, err := e.pipeline(p, modeScreen)
 		if err != nil {
@@ -268,7 +324,7 @@ func (e *Evaluator) screen(p DesignPoint) (obj float64, survives bool, err error
 	if err != nil {
 		return 0, false, err
 	}
-	e.memoCounter("screen", hit)
+	e.memoCounter(kindScreen, hit)
 	sv := v.(screenVerdict)
 	return float64(sv.Objective), sv.Survives, nil
 }
@@ -299,7 +355,7 @@ type thermalOutcome struct {
 func (e *Evaluator) sharedThermal(ev *Evaluation, profiles []netProfile, place *floorplan.Placement, est sram.Estimate) error {
 	store := e.store()
 	e.fingerprints()
-	key := memo.Key("thermal", e.thermFP, strconv.Itoa(ev.Point.ArrayDim), strconv.Itoa(ev.Point.ICSUM))
+	key := pointKey(e.thermPrefix, ev.Point.ArrayDim, ev.Point.ICSUM)
 	v, hit, err := store.GetOrCompute(key, func() (any, error) {
 		if err := e.thermalStage(ev, profiles, place, est); err != nil {
 			return nil, err
@@ -322,7 +378,7 @@ func (e *Evaluator) sharedThermal(ev *Evaluation, profiles []netProfile, place *
 	if err != nil {
 		return err
 	}
-	e.memoCounter("thermal", hit)
+	e.memoCounter(kindThermal, hit)
 	if hit {
 		out := v.(thermalOutcome)
 		ev.PeakTempC = float64(out.PeakTempC)
@@ -353,11 +409,11 @@ type profileBundle struct {
 // fingerprint).
 func (e *Evaluator) profilesFor(arr systolic.Array, threeD bool) (*profileBundle, error) {
 	e.fingerprints()
-	key := memo.Key("profiles", e.perfFP, strconv.Itoa(arr.Rows), strconv.Itoa(arr.Cols))
+	key := pointKey(e.profPrefix, arr.Rows, arr.Cols)
 	v, hit, err := e.store().GetOrCompute(key, func() (any, error) {
 		return e.computeProfiles(arr, threeD)
 	})
-	e.memoCounter("profiles", hit)
+	e.memoCounter(kindProfiles, hit)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +476,7 @@ func (e *Evaluator) networkStats(arr systolic.Array, i int) (*systolic.NetworkSt
 		}
 		return st, nil
 	})
-	e.memoCounter("systolic", hit)
+	e.memoCounter(kindSystolic, hit)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +500,7 @@ func (e *Evaluator) sramEstimate(bytes int64) (sram.Estimate, error) {
 		}
 		return est, nil
 	})
-	e.memoCounter("sram", hit)
+	e.memoCounter(kindSRAM, hit)
 	if err != nil {
 		return sram.Estimate{}, err
 	}
@@ -460,7 +516,7 @@ func (e *Evaluator) buildSchedule(sp []sched.DNNProfile, n int, order []int) (*s
 	v, hit, err := e.store().GetOrCompute(key, func() (any, error) {
 		return sched.Build(sp, n, order)
 	})
-	e.memoCounter("sched", hit)
+	e.memoCounter(kindSched, hit)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,58 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"tesa/internal/anneal"
 	"tesa/internal/telemetry"
 )
+
+// counterID indexes the counters an evaluation bumps on every call;
+// counterNames holds their registry names.
+type counterID int
+
+const (
+	ctrCacheHit counterID = iota
+	ctrCacheMiss
+	ctrFeasible
+	ctrInfeasible
+	// ctrMemo is the first memo counter: memoKind k counts its hits at
+	// ctrMemo+2k and its misses right after.
+	ctrMemo
+	numCounters = ctrMemo + 2*counterID(numMemoKinds)
+)
+
+var counterNames = func() (n [numCounters]string) {
+	n[ctrCacheHit] = "evaluator.cache.hit"
+	n[ctrCacheMiss] = "evaluator.cache.miss"
+	n[ctrFeasible] = "evaluator.feasible"
+	n[ctrInfeasible] = "evaluator.infeasible"
+	for k, kind := range memoKinds {
+		n[ctrMemo+2*counterID(k)] = "memo.hit." + kind
+		n[ctrMemo+2*counterID(k)+1] = "memo.miss." + kind
+	}
+	return n
+}()
+
+// counterHandles holds an evaluator's counter handles, each resolved
+// from the hub's registry on first use, so the hot path skips the
+// registry's lock and map and a counter still enters the registry only
+// when first bumped.
+type counterHandles [numCounters]atomic.Pointer[telemetry.Counter]
+
+// counter returns the handle of counter id: nil, a no-op, when the
+// evaluator is uninstrumented.
+func (e *Evaluator) counter(id counterID) *telemetry.Counter {
+	if e.ctrs == nil {
+		return nil
+	}
+	if c := e.ctrs[id].Load(); c != nil {
+		return c
+	}
+	c := e.tel.Registry().Counter(counterNames[id])
+	e.ctrs[id].Store(c)
+	return c
+}
 
 // annealObserver bridges annealer progress into the telemetry hub:
 // move-outcome counters always, plus one trace event per temperature

@@ -125,16 +125,23 @@ type call struct {
 // not usable; call NewStore.
 type Store struct {
 	mu       sync.Mutex
-	m        map[string]any
+	m        map[string]entry
 	inflight map[string]*call
 	stats    map[string]*KindStats
 	disk     *Disk
 }
 
+// entry is a cached value with its kind's counters, so a hit counts
+// itself without re-parsing the key.
+type entry struct {
+	val any
+	ks  *KindStats
+}
+
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		m:        make(map[string]any),
+		m:        make(map[string]entry),
 		inflight: make(map[string]*call),
 		stats:    make(map[string]*KindStats),
 	}
@@ -156,18 +163,18 @@ func (s *Store) kindStats(key string) *KindStats {
 func (s *Store) Get(key string) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.m[key]
+	ent, ok := s.m[key]
 	if ok {
-		s.kindStats(key).Hits++
+		ent.ks.Hits++
 	}
-	return v, ok
+	return ent.val, ok
 }
 
 // Put stores value under key unconditionally, replacing any previous
 // value (used to upgrade a compact record to a full one).
 func (s *Store) Put(key string, value any) {
 	s.mu.Lock()
-	s.m[key] = value
+	s.m[key] = entry{value, s.kindStats(key)}
 	s.mu.Unlock()
 }
 
@@ -180,8 +187,9 @@ func (s *Store) Seed(key string, value any) {
 	if _, ok := s.m[key]; ok {
 		return
 	}
-	s.m[key] = value
-	s.kindStats(key).Loaded++
+	ks := s.kindStats(key)
+	s.m[key] = entry{value, ks}
+	ks.Loaded++
 }
 
 // ErrPeerPanicked is returned to goroutines that were waiting on an
@@ -199,20 +207,21 @@ var ErrPeerPanicked = errors.New("memo: shared computation panicked")
 // caller and fails waiters with ErrPeerPanicked.
 func (s *Store) GetOrCompute(key string, fn func() (any, error)) (val any, hit bool, err error) {
 	s.mu.Lock()
-	if v, ok := s.m[key]; ok {
-		s.kindStats(key).Hits++
+	if ent, ok := s.m[key]; ok {
+		ent.ks.Hits++
 		s.mu.Unlock()
-		return v, true, nil
+		return ent.val, true, nil
 	}
+	ks := s.kindStats(key)
 	if c, ok := s.inflight[key]; ok {
-		s.kindStats(key).Deduped++
+		ks.Deduped++
 		s.mu.Unlock()
 		<-c.done
 		return c.val, true, c.err
 	}
 	c := &call{done: make(chan struct{})}
 	s.inflight[key] = c
-	s.kindStats(key).Misses++
+	ks.Misses++
 	s.mu.Unlock()
 
 	finished := false
@@ -223,7 +232,7 @@ func (s *Store) GetOrCompute(key string, fn func() (any, error)) (val any, hit b
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if finished && c.err == nil {
-			s.m[key] = c.val
+			s.m[key] = entry{c.val, ks}
 		}
 		s.mu.Unlock()
 		close(c.done)
@@ -278,9 +287,9 @@ func (s *Store) Range(prefix string, fn func(key string, v any) bool) {
 		v any
 	}
 	var snap []kv
-	for k, v := range s.m {
+	for k, ent := range s.m {
 		if strings.HasPrefix(k, prefix) {
-			snap = append(snap, kv{k, v})
+			snap = append(snap, kv{k, ent.val})
 		}
 	}
 	s.mu.Unlock()
@@ -304,6 +313,9 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	out := Stats{Kinds: make(map[string]KindStats, len(s.stats))}
 	for k, ks := range s.stats {
+		if *ks == (KindStats{}) {
+			continue // a kind only Put has seen: no traffic to report
+		}
 		out.Kinds[k] = *ks
 		out.Hits += ks.Hits
 		out.Misses += ks.Misses

@@ -3,9 +3,6 @@ package telemetry
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"time"
 )
@@ -20,28 +17,15 @@ const drainGrace = 2 * time.Second
 //	-metrics            metrics:     collect + print the summary table
 //	-metrics-addr addr  metricsAddr: serve /metrics, /debug/vars,
 //	                    /progress and /debug/pprof (""=off)
-//	-pprof addr         pprofAddr:   serve net/http/pprof alone (""=off)
 //
 // It returns the hub (nil when nothing asked for telemetry, preserving
 // the disabled fast path — note -metrics-addr implies a live registry),
 // the exposition server (nil unless metricsAddr was given), and a
 // cleanup that flushes and closes the trace file and shuts the server
-// down. Both listeners bind synchronously — a bad address fails here,
+// down. The listener binds synchronously — a bad address fails here,
 // not in a goroutine.
-func Setup(tracePath, pprofAddr, metricsAddr string, metrics bool) (*Telemetry, *Server, func() error, error) {
+func Setup(tracePath, metricsAddr string, metrics bool) (*Telemetry, *Server, func() error, error) {
 	cleanup := func() error { return nil }
-	if pprofAddr != "" {
-		ln, err := net.Listen("tcp", pprofAddr)
-		if err != nil {
-			return nil, nil, cleanup, fmt.Errorf("telemetry: pprof listen: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
-			}
-		}()
-	}
 	var sink EventSink
 	var closeTrace func() error
 	if tracePath != "" {
