@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -512,7 +513,7 @@ func (e *Evaluator) sramEstimate(bytes int64) (sram.Estimate, error) {
 // corner order) — immune to model reasoning, since equal inputs mean
 // sched.Build returns an equal schedule.
 func (e *Evaluator) buildSchedule(sp []sched.DNNProfile, n int, order []int) (*sched.Schedule, error) {
-	key := memo.Key("sched", memo.Hash(sp, n, order))
+	key := schedKey(sp, n, order)
 	v, hit, err := e.store().GetOrCompute(key, func() (any, error) {
 		return sched.Build(sp, n, order)
 	})
@@ -521,6 +522,30 @@ func (e *Evaluator) buildSchedule(sp []sched.DNNProfile, n int, order []int) (*s
 		return nil, err
 	}
 	return v.(*sched.Schedule), nil
+}
+
+// schedKey is the sched record key of buildSchedule's inputs, built
+// without fmt: the profile count, then each profile's name with its
+// length and the bits of its latency and power, then n, then order with
+// its length, all as raw bytes. The encoding is injective, so keys are
+// equal exactly when the inputs are. sched records are never persisted,
+// so the key need not be printable. A field added to sched.DNNProfile
+// must be added here too; TestSchedKeyCoversEveryInput fails until it is.
+func schedKey(sp []sched.DNNProfile, n int, order []int) string {
+	var stack [512]byte
+	k := binary.AppendUvarint(append(stack[:0], "sched:"...), uint64(len(sp)))
+	for i := range sp {
+		k = binary.AppendUvarint(k, uint64(len(sp[i].Name)))
+		k = append(k, sp[i].Name...)
+		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(sp[i].LatencySec))
+		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(sp[i].PowerWatts))
+	}
+	k = binary.AppendVarint(k, int64(n))
+	k = binary.AppendUvarint(k, uint64(len(order)))
+	for _, o := range order {
+		k = binary.AppendVarint(k, int64(o))
+	}
+	return string(k)
 }
 
 // persistEval appends a compact record of a computed DSE evaluation to

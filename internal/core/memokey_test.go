@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"tesa/internal/dnn"
 	"tesa/internal/memo"
+	"tesa/internal/sched"
 	"tesa/internal/telemetry"
 )
 
@@ -135,5 +138,58 @@ func TestEvaluateHitAllocs(t *testing.T) {
 		if allocs > 1 {
 			t.Errorf("%s: a warm-store hit allocates %v times, want <= 1", name, allocs)
 		}
+	}
+}
+
+// TestSchedKeyCoversEveryInput: equal schedule inputs give equal sched
+// keys, and changing any one field of any profile, the chiplet count or
+// the corner order gives another key. Every field of sched.DNNProfile is
+// perturbed by reflection, so a field the key leaves out fails here.
+func TestSchedKeyCoversEveryInput(t *testing.T) {
+	base := func() []sched.DNNProfile {
+		return []sched.DNNProfile{
+			{Name: "ResNet-50", LatencySec: 0.012, PowerWatts: 1.5},
+			{Name: "U-Net", LatencySec: 0.03, PowerWatts: 2.25},
+		}
+	}
+	order := []int{0, 2, 1, 3}
+	key := schedKey(base(), 4, order)
+	if got := schedKey(base(), 4, []int{0, 2, 1, 3}); got != key {
+		t.Fatalf("equal inputs gave keys %q and %q", key, got)
+	}
+	seen := map[string]string{key: "base"}
+	distinct := func(what, k string) {
+		t.Helper()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s gives the same key as %s", what, prev)
+		}
+		seen[k] = what
+	}
+	for i := range base() {
+		for f := 0; f < reflect.TypeOf(sched.DNNProfile{}).NumField(); f++ {
+			sp := base()
+			v := reflect.ValueOf(&sp[i]).Elem().Field(f)
+			switch v.Kind() {
+			case reflect.String:
+				v.SetString(v.String() + "x")
+			case reflect.Float64:
+				v.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
+			default:
+				t.Fatalf("DNNProfile field %s has kind %s, which this test cannot perturb", v.Type().Field(f).Name, v.Kind())
+			}
+			distinct(fmt.Sprintf("profile %d field %d", i, f), schedKey(sp, 4, order))
+		}
+	}
+	// A name byte moved into the next profile's name: the length
+	// prefixes keep the boundary.
+	moved := base()
+	moved[0].Name, moved[1].Name = "ResNet-5", "0U-Net"
+	distinct("a moved name byte", schedKey(moved, 4, order))
+	distinct("one profile fewer", schedKey(base()[:1], 4, order))
+	distinct("another n", schedKey(base(), 5, order))
+	distinct("another order", schedKey(base(), 4, []int{0, 1, 2, 3}))
+	distinct("a shorter order", schedKey(base(), 4, order[:3]))
+	if memo.Kind(key) != "sched" {
+		t.Errorf("key kind %q, want sched", memo.Kind(key))
 	}
 }

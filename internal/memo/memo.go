@@ -6,10 +6,11 @@
 // "sched", "eval", "screen", "thermal") and the parts are exact
 // renderings of every input the computation depends on (content
 // fingerprints for structured inputs, shortest round-trip decimals for
-// floats). Two keys are equal exactly when the memoized function would
-// produce the same value, so a store can be shared by every evaluator,
-// sweep worker and annealing chain in a process without changing any
-// result.
+// floats). "sched" keys, which are never persisted, instead carry their
+// inputs as raw bytes (see core's schedKey). Two keys are equal exactly
+// when the memoized function would produce the same value, so a store
+// can be shared by every evaluator, sweep worker and annealing chain in
+// a process without changing any result.
 //
 // GetOrCompute deduplicates in-flight computations (single-flight): when
 // several chains race to evaluate the same key, one computes and the

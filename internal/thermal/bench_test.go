@@ -39,10 +39,9 @@ func benchStack(b *testing.B, grid int, threeD bool) *Stack {
 	return s
 }
 
-// benchCases runs bench as one sub-benchmark per grid (32, 64, 88) and
-// technology.
-func benchCases(b *testing.B, bench func(b *testing.B, s *Stack)) {
-	for _, grid := range []int{32, 64, 88} {
+// benchCases runs bench as one sub-benchmark per grid and technology.
+func benchCases(b *testing.B, grids []int, bench func(b *testing.B, s *Stack)) {
+	for _, grid := range grids {
 		for _, threeD := range []bool{false, true} {
 			tech := "2d"
 			if threeD {
@@ -58,7 +57,7 @@ func benchCases(b *testing.B, bench func(b *testing.B, s *Stack)) {
 // BenchmarkSolveReference times Solve, which allocates a throwaway
 // workspace and Result per solve.
 func BenchmarkSolveReference(b *testing.B) {
-	benchCases(b, func(b *testing.B, s *Stack) {
+	benchCases(b, []int{32, 64, 88}, func(b *testing.B, s *Stack) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -77,7 +76,7 @@ func BenchmarkSolveReference(b *testing.B) {
 // while a new stack makes every op assemble the operator and run CG
 // from zero.
 func BenchmarkSolveWorkspace(b *testing.B) {
-	benchCases(b, func(b *testing.B, s *Stack) {
+	benchCases(b, []int{32, 64, 88}, func(b *testing.B, s *Stack) {
 		other := *s
 		stacks := [2]*Stack{s, &other}
 		ws := NewWorkspace()
@@ -94,4 +93,70 @@ func BenchmarkSolveWorkspace(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Iterations), "iters")
 	})
+}
+
+// BenchmarkVCycle times one V-cycle, the CG preconditioner, on the
+// benchmark MCM at grids 16, 32 and 88 in both technologies: on the
+// steady operator, and on the implicit-Euler operator A + C/dt of a
+// stepper at the sim's 0.05 s tick.
+func BenchmarkVCycle(b *testing.B) {
+	benchCases(b, []int{16, 32, 88}, func(b *testing.B, s *Stack) {
+		for _, op := range []string{"steady", "transient"} {
+			b.Run(op, func(b *testing.B) {
+				ws := NewWorkspace()
+				if op == "steady" {
+					ws.reserve(s.Grid, len(s.Layers))
+					if err := ws.assemble(s, nil); err != nil {
+						b.Fatal(err)
+					}
+				} else if _, err := s.NewTransientStepper(0.05, ws); err != nil {
+					b.Fatal(err)
+				}
+				q := ws.rhs()
+				for l, layer := range s.Layers {
+					if layer.Power != nil {
+						copy(q[l*s.Grid*s.Grid:], layer.Power)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ws.vcycle(0)
+				}
+			})
+		}
+	})
+}
+
+// BenchmarkTransientStep times one TransientStepper.Step at the sim's
+// grid 32 and 0.05 s tick on the 2-D benchmark MCM. The die power
+// alternates between the full map and half of it, as a throttled tenant
+// mix would, so every step runs CG iterations.
+func BenchmarkTransientStep(b *testing.B) {
+	s := benchStack(b, 32, false)
+	ts, err := s.NewTransientStepper(0.05, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var die []float64
+	for _, l := range s.Layers {
+		if l.Power != nil {
+			die = l.Power
+		}
+	}
+	half := make([]float64, len(die))
+	for i, w := range die {
+		half[i] = w / 2
+	}
+	maps := [2][]float64{die, half}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ts.SetPower("die", maps[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ts.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -76,8 +76,10 @@ type level struct {
 	// operator's diagonal.
 	gx, gy, gz, diag []float64
 	// invW holds the reciprocal pivots of each column's tridiagonal
-	// factorization (Thomas algorithm), the smoother's exact line solve.
-	invW []float64
+	// factorization (Thomas algorithm), the smoother's exact line solve;
+	// elim holds its forward-elimination weights, gz*invW of the cell
+	// below (zero on layer 0, which has none).
+	invW, elim []float64
 	// b is the right-hand side of the level's V-cycle and z its result.
 	b, z []float64
 }
@@ -110,9 +112,9 @@ func (lv *level) reserve(g, nl int) {
 	lv.n = nl * lv.nc
 	size := lv.n + 2*g
 	lv.gx, lv.gy, lv.gz = grow(lv.gx, size), grow(lv.gy, size), grow(lv.gz, size)
-	lv.diag, lv.invW = grow(lv.diag, size), grow(lv.invW, size)
+	lv.diag, lv.invW, lv.elim = grow(lv.diag, size), grow(lv.invW, size), grow(lv.elim, size)
 	lv.b, lv.z = grow(lv.b, size), grow(lv.z, size)
-	clearPads(g, lv.gx, lv.gy, lv.gz, lv.diag, lv.invW, lv.b, lv.z)
+	clearPads(g, lv.gx, lv.gy, lv.gz, lv.diag, lv.invW, lv.elim, lv.b, lv.z)
 }
 
 // clearPads zeroes the first and last pad entries of each array.
@@ -255,7 +257,9 @@ func (lv *level) coarsenLateral(f *level) {
 }
 
 // finish adds the coupling sums to the diagonal sinks and factors each
-// vertical column's tridiagonal block for the line smoother.
+// vertical column's tridiagonal block for the line smoother, storing the
+// pivots and the elimination weights the sweeps would otherwise form per
+// cell on every pass.
 func (lv *level) finish() {
 	g, nc := lv.g, lv.nc
 	for l := 0; l < lv.nl; l++ {
@@ -270,10 +274,11 @@ func (lv *level) finish() {
 		}
 	}
 	for k := lv.off; k < lv.off+nc; k++ {
-		lv.invW[k] = 1 / lv.diag[k]
+		lv.invW[k], lv.elim[k] = 1/lv.diag[k], 0
 		for l := 1; l < lv.nl; l++ {
 			up := k + l*nc
 			gz := lv.gz[up-nc]
+			lv.elim[up] = gz * lv.invW[up-nc]
 			lv.invW[up] = 1 / (lv.diag[up] - gz*gz*lv.invW[up-nc])
 		}
 	}
@@ -389,112 +394,158 @@ func (lv *level) apply(x, y []float64) float64 {
 	return dot
 }
 
-// sweep is one column Gauss-Seidel pass over the columns of one colour
-// ((i+j)%2 == color). The lateral neighbours of a column all have the
-// other colour and stay fixed, so each column's tridiagonal system is
-// solved exactly: forward elimination bottom-up while gathering the
-// lateral terms, then back substitution top-down.
-func (lv *level) sweep(color int) {
-	g, nc, nl := lv.g, lv.nc, lv.nl
-	for l := 0; l < nl; l++ {
-		gzm, zdn, _ := lv.vertical(lv.z, l)
-		_, wdn, _ := lv.vertical(lv.invW, l)
+// The two colours of the column sweeps: a column (i,j) is red when
+// (i+j)%2 == 0, black otherwise.
+const (
+	red   = 0
+	black = 1
+)
+
+// below returns the forward-elimination views for layer l of vector v:
+// the weights elim and v's values one layer down. Layer 0 has no layer
+// below; its elim row, all zeros, stands in for both, so its term is
+// zero without reading v.
+func (lv *level) below(v []float64, l int) (e, vb []float64) {
+	lo := lv.off + l*lv.nc
+	e = lv.elim[lo : lo+lv.nc]
+	if l == 0 {
+		return e, e
+	}
+	return e, v[lo-lv.nc : lo]
+}
+
+// eliminate is the forward pass of a column Gauss-Seidel sweep over the
+// columns of one colour, bottom-up: each cell takes its right-hand side,
+// its lateral terms and the elimination of the cell below. The lateral
+// neighbours of a column all have the other colour and stay fixed, so
+// with substitute the column's tridiagonal system is solved exactly.
+// fromZero drops the lateral terms, which are exactly zero when the
+// other colour's cells hold zero: the V-cycle's first half-sweep starts
+// from a zero field, so z needs no clearing and every cell is written
+// before a non-zero coupling reads it.
+func (lv *level) eliminate(color int, fromZero bool) {
+	g, nc := lv.g, lv.nc
+	for l := 0; l < lv.nl; l++ {
+		e, zdn := lv.below(lv.z, l)
 		base := lv.off + l*nc
 		for j := 0; j < g; j++ {
 			row := base + j*g
 			z := lv.z[row : row+g]
 			b := lv.b[row : row+g][:len(z)]
+			eb, zb := e[j*g:][:len(z)], zdn[j*g:][:len(z)]
+			if fromZero {
+				for i := (color + j) & 1; i < len(z); i += 2 {
+					z[i] = b[i] + eb[i]*zb[i]
+				}
+				continue
+			}
 			gxc, gxm := lv.gx[row : row+g][:len(z)], lv.gx[row-1 : row-1+g][:len(z)]
 			gyc, gym := lv.gy[row : row+g][:len(z)], lv.gy[row-g : row][:len(z)]
 			zp1, zm1 := lv.z[row+1 : row+1+g][:len(z)], lv.z[row-1 : row-1+g][:len(z)]
 			zpg, zmg := lv.z[row+g : row+2*g][:len(z)], lv.z[row-g : row][:len(z)]
-			gzb, wb, zb := gzm[j*g:][:len(z)], wdn[j*g:][:len(z)], zdn[j*g:][:len(z)]
 			for i := (color + j) & 1; i < len(z); i += 2 {
 				z[i] = b[i] + gxc[i]*zp1[i] + gxm[i]*zm1[i] + gyc[i]*zpg[i] + gym[i]*zmg[i] +
-					gzb[i]*wb[i]*zb[i]
-			}
-		}
-	}
-	for l := nl - 1; l >= 0; l-- {
-		_, _, zup := lv.vertical(lv.z, l)
-		base := lv.off + l*nc
-		for j := 0; j < g; j++ {
-			row := base + j*g
-			z := lv.z[row : row+g]
-			gzc, w := lv.gz[row : row+g][:len(z)], lv.invW[row : row+g][:len(z)]
-			zu := zup[j*g:][:len(z)]
-			for i := (color + j) & 1; i < len(z); i += 2 {
-				z[i] = (z[i] + gzc[i]*zu[i]) * w[i]
+					eb[i]*zb[i]
 			}
 		}
 	}
 }
 
-// restrictResidual sets c.b to the 2x2 aggregate sums of lv's residual
-// b - A z. It runs after a red-then-black sweep, which leaves the
-// residual of every black column exactly zero, so only red cells
-// contribute.
-func (lv *level) restrictResidual(c *level) {
-	g, nc := lv.g, lv.nc
-	clearFloats(c.b[c.off : c.off+c.n])
-	for l := 0; l < lv.nl; l++ {
-		gzm, zdn, zup := lv.vertical(lv.z, l)
-		base := lv.off + l*nc
-		for j := 0; j < g; j++ {
-			row := base + j*g
-			z := lv.z[row : row+g]
-			b, diag := lv.b[row : row+g][:len(z)], lv.diag[row : row+g][:len(z)]
-			gxc, gxm := lv.gx[row : row+g][:len(z)], lv.gx[row-1 : row-1+g][:len(z)]
-			gyc, gym := lv.gy[row : row+g][:len(z)], lv.gy[row-g : row][:len(z)]
-			zp1, zm1 := lv.z[row+1 : row+1+g][:len(z)], lv.z[row-1 : row-1+g][:len(z)]
-			zpg, zmg := lv.z[row+g : row+2*g][:len(z)], lv.z[row-g : row][:len(z)]
-			gzc := lv.gz[row : row+g][:len(z)]
-			gzb, zb, zu := gzm[j*g:][:len(z)], zdn[j*g:][:len(z)], zup[j*g:][:len(z)]
-			cb := c.b[c.off+l*c.nc+(j>>1)*c.g:][:c.g]
-			for i := j & 1; i < len(z); i += 2 {
-				cb[i>>1] += b[i] - diag[i]*z[i] +
-					gxc[i]*zp1[i] + gxm[i]*zm1[i] +
-					gyc[i]*zpg[i] + gym[i]*zmg[i] +
-					gzc[i]*zu[i] + gzb[i]*zb[i]
+// substitute is the back substitution of a column sweep for layer l,
+// which must follow that of every layer above it.
+func (lv *level) substitute(color, l int) {
+	g := lv.g
+	_, _, zup := lv.vertical(lv.z, l)
+	base := lv.off + l*lv.nc
+	for j := 0; j < g; j++ {
+		row := base + j*g
+		z := lv.z[row : row+g]
+		gzc, w := lv.gz[row : row+g][:len(z)], lv.invW[row : row+g][:len(z)]
+		zu := zup[j*g:][:len(z)]
+		for i := (color + j) & 1; i < len(z); i += 2 {
+			z[i] = (z[i] + gzc[i]*zu[i]) * w[i]
+		}
+	}
+}
+
+// sweep is one column Gauss-Seidel pass over the columns of one colour.
+func (lv *level) sweep(color int, fromZero bool) {
+	lv.eliminate(color, fromZero)
+	for l := lv.nl - 1; l >= 0; l-- {
+		lv.substitute(color, l)
+	}
+}
+
+// restrictLayer sets layer l of c.b to the 2x2 aggregate sums of lv's
+// residual b - A z after the pre-smoothing sweep. The black sweep leaves
+// every black column's residual exactly zero. The red sweep solved the
+// red columns exactly against zero lateral neighbours, so a red cell's
+// residual is exactly the sum of its four lateral terms. The sum reads
+// only layer l's black cells, so it runs right after that layer's back
+// substitution, while they are in cache.
+func (lv *level) restrictLayer(c *level, l int) {
+	g := lv.g
+	base := lv.off + l*lv.nc
+	for j := 0; j < g; j++ {
+		row := base + j*g
+		z := lv.z[row : row+g]
+		gxc, gxm := lv.gx[row : row+g][:len(z)], lv.gx[row-1 : row-1+g][:len(z)]
+		gyc, gym := lv.gy[row : row+g][:len(z)], lv.gy[row-g : row][:len(z)]
+		zp1, zm1 := lv.z[row+1 : row+1+g][:len(z)], lv.z[row-1 : row-1+g][:len(z)]
+		zpg, zmg := lv.z[row+g : row+2*g][:len(z)], lv.z[row-g : row][:len(z)]
+		cb := c.b[c.off+l*c.nc+(j>>1)*c.g:][:c.g]
+		// Aggregate (ic,jc) holds red cell (2ic,2jc), which sets its sum,
+		// and, if on the grid, red cell (2ic+1,2jc+1), which adds to it.
+		if j&1 == 0 {
+			for i := 0; i < len(z); i += 2 {
+				cb[i>>1] = gxc[i]*zp1[i] + gxm[i]*zm1[i] + gyc[i]*zpg[i] + gym[i]*zmg[i]
+			}
+		} else {
+			for i := 1; i < len(z); i += 2 {
+				cb[i>>1] += gxc[i]*zp1[i] + gxm[i]*zm1[i] + gyc[i]*zpg[i] + gym[i]*zmg[i]
 			}
 		}
 	}
 }
 
-// prolong adds the coarse correction c.z to lv.z, constant over each
-// aggregate.
-func (lv *level) prolong(c *level) {
+// prolongRed adds the coarse correction c.z to the red cells of lv.z,
+// constant over each aggregate. The black cells need none: the
+// post-smoothing black sweep that follows overwrites them without
+// reading their old values.
+func (lv *level) prolongRed(c *level) {
 	for l := 0; l < lv.nl; l++ {
 		for j := 0; j < lv.g; j++ {
-			fine := lv.off + l*lv.nc + j*lv.g
-			coarse := c.off + l*c.nc + (j>>1)*c.g
-			for i := 0; i < lv.g; i++ {
-				lv.z[fine+i] += c.z[coarse+i>>1]
+			z := lv.z[lv.off+l*lv.nc+j*lv.g:][:lv.g]
+			cz := c.z[c.off+l*c.nc+(j>>1)*c.g:][:c.g]
+			for i := j & 1; i < len(z); i += 2 {
+				z[i] += cz[i>>1]
 			}
 		}
 	}
 }
 
 // vcycle sets levels[k].z to the V-cycle's approximation of
-// A_k^-1 levels[k].b: one red-black column sweep, the coarse correction
-// of the aggregated residual, and the same sweep in reverse colour
-// order. The reversal makes the cycle a symmetric positive-definite
-// operator, as a CG preconditioner must be.
+// A_k^-1 levels[k].b: one red-black column sweep from zero, the coarse
+// correction of the aggregated residual, and the same sweep in reverse
+// colour order. The reversal makes the cycle a symmetric
+// positive-definite operator, as a CG preconditioner must be.
 func (ws *Workspace) vcycle(k int) {
 	lv := &ws.levels[k]
 	if k == len(ws.levels)-1 {
 		ws.coarseSolve(lv)
 		return
 	}
-	clearFloats(lv.z[lv.off : lv.off+lv.n])
-	lv.sweep(0)
-	lv.sweep(1)
 	c := &ws.levels[k+1]
-	lv.restrictResidual(c)
+	lv.sweep(red, true)
+	lv.eliminate(black, false)
+	for l := lv.nl - 1; l >= 0; l-- {
+		lv.substitute(black, l)
+		lv.restrictLayer(c, l)
+	}
 	ws.vcycle(k + 1)
-	lv.prolong(c)
-	lv.sweep(1)
-	lv.sweep(0)
+	lv.prolongRed(c)
+	lv.sweep(black, false)
+	lv.sweep(red, false)
 }
 
 // solve runs multigrid-preconditioned conjugate gradients on the
