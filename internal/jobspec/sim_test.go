@@ -1,13 +1,17 @@
 package jobspec
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"tesa/internal/core"
+	"tesa/internal/des"
 )
 
 // TestSimSpecValidation pins the sim-section pairing and field rules.
@@ -159,5 +163,81 @@ func TestRunSim(t *testing.T) {
 	}
 	if miss.Found || miss.Sim != nil {
 		t.Errorf("non-fitting point reported a sim outcome: %+v", miss)
+	}
+}
+
+// simThrottleSpec is the benchmark's sim-throttle job at seed 1: the
+// 200x200 / ICS 1700 point at 15 fps and grid 32, three tenants for
+// 10 s at a 0.05 s tick, a 64 C trip point, four draws.
+func simThrottleSpec(t testing.TB) *Resolved {
+	t.Helper()
+	seed := int64(1)
+	grid, fps := 32, 15.0
+	spec := &Spec{
+		Version:     Version,
+		Kind:        KindSim,
+		Options:     &Options{Grid: &grid},
+		Constraints: &Constraints{FPS: &fps},
+		Seed:        &seed,
+		Sim: &Sim{
+			ArrayDim:     200,
+			ICSUM:        1700,
+			DurationSec:  10,
+			ThermalDtSec: 0.05,
+			Tenants: []des.Tenant{
+				{Name: "unet", Network: "U-Net", SLASec: 0.02,
+					Arrival: des.ArrivalSpec{Kind: des.ArrivalMMPP, RateRPS: 120}},
+				{Name: "mobilenet", Network: "MobileNet", SLASec: 0.1,
+					Arrival: des.ArrivalSpec{Kind: des.ArrivalDiurnal, RateRPS: 20, PeriodSec: 2}},
+				{Name: "resnet", Network: "ResNet-50", SLASec: 0.2,
+					Arrival: des.ArrivalSpec{Kind: des.ArrivalPoisson, RateRPS: 10}},
+			},
+			Throttle: &des.Throttle{TripC: 64},
+			Draws:    4,
+		},
+	}
+	raw, err := spec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := parsed.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSimThrottleJobPinned pins the SHA-256 of the sim-throttle job's
+// wire result (compact JSON) and of its event log. Both are pure
+// functions of the spec: a change to how the draws are scheduled must
+// leave every byte alone. Run it with -cpu 1,2,4 to cover worker
+// widths. The hashes hold for amd64, which fuses no multiply-adds.
+func TestSimThrottleJobPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 10 s, four-draw sim-throttle job")
+	}
+	const (
+		wantResult = "67b02d3f6a32dbb58856e0107d9cb898883df99aa4b9a118cc31c57fd4bcdd29"
+		wantEvents = "579dafb3d14df2d57af7beba1bf5e6443f990e21e0c551276d30d9a9c75bf699"
+	)
+	r := simThrottleSpec(t)
+	var events bytes.Buffer
+	res, err := Run(context.Background(), r, Runtime{Events: &events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != wantResult {
+		t.Errorf("wire result SHA-256 %s, want %s:\n%s", got, wantResult, b)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(events.Bytes())); got != wantEvents {
+		t.Errorf("event log SHA-256 %s, want %s (%d bytes)", got, wantEvents, events.Len())
 	}
 }
