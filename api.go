@@ -255,7 +255,9 @@ func FloorplanASCII(ev *Evaluation) string { return core.FloorplanASCII(ev) }
 // solver. Evaluate a point with Evaluator.EvaluateFull, then drive it
 // with Evaluator.Simulate (one seeded run, optional JSONL event log) or
 // Evaluator.SimulateDistribution (an N-draw scenario distribution
-// scored for sim-aware ranking).
+// scored for sim-aware ranking, its draws run on parallel workers over
+// one transient operator; draw 0 is the base run at the scenario's own
+// seed).
 type (
 	// Scenario is one dynamic workload: seeded tenant arrival processes,
 	// a simulated horizon, the thermal coupling tick, and the DVFS

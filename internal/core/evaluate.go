@@ -152,7 +152,8 @@ type Evaluator struct {
 
 	// wsPool recycles thermal solver arenas across grid solves; a
 	// workspace is not goroutine-safe, so thermalAnalysis checks one out
-	// for the duration of its leakage loop, and Simulate for its run.
+	// for the duration of its leakage loop, and a sim job for all its
+	// draws, whose steppers share the transient operator assembled in it.
 	wsPool sync.Pool
 
 	// memo is the point and stage cache every evaluation runs through:

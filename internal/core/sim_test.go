@@ -3,17 +3,29 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tesa/internal/des"
+	"tesa/internal/faults"
+	"tesa/internal/thermal"
 )
 
 // simTestEvaluation evaluates the paper's 2-D winning point fully, the
 // structure-bearing evaluation scenarios run against.
 func simTestEvaluation(t *testing.T) (*Evaluator, *Evaluation) {
 	t.Helper()
-	e := testEvaluator(t, Tech2D, 400, 15, 75)
+	return simTestEvaluationTech(t, Tech2D)
+}
+
+// simTestEvaluationTech is simTestEvaluation in either technology.
+func simTestEvaluationTech(t *testing.T, tech Tech) (*Evaluator, *Evaluation) {
+	t.Helper()
+	e := testEvaluator(t, tech, 400, 15, 75)
 	ev, err := e.EvaluateFull(DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +135,11 @@ func TestSimulateBurstFlagsWhatStaticMisses(t *testing.T) {
 func TestSimulateDistribution(t *testing.T) {
 	e, ev := simTestEvaluation(t)
 	sc := diurnalScenario(9)
-	s1, err := e.SimulateDistribution(context.Background(), ev, sc, 3)
+	_, s1, err := e.SimulateDistribution(context.Background(), ev, sc, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := e.SimulateDistribution(context.Background(), ev, sc, 3)
+	_, s2, err := e.SimulateDistribution(context.Background(), ev, sc, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +178,165 @@ func TestSimulateGuards(t *testing.T) {
 	if _, err := e.Simulate(ctx, ev, none, nil); err == nil {
 		t.Error("tenantless scenario accepted")
 	}
-	if _, err := e.SimulateDistribution(ctx, ev, diurnalScenario(1), 0); err == nil {
+	if _, _, err := e.SimulateDistribution(ctx, ev, diurnalScenario(1), 0, 0, nil); err == nil {
 		t.Error("zero draws accepted")
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := e.Simulate(cancelled, ev, diurnalScenario(1), nil); err == nil {
 		t.Error("cancelled context not honored")
+	}
+}
+
+// sequentialDistribution is the reference SimulateDistribution is held
+// to: each draw an independent Simulate call on an operator of its own,
+// one after another, with draw 0's event log, folded in draw order.
+func sequentialDistribution(t *testing.T, e *Evaluator, ev *Evaluation, sc des.Scenario, draws int) ([]*des.Result, *SimScore, []byte) {
+	t.Helper()
+	var log bytes.Buffer
+	results := make([]*des.Result, draws)
+	score := &SimScore{Draws: draws}
+	for i := 0; i < draws; i++ {
+		draw := sc
+		draw.Seed = sc.Seed + int64(i)*simSeedStride
+		var w io.Writer
+		if i == 0 {
+			w = &log
+		}
+		res, err := e.Simulate(context.Background(), ev, draw, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+		rate := res.SLARate()
+		score.MeanSLARate += rate / float64(draws)
+		if rate > score.MaxSLARate {
+			score.MaxSLARate = rate
+		}
+		score.MeanThrottledFrac += res.ThrottledSec / res.DurationSec / float64(draws)
+		score.ThrottleEvents += res.ThrottleEvents
+		score.MeanPeakC += res.PeakTempC / float64(draws)
+		if res.PeakTempC > score.MaxPeakC {
+			score.MaxPeakC = res.PeakTempC
+		}
+		for _, ts := range res.Tenants {
+			if ts.P99Sec > score.WorstP99Sec {
+				score.WorstP99Sec = ts.P99Sec
+			}
+		}
+	}
+	return results, score, log.Bytes()
+}
+
+// TestSimulateDistributionMatchesSequential: the draws run concurrently
+// on one shared operator reproduce independent sequential Simulate calls
+// bit for bit: every draw's result, draw 0's event log, the base run
+// (draw 0) and the score, at GOMAXPROCS workers and at one worker per
+// draw. Run it under -race with -cpu 1,2,4.
+func TestSimulateDistributionMatchesSequential(t *testing.T) {
+	ctx := context.Background()
+	for _, tech := range []Tech{Tech2D, Tech3D} {
+		e, ev := simTestEvaluationTech(t, tech)
+		sc := diurnalScenario(5)
+		sc.DurationSec = 1
+		sc.Throttle.TripC = 46.5 // below the base run's peak, so it throttles
+		for _, draws := range []int{1, 3, 4, 7} {
+			t.Run(fmt.Sprintf("%v/draws%d", tech, draws), func(t *testing.T) {
+				want, wantScore, wantLog := sequentialDistribution(t, e, ev, sc, draws)
+				var log bytes.Buffer
+				got, err := e.simulateDraws(ctx, ev, sc, draws, 0, &log)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("draw %d differs from its sequential run:\n%+v\n%+v", i, got[i], want[i])
+					}
+				}
+				if !bytes.Equal(log.Bytes(), wantLog) {
+					t.Error("draw 0's event log differs from the sequential base run's")
+				}
+				log.Reset()
+				base, score, err := e.SimulateDistribution(ctx, ev, sc, draws, draws, &log)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(base, want[0]) {
+					t.Errorf("base run differs from draw 0:\n%+v\n%+v", base, want[0])
+				}
+				if !reflect.DeepEqual(score, wantScore) {
+					t.Errorf("score differs from the sequential fold:\n%+v\n%+v", score, wantScore)
+				}
+				if !bytes.Equal(log.Bytes(), wantLog) {
+					t.Error("SimulateDistribution's event log differs from the sequential base run's")
+				}
+				if want[0].ThrottleEvents == 0 {
+					t.Errorf("the base run never throttled (peak %g C)", want[0].PeakTempC)
+				}
+			})
+		}
+	}
+}
+
+// TestSimulateDistributionFaults: a draw that panics fails the call with
+// an EvalError at stage sim wrapping ErrStagePanic, whichever goroutine
+// ran it, and the process survives; an injected error returns draw 0's,
+// the lowest-index failing draw.
+func TestSimulateDistributionFaults(t *testing.T) {
+	for _, draws := range []int{1, 4} {
+		for _, c := range []struct {
+			spec string
+			want error
+		}{{"panic@sim", ErrStagePanic}, {"error@sim", faults.ErrInjected}} {
+			t.Run(fmt.Sprintf("%s/draws%d", c.spec, draws), func(t *testing.T) {
+				e := testEvaluator(t, Tech2D, 400, 15, 75)
+				plan, err := faults.Parse(c.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.InjectFaults(plan)
+				ev, err := e.EvaluateFull(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, err = e.SimulateDistribution(context.Background(), ev, diurnalScenario(3), draws, 0, nil)
+				var ee *EvalError
+				if !errors.As(err, &ee) || ee.Stage != stageSim || !errors.Is(err, c.want) {
+					t.Fatalf("got %v, want an EvalError at stage sim wrapping %v", err, c.want)
+				}
+				if !strings.Contains(err.Error(), "scenario draw 0 (seed 3)") {
+					t.Errorf("error %q is not draw 0's", err)
+				}
+			})
+		}
+	}
+}
+
+// TestTransientStepZeroAlloc: the sim stepper's tick (leakage,
+// rasterization, transient step, per-chiplet peaks) allocates nothing
+// after the first, on the first stepper and on a fork, in both
+// technologies.
+func TestTransientStepZeroAlloc(t *testing.T) {
+	for _, tech := range []Tech{Tech2D, Tech3D} {
+		e, ev := simTestEvaluationTech(t, tech)
+		first, err := e.newSimStepper(ev, 0.1, thermal.NewWorkspace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		power := make([]des.ChipletPowerW, ev.Mesh.Count())
+		for c := range power {
+			power[c] = des.ChipletPowerW{ArrayW: 1.5, SRAMW: 0.4}
+		}
+		for name, s := range map[string]*simStepper{"first": first, "fork": first.fork()} {
+			step := func() {
+				if _, err := s.Step(0.1, power); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step()
+			if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+				t.Errorf("%v %s: a sim step allocated %.0f times, want 0", tech, name, allocs)
+			}
+		}
 	}
 }

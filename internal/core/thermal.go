@@ -288,7 +288,7 @@ func (e *Evaluator) thermalAnalysis(ev *Evaluation, profiles []netProfile, place
 
 // workspace checks a solver arena out of the pool (workspaces are
 // per-goroutine; thermalAnalysis holds one for its whole leakage loop, a
-// sim run for its whole scenario).
+// sim job's draws share the operator assembled in one).
 func (e *Evaluator) workspace() *thermal.Workspace {
 	if v := e.wsPool.Get(); v != nil {
 		return v.(*thermal.Workspace)
@@ -328,7 +328,12 @@ func (e *Evaluator) leakage(ref45 float64, tC float64) float64 {
 // chipletPeaks extracts, for each chiplet rectangle, the peak temperature
 // among grid cells whose centers fall inside it.
 func chipletPeaks(temps []float64, grid int, interposerMM float64, rects []floorplan.Rect) []float64 {
-	peaks := make([]float64, len(rects))
+	return chipletPeaksInto(make([]float64, len(rects)), temps, grid, interposerMM, rects)
+}
+
+// chipletPeaksInto is chipletPeaks writing into peaks, one entry per
+// rectangle, and returning it.
+func chipletPeaksInto(peaks, temps []float64, grid int, interposerMM float64, rects []floorplan.Rect) []float64 {
 	cell := interposerMM / float64(grid)
 	for ri, r := range rects {
 		peak := math.Inf(-1)

@@ -12,9 +12,9 @@
 //	kind@stage[:key=value,...][;kind@stage...]
 //
 // where kind is one of panic, error, nan, latency, diverge; stage is a
-// pipeline stage name (systolic, floorplan, sched, dram, cost, thermal)
-// or * for any stage; and the options select which design points the
-// rule poisons:
+// pipeline stage name (systolic, floorplan, sched, dram, cost, thermal),
+// sim for each scenario draw of a sim job, or * for any stage; and the
+// options select which design points the rule poisons:
 //
 //	dim=64      exact array dimension, or dim=64-128 for a range
 //	ics=500     exact inter-chiplet spacing (um), or a range
@@ -289,7 +289,7 @@ func Parse(spec string) (*Plan, error) {
 // names.
 var knownStages = map[string]bool{
 	"*": true, "systolic": true, "floorplan": true, "sched": true,
-	"dram": true, "cost": true, "thermal": true,
+	"dram": true, "cost": true, "thermal": true, "sim": true,
 }
 
 func parseRule(s string) (Rule, error) {

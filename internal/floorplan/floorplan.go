@@ -201,18 +201,32 @@ type PowerMaps struct {
 // the array's share of the footprint); in 3-D, the two tiers each cover
 // the full footprint and get their own map.
 func (p *Placement) Rasterize(grid int, powers []ChipletPower, threeD bool, arrayFrac float64) (*PowerMaps, error) {
+	pm := &PowerMaps{}
+	if err := p.RasterizeInto(pm, grid, powers, threeD, arrayFrac); err != nil {
+		return nil, err
+	}
+	return pm, nil
+}
+
+// RasterizeInto is Rasterize writing into pm, reusing its maps when
+// their capacity suffices: a step loop that recycles pm rasterizes
+// without allocating. On error pm is left unchanged.
+func (p *Placement) RasterizeInto(pm *PowerMaps, grid int, powers []ChipletPower, threeD bool, arrayFrac float64) error {
 	if grid <= 0 {
-		return nil, fmt.Errorf("floorplan: non-positive grid %d", grid)
+		return fmt.Errorf("floorplan: non-positive grid %d", grid)
 	}
 	if len(powers) != len(p.Chiplets) {
-		return nil, fmt.Errorf("floorplan: %d power entries for %d chiplets", len(powers), len(p.Chiplets))
+		return fmt.Errorf("floorplan: %d power entries for %d chiplets", len(powers), len(p.Chiplets))
 	}
 	if arrayFrac <= 0 || arrayFrac > 1 {
-		return nil, fmt.Errorf("floorplan: array fraction %g out of (0,1]", arrayFrac)
+		return fmt.Errorf("floorplan: array fraction %g out of (0,1]", arrayFrac)
 	}
-	pm := &PowerMaps{Grid: grid, Array: make([]float64, grid*grid)}
+	pm.Grid = grid
+	pm.Array = zeroed(pm.Array, grid*grid)
 	if threeD {
-		pm.SRAM = make([]float64, grid*grid)
+		pm.SRAM = zeroed(pm.SRAM, grid*grid)
+	} else {
+		pm.SRAM = nil
 	}
 	for i, rect := range p.Chiplets {
 		if threeD {
@@ -231,7 +245,18 @@ func (p *Placement) Rasterize(grid int, powers []ChipletPower, threeD bool, arra
 			p.splat(pm.Array, grid, arr, powers[i].SRAMWatts)
 		}
 	}
-	return pm, nil
+	return nil
+}
+
+// zeroed returns s resliced to n zeroed entries, reallocating only when
+// its capacity is short.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Coverage returns, for each cell of a grid x grid discretization of the

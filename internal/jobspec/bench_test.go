@@ -48,3 +48,20 @@ func BenchmarkOptimizeAllHits(b *testing.B) {
 		b.Fatalf("warm runs missed the store %d times, want 0", got-misses)
 	}
 }
+
+// BenchmarkSimDistribution times one sim-throttle-shaped job through Run
+// (static evaluation, then four scenario draws at grid 32) in the zero
+// Runtime, so the draws run on GOMAXPROCS workers; -cpu 1,2 compares
+// the sequential and the two-worker schedule. Run with
+//
+//	go test -run '^$' -bench SimDistribution -benchmem -cpu 1,2 ./internal/jobspec
+func BenchmarkSimDistribution(b *testing.B) {
+	r := simThrottleSpec(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ctx, r, Runtime{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -25,11 +25,12 @@ type Runtime struct {
 	// Progress receives the job's incremental updates (nil = none).
 	Progress core.ProgressFunc
 	// Parallel is the width of the annealer's multi-start worker pool
-	// (OptimizeOptions.Parallel; 0 = GOMAXPROCS). It changes
-	// scheduling only, never the job's answer.
+	// (OptimizeOptions.Parallel) and bounds the workers of a sim job's
+	// scenario draws (0 = GOMAXPROCS). It changes scheduling only,
+	// never the job's answer.
 	Parallel int
-	// Events receives a sim job's base-seed event log as JSONL (nil =
-	// none).
+	// Events receives a sim job's base-seed event log, its draw 0, as
+	// JSONL (nil = none).
 	Events io.Writer
 }
 
@@ -56,8 +57,8 @@ type Outcome struct {
 	// Front is an nsga2 front's members (empty when nothing is feasible).
 	Front []core.FrontMember
 	// Point is a sim job's static evaluation; when it fits the
-	// interposer, Base is the base-seed scenario run and Score the N-draw
-	// distribution score.
+	// interposer, Base is the base-seed scenario run (draw 0) and Score
+	// the N-draw distribution score.
 	Point *core.Evaluation
 	Base  *des.Result
 	Score *core.SimScore
@@ -93,7 +94,7 @@ func Run(ctx context.Context, r *Resolved, rt Runtime) (*Result, error) {
 // outcome: an optimize job is Evaluator.OptimizeContext, a sweep job
 // Evaluator.ExhaustiveContext, a pareto job the Eq. (6) weight loop or
 // Evaluator.NSGA2FrontContext, and a sim job the point's static
-// evaluation followed by Evaluator.Simulate and SimulateDistribution.
+// evaluation followed by Evaluator.SimulateDistribution.
 // On error the outcome still carries what ran before it (the evaluator,
 // completed weight settings).
 func Execute(ctx context.Context, r *Resolved, rt Runtime) (*Outcome, error) {
@@ -186,8 +187,9 @@ func (o *Outcome) sweep(ctx context.Context, r *Resolved, rt Runtime) error {
 }
 
 // sim evaluates the sim job's design point statically, then couples it
-// to the DES scenario engine: one base-seed run for per-tenant detail
-// plus the resolved N-draw scenario distribution. A point that does not
+// to the DES scenario engine: the resolved N-draw scenario distribution,
+// whose draw 0 is the base-seed run that gives the per-tenant detail and
+// the event log. A point that does not
 // fit the interposer stops after the static evaluation; a scenario whose
 // trace poisons the thermal solver surfaces as the evaluator's
 // structured error.
@@ -200,10 +202,7 @@ func (o *Outcome) sim(ctx context.Context, r *Resolved, rt Runtime) error {
 	if o.Point, err = ev.EvaluateFullContext(ctx, r.SimPoint); err != nil || !o.Point.Fits {
 		return err
 	}
-	if o.Base, err = ev.Simulate(ctx, o.Point, r.Scenario, rt.Events); err != nil {
-		return err
-	}
-	o.Score, err = ev.SimulateDistribution(ctx, o.Point, r.Scenario, r.SimDraws)
+	o.Base, o.Score, err = ev.SimulateDistribution(ctx, o.Point, r.Scenario, r.SimDraws, rt.Parallel, rt.Events)
 	return err
 }
 

@@ -33,7 +33,8 @@ var (
 // A, so the steady solver — multigrid-preconditioned CG — solves each
 // step, warm-started from the previous one. C/dt only adds to the
 // diagonal, which the multigrid hierarchy aggregates like the ambient
-// film; the operator is assembled once per stepper.
+// film; the operator is assembled once and shared by a stepper and its
+// forks.
 
 // Volumetric heat capacities in J/(m^3 K).
 const (
@@ -90,11 +91,19 @@ func volHeatCapacity(k float64) float64 {
 // (internal/des via internal/core), which batch utilization windows
 // into one SetPower per layer per tick and then Step. The field starts
 // at ambient; SetPower may change the trace between any two steps.
+//
+// A stepper solves in a workspace of its own, reading an assembled
+// operator A + C/dt that any number of steppers may share: Fork returns
+// another stepper on the same operator, so concurrent scenario draws
+// assemble it once.
 type TransientStepper struct {
-	s       *Stack
-	dtSec   float64
-	ws      *Workspace // holds the assembled (A + C/dt) operator
-	cOverDt []float64
+	s     *Stack
+	dtSec float64
+	// ws is the solver arena. NewTransientStepper's stepper owns it and
+	// holds the assembled operator in it; a fork reads that operator
+	// through a share of it.
+	ws      *Workspace
+	cOverDt []float64 // read-only, shared with forks
 	x       []float64 // rise above ambient
 	q       []float64 // current volumetric power trace
 	steps   int
@@ -105,9 +114,10 @@ type TransientStepper struct {
 // SetPower). A NaN, infinite, or non-positive dtSec returns
 // ErrInvalidStep. The stepper keeps ws (nil allocates one) for its
 // lifetime, with the stepping operator assembled in it; the caller must
-// not solve anything else in ws while the stepper is in use. The
-// workspace forgets any steady operator and basis it held, so its next
-// steady solve assembles afresh; transient steps do not project.
+// not solve anything else in ws while the stepper or any of its forks
+// is in use. The workspace forgets any steady operator and basis it
+// held, so its next steady solve assembles afresh; transient steps do
+// not project.
 func (s *Stack) NewTransientStepper(dtSec float64, ws *Workspace) (*TransientStepper, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -117,34 +127,67 @@ func (s *Stack) NewTransientStepper(dtSec float64, ws *Workspace) (*TransientSte
 	}
 	nc := s.Grid * s.Grid
 	nl := len(s.Layers)
-	n := nl * nc
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ts := &TransientStepper{
-		s: s, dtSec: dtSec, ws: ws,
-		cOverDt: make([]float64, n),
-		x:       make([]float64, n),
-		q:       make([]float64, n),
-	}
+	cOverDt := make([]float64, nl*nc)
 	cellArea := s.CellM * s.CellM
 	for l := 0; l < nl; l++ {
 		// Per-node heat capacity over dt.
 		cap := volHeatCapacity(s.Layers[l].K[0]) * cellArea * s.Layers[l].ThicknessM / dtSec
 		base := l * nc
 		for idx := 0; idx < nc; idx++ {
-			ts.cOverDt[base+idx] = cap
-		}
-		if p := s.Layers[l].Power; p != nil {
-			copy(ts.q[base:base+nc], p)
+			cOverDt[base+idx] = cap
 		}
 	}
 	ws.op = nil
 	ws.reserve(s.Grid, nl)
-	if err := ws.assemble(s, ts.cOverDt); err != nil {
+	if err := ws.assemble(s, cOverDt); err != nil {
 		return nil, err
 	}
-	return ts, nil
+	return newStepper(s, dtSec, ws, cOverDt), nil
+}
+
+// newStepper returns a stepper at ambient under s's own power maps,
+// solving in ws on the operator already assembled there.
+func newStepper(s *Stack, dtSec float64, ws *Workspace, cOverDt []float64) *TransientStepper {
+	ts := &TransientStepper{
+		s: s, dtSec: dtSec, ws: ws, cOverDt: cOverDt,
+		x: make([]float64, len(cOverDt)),
+		q: make([]float64, len(cOverDt)),
+	}
+	ts.Reset()
+	return ts
+}
+
+// Fork returns a stepper on ts's stack, step size and assembled
+// operator with solver state of its own, starting from ambient under the
+// stack's own power maps as a new stepper does; it steps bit-identically
+// to a stepper that assembled the same operator itself. A fork allocates
+// its vectors but assembles nothing. No step writes the shared operator,
+// so ts and its forks may step concurrently, one goroutine each. The
+// operator lives in the workspace NewTransientStepper was given, which
+// must stay unused by anything else while a fork steps.
+func (ts *TransientStepper) Fork() *TransientStepper {
+	return newStepper(ts.s, ts.dtSec, ts.ws.share(), ts.cOverDt)
+}
+
+// Reset returns the stepper to its starting state: the field at
+// ambient, zero time integrated, and the stack's own power maps. It
+// keeps the operator, so a reset stepper runs a new power trace exactly
+// as a new stepper would.
+func (ts *TransientStepper) Reset() {
+	nc := ts.s.Grid * ts.s.Grid
+	for l, layer := range ts.s.Layers {
+		if layer.Power != nil {
+			copy(ts.q[l*nc:(l+1)*nc], layer.Power)
+		} else {
+			clearFloats(ts.q[l*nc : (l+1)*nc])
+		}
+	}
+	clearFloats(ts.x)
+	ts.ws.clearVectors()
+	ts.steps = 0
 }
 
 // DtSec returns the fixed step size.
@@ -183,45 +226,35 @@ func (ts *TransientStepper) SetPower(layerName string, power []float64) error {
 }
 
 // Step advances one implicit Euler step under the current power trace
-// and returns the full field, packaged like a steady solve. Each step
-// solves the augmented SPD system (A + C/dt) x_{n+1} = q + (C/dt) x_n,
-// warm-started from x_n.
+// and returns the full field, packaged like a steady solve, in a Result
+// of its own that stays valid across later steps.
 func (ts *TransientStepper) Step() (*Result, error) {
+	res := &Result{}
+	if err := ts.StepInto(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// StepInto is Step writing into a caller-owned Result, reusing its
+// buffers when already sized: a step loop that recycles res allocates
+// nothing. Each step solves the augmented SPD system
+// (A + C/dt) x_{n+1} = q + (C/dt) x_n, warm-started from x_n.
+func (ts *TransientStepper) StepInto(res *Result) error {
 	rhs := ts.ws.rhs()
 	for i := range rhs {
 		rhs[i] = ts.q[i] + ts.cOverDt[i]*ts.x[i]
 	}
 	copy(ts.ws.rises(), ts.x)
-	if _, _, err := ts.ws.solve(true); err != nil {
-		return nil, err
+	iters, _, err := ts.ws.solve(true)
+	if err != nil {
+		return err
 	}
 	copy(ts.x, ts.ws.rises())
 	ts.steps++
-	return ts.field(), nil
-}
-
-// field packages the current rise field as a Result.
-func (ts *TransientStepper) field() *Result {
-	nc := ts.s.Grid * ts.s.Grid
-	nl := len(ts.s.Layers)
-	// Rises is copied so the returned Result stays valid across later
-	// steps (ts.x is reused as the warm start).
-	res := &Result{Temps: make([][]float64, nl), Rises: append([]float64(nil), ts.x...)}
-	res.PeakC = math.Inf(-1)
-	for l := 0; l < nl; l++ {
-		res.Temps[l] = make([]float64, nc)
-		base := l * nc
-		for idx := 0; idx < nc; idx++ {
-			t := ts.s.AmbientC + ts.x[base+idx]
-			res.Temps[l][idx] = t
-			if t > res.PeakC {
-				res.PeakC = t
-				res.PeakLayer = l
-				res.PeakCell = idx
-			}
-		}
-	}
-	return res
+	publishResult(ts.s, ts.x, iters, res)
+	res.Projected = false
+	return nil
 }
 
 // SolveTransient computes the step response: the stack starts at ambient

@@ -1,8 +1,11 @@
 package thermal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -255,5 +258,136 @@ func TestTransientStepperGuards(t *testing.T) {
 	}
 	if err := ts.SetPower("die", make([]float64, 3)); err == nil {
 		t.Error("short power map accepted")
+	}
+}
+
+// stepTrace runs steps steps of power trace id on ts, from its current
+// state: every powered layer of s carries its own map scaled by a factor
+// that varies with the trace and the step. It returns each step's rises.
+func stepTrace(t *testing.T, s *Stack, ts *TransientStepper, id, steps int) [][]float64 {
+	scaled := make([]float64, s.Grid*s.Grid)
+	var out [][]float64
+	for k := 0; k < steps; k++ {
+		f := 1 + 0.5*math.Sin(float64(3*id+k))
+		for _, l := range s.Layers {
+			if l.Power == nil {
+				continue
+			}
+			for i, w := range l.Power {
+				scaled[i] = f * w
+			}
+			if err := ts.SetPower(l.Name, scaled); err != nil {
+				t.Error(err)
+				return nil
+			}
+		}
+		res, err := ts.Step()
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out = append(out, res.Rises)
+	}
+	return out
+}
+
+// operatorHash hashes the bits of the assembled operator ts reads: every
+// level's couplings, diagonal and line factors, the coarsest Cholesky
+// factor, and C/dt.
+func operatorHash(ts *TransientStepper) [32]byte {
+	h := sha256.New()
+	var buf []byte
+	put := func(v []float64) {
+		for _, x := range v {
+			buf = binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(x))
+			h.Write(buf)
+		}
+	}
+	for _, lv := range ts.ws.levels {
+		for _, v := range [][]float64{lv.gx, lv.gy, lv.gz, lv.diag, lv.invW, lv.elim} {
+			put(v)
+		}
+	}
+	put(ts.ws.chol)
+	put(ts.cOverDt)
+	return [32]byte(h.Sum(nil))
+}
+
+// TestTransientForksShareOperator: a stepper and three forks of it step
+// concurrently, each on its own power trace, then reset and step it
+// again. Every step is bit-identical to a new stepper that assembled
+// its own operator, and the shared operator is unchanged afterwards.
+// Run it under -race.
+func TestTransientForksShareOperator(t *testing.T) {
+	const forks, steps = 3, 8
+	for _, name := range []string{"mcm2d", "mcm3d"} {
+		t.Run(name, func(t *testing.T) {
+			s := testStacks(t)[name]
+			owner, err := s.NewTransientStepper(0.05, NewWorkspace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := operatorHash(owner)
+			steppers := []*TransientStepper{owner}
+			for i := 0; i < forks; i++ {
+				steppers = append(steppers, owner.Fork())
+			}
+			got := make([][2][][]float64, len(steppers))
+			var wg sync.WaitGroup
+			for id, ts := range steppers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[id][0] = stepTrace(t, s, ts, id, steps)
+					ts.Reset()
+					got[id][1] = stepTrace(t, s, ts, id, steps)
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for id := range steppers {
+				fresh, err := s.NewTransientStepper(0.05, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := stepTrace(t, s, fresh, id, steps)
+				for pass := range got[id] {
+					for k := range want {
+						for i, w := range want[k] {
+							if g := got[id][pass][k][i]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("stepper %d pass %d step %d cell %d: rise %v, own operator %v", id, pass, k, i, g, w)
+							}
+						}
+					}
+				}
+			}
+			if operatorHash(owner) != before {
+				t.Error("stepping changed the shared operator")
+			}
+		})
+	}
+}
+
+// TestTransientStepZeroAlloc: StepInto with a recycled Result allocates
+// nothing after the first step, on a stepper and on a fork of it.
+func TestTransientStepZeroAlloc(t *testing.T) {
+	s := testStacks(t)["mcm3d"]
+	owner, err := s.NewTransientStepper(0.05, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ts := range map[string]*TransientStepper{"stepper": owner, "fork": owner.Fork()} {
+		var res Result
+		step := func() {
+			if err := ts.StepInto(&res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+			t.Errorf("%s: StepInto allocated %.0f times per step, want 0", name, allocs)
+		}
 	}
 }

@@ -149,6 +149,38 @@ func (ws *Workspace) reserve(g, nl int) {
 	ws.basis = grow(ws.basis, basisCap*ws.levels[0].n)
 }
 
+// share returns a workspace that reads ws's assembled operator (every
+// level's couplings, diagonal and line factors, and the coarsest level's
+// Cholesky factor) with vectors of its own: the CG iterate, direction
+// and image, and each level's b and z. No solve writes the operator, so
+// ws and its shares may solve concurrently, one goroutine each. A share
+// only solves: assembling in it (prepare, or a stepper built on it)
+// would overwrite the operator it shares, so it holds no op and no basis
+// and never goes back to a pool.
+func (ws *Workspace) share() *Workspace {
+	sh := &Workspace{levels: make([]level, len(ws.levels)), chol: ws.chol}
+	for k, lv := range ws.levels {
+		size := lv.n + 2*lv.off
+		lv.b, lv.z = make([]float64, size), make([]float64, size)
+		sh.levels[k] = lv
+	}
+	size := len(ws.x)
+	sh.x, sh.p, sh.ap = make([]float64, size), make([]float64, size), make([]float64, size)
+	return sh
+}
+
+// clearVectors zeroes the solver state a solve writes: the CG vectors
+// and every level's b and z. The operator is left alone.
+func (ws *Workspace) clearVectors() {
+	clearFloats(ws.x)
+	clearFloats(ws.p)
+	clearFloats(ws.ap)
+	for k := range ws.levels {
+		clearFloats(ws.levels[k].b)
+		clearFloats(ws.levels[k].z)
+	}
+}
+
 // assemble builds every level's operator for s, with extra (nil, or one
 // value per node) added to the diagonal — the implicit-Euler C/dt term
 // of the transient solver — and factors the coarsest level.
