@@ -37,7 +37,7 @@ func BenchmarkAblationDataflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, df := range []tesa.Dataflow{tesa.OutputStationary, tesa.WeightStationary} {
 			ev := ablationEvaluator(b, func(o *tesa.Options, _ *tesa.Constraints) { o.Dataflow = df })
-			e, err := ev.EvaluateFull(p)
+			e, err := ev.EvaluateFullContext(context.Background(), p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func BenchmarkAblationLeakageModel(b *testing.B) {
 			{"exponential (TESA)", func(o *tesa.Options, _ *tesa.Constraints) { o.Tech = tesa.Tech3D }},
 		} {
 			ev := ablationEvaluator(b, m.mod)
-			e, err := ev.EvaluateFull(p)
+			e, err := ev.EvaluateFullContext(context.Background(), p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func BenchmarkAblationGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, grid := range []int{24, 32, 44, 64, 88} {
 			ev := ablationEvaluator(b, func(o *tesa.Options, _ *tesa.Constraints) { o.Grid = grid })
-			e, err := ev.EvaluateFull(p)
+			e, err := ev.EvaluateFullContext(context.Background(), p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func BenchmarkAblationICS(b *testing.B) {
 	ev := ablationEvaluator(b, nil)
 	for i := 0; i < b.N; i++ {
 		for _, ics := range []int{1500, 1600, 1700, 1800, 1900, 2000} {
-			e, err := ev.EvaluateFull(tesa.DesignPoint{ArrayDim: 200, ICSUM: ics})
+			e, err := ev.EvaluateFullContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: ics})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func BenchmarkFrequencySweep(b *testing.B) {
 func BenchmarkNoPAssumption(b *testing.B) {
 	ev := ablationEvaluator(b, nil)
 	for i := 0; i < b.N; i++ {
-		e, err := ev.EvaluateFull(tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
+		e, err := ev.EvaluateFullContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
 		if err != nil {
 			b.Fatal(err)
 		}

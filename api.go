@@ -108,17 +108,12 @@ type (
 	// streaming, failure policy, worker-pool width); nil takes the
 	// defaults.
 	OptimizeOptions = core.OptimizeOptions
-	// ExhaustiveResult is a full-space sweep outcome.
+	// ExhaustiveResult is a full-space sweep outcome: the Eq. (6)
+	// optimum and the exact cost/DRAM power/peak temperature front.
 	ExhaustiveResult = core.ExhaustiveResult
 	// SweepOptions tunes Evaluator.ExhaustiveContext: progress
 	// streaming and the failure policies.
 	SweepOptions = core.SweepOptions
-	// FrontMember is one full-fidelity point of an NSGA-II
-	// multi-objective front (Evaluator.NSGA2FrontContext).
-	FrontMember = core.FrontMember
-	// FrontOptions tunes the NSGA-II front engine (population size,
-	// generations, progress streaming).
-	FrontOptions = core.FrontOptions
 	// Progress is one incremental update from a long-running search.
 	Progress = core.Progress
 	// ProgressFunc receives Progress updates; see the core type for the
@@ -252,7 +247,7 @@ func FloorplanASCII(ev *Evaluation) string { return core.FloorplanASCII(ev) }
 
 // Dynamic multi-tenant workload simulation (internal/des): a seeded
 // discrete-event scenario engine coupled to the transient thermal
-// solver. Evaluate a point with Evaluator.EvaluateFull, then drive it
+// solver. Evaluate a point with Evaluator.EvaluateFullContext, then drive it
 // with Evaluator.Simulate (one seeded run, optional JSONL event log) or
 // Evaluator.SimulateDistribution (an N-draw scenario distribution
 // scored for sim-aware ranking, its draws run on parallel workers over

@@ -25,7 +25,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := ev.Evaluate(tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	e, err := ev.EvaluateContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFacadeThermalMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := ev.EvaluateFull(tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	e, err := ev.EvaluateFullContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}

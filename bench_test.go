@@ -234,7 +234,7 @@ func BenchmarkLeakageConvergence(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := ev.Evaluate(tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
+		e, err := ev.EvaluateContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func BenchmarkEvaluateDSE(b *testing.B) {
 	}
 	// Warm the performance-model cache, then time thermal-dominated
 	// evaluations across distinct points.
-	if _, err := ev.Evaluate(tesa.DesignPoint{ArrayDim: 200, ICSUM: 0}); err != nil {
+	if _, err := ev.EvaluateContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: 0}); err != nil {
 		b.Fatal(err)
 	}
 	ics := []int{50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 550, 600, 650, 700, 750, 800, 850, 900, 950, 1000}
@@ -265,7 +265,7 @@ func BenchmarkEvaluateDSE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := tesa.DesignPoint{ArrayDim: 200, ICSUM: ics[i%len(ics)]}
-		if _, err := ev.Evaluate(p); err != nil {
+		if _, err := ev.EvaluateContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

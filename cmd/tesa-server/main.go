@@ -24,9 +24,10 @@
 // and whole evaluations: the service gets faster as it serves. Results
 // stay bit-identical to single-shot CLI runs of the same spec — memo
 // sharing changes wall-clock time, never numbers. -memo-dir persists
-// the store across restarts. Each optimize or pareto job anneals its
-// chains on max(1, GOMAXPROCS/-workers) goroutines, so concurrent jobs
-// share the cores; the pool width never changes a result.
+// the store across restarts. Each optimize job and weights front
+// anneals its chains on max(1, GOMAXPROCS/-workers) goroutines, so
+// concurrent jobs share the cores; the pool width never changes a
+// result.
 //
 // -metrics-addr serves the shared observability surface (/metrics
 // Prometheus text, /debug/vars, /progress, /debug/pprof) for the whole

@@ -38,9 +38,9 @@
 // 15 fps and 85 C.
 //
 // pareto sweeps the Eq. (6) weights (-front weights, -points settings)
-// or evolves an NSGA-II population front over cost, DRAM power and peak
-// temperature (-front nsga2, -pop, -gens). Stdout is pure CSV; every
-// summary goes to stderr.
+// or sweeps the whole space for the exact non-dominated front over cost,
+// DRAM power and peak temperature (-front exact). Stdout is pure CSV;
+// every summary goes to stderr.
 //
 // sim drives one design point (-dim, -ics) through seeded
 // -tenant name:network:kind:rateRPS:slaSec traffic (kind poisson,

@@ -51,7 +51,7 @@ func TestGoldenStdout(t *testing.T) {
 		{"nosolution", 3, []string{"-grid", "8", "-temp", "40"}},
 		{"sweep", 0, []string{"sweep", "-grid", "8"}},
 		{"pareto", 0, []string{"pareto", "-grid", "8", "-points", "3"}},
-		{"nsga2", 0, []string{"pareto", "-grid", "8", "-front", "nsga2", "-pop", "8", "-gens", "2"}},
+		{"front", 0, []string{"pareto", "-grid", "8", "-front", "exact"}},
 		{"sim", 0, []string{"sim", "-grid", "16", "-fps", "15", "-duration", "1", "-dt", "0.1", "-seed", "42", "-draws", "2",
 			"-tenant", "ar:MobileNet:diurnal:10:0.1", "-tenant", "vr:ResNet-50:poisson:5:0.1"}},
 		{"simjob", 0, []string{"sim", "-job", filepath.Join(specDir, "sim.json"), "-json"}},
@@ -99,6 +99,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"removed ranking pareto": {"pareto", "-surrogate"},
 		"removed ranking size":   {"-surrogate-k", "4"},
 		"bad front":              {"pareto", "-front", "hull"},
+		"removed nsga2 front":    {"pareto", "-front", "nsga2"},
+		"removed pop":            {"pareto", "-pop", "8"},
+		"removed gens":           {"pareto", "-gens", "2"},
 		"bad faults":             {"-faults", "melt@thermal"},
 		"shard faults":           {"sweep", "-faults", "lie@shard"},
 		"removed diverge option": {"-faults", "diverge@thermal:attempts=2"},

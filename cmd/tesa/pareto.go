@@ -3,21 +3,18 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"tesa"
 	"tesa/internal/cli"
 	"tesa/internal/jobspec"
 )
 
-// paretoCmd is `tesa pareto`: the Eq. (6) weight sweep or the NSGA-II
-// population front, as CSV on stdout.
+// paretoCmd is `tesa pareto`: the Eq. (6) weight sweep or the exact
+// front of a full sweep, as CSV on stdout.
 func paretoCmd(c *command) func(ctx context.Context) error {
 	f := c.jobFlags(30, 75, 32, true)
-	front := c.fs.String("front", "weights", "front engine: weights (Eq. 6 sweep) or nsga2 (multi-objective population)")
+	front := c.fs.String("front", "weights", "front engine: weights (Eq. 6 sweep) or exact (non-dominated cost/DRAM/peak front of a full sweep)")
 	points := c.fs.Int("points", 9, "number of weight settings to sweep (weights front)")
-	pop := c.fs.Int("pop", 0, "NSGA-II population size (0 = default; nsga2 front)")
-	gens := c.fs.Int("gens", 0, "NSGA-II generations (0 = default; nsga2 front)")
 	c.operational(true)
 	// The summaries go to stderr so the CSV on stdout stays clean.
 	c.sum = c.stderr
@@ -26,9 +23,7 @@ func paretoCmd(c *command) func(ctx context.Context) error {
 		r, err := c.resolve(func() (*jobspec.Spec, error) {
 			s := f.spec(jobspec.KindPareto)
 			s.Pareto = &jobspec.Pareto{Front: *front}
-			if *front == "nsga2" {
-				s.Pareto.Pop, s.Pareto.Gens = *pop, *gens
-			} else {
+			if *front != "exact" {
 				s.Pareto.Points = *points
 			}
 			return s, nil
@@ -41,11 +36,11 @@ func paretoCmd(c *command) func(ctx context.Context) error {
 		}
 		c.sess.Manifest.Set("front", r.ParetoFront)
 		out, err := c.execute(ctx, r, c.runtime())
-		if r.ParetoFront == "nsga2" {
+		if r.ParetoFront == "exact" {
 			if err != nil {
 				return err
 			}
-			return c.printNSGA2(out)
+			return c.printExact(out)
 		}
 
 		// Rows for the settings swept before an interruption stay valid.
@@ -75,26 +70,20 @@ func paretoCmd(c *command) func(ctx context.Context) error {
 	}
 }
 
-// printNSGA2 prints the full-fidelity non-dominated front over cost,
-// DRAM power and peak temperature as CSV. An infinite crowding distance
-// (an objective-extreme member) prints as "inf".
-func (c *command) printNSGA2(out *jobspec.Outcome) error {
+// printExact prints the exact non-dominated front over cost, DRAM
+// power and peak temperature as CSV, in front order.
+func (c *command) printExact(out *jobspec.Outcome) error {
 	ledger := out.Poisoned()
-	if len(out.Front) == 0 {
+	if len(out.Sweep.Front) == 0 {
 		fmt.Fprintln(c.stderr, "no feasible configuration: the front is empty")
 		cli.FailureSummary(c.stderr, ledger)
 		return nil
 	}
-	fmt.Fprintln(c.stdout, "arrayDim,sramKBper,icsUM,meshRows,meshCols,peakC,powerW,costUSD,dramW,crowding")
-	for _, m := range out.Front {
-		b := m.Eval
-		crowding := fmt.Sprintf("%.4f", m.Crowding)
-		if math.IsInf(m.Crowding, 1) {
-			crowding = "inf"
-		}
-		fmt.Fprintf(c.stdout, "%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%s\n",
+	fmt.Fprintln(c.stdout, "arrayDim,sramKBper,icsUM,meshRows,meshCols,peakC,powerW,costUSD,dramW")
+	for _, b := range out.Sweep.Front {
+		fmt.Fprintf(c.stdout, "%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f\n",
 			b.Point.ArrayDim, b.Point.SRAMKB(), b.Point.ICSUM,
-			b.Mesh.Rows, b.Mesh.Cols, b.PeakTempC, b.TotalPowerW, b.MCMCost.Total, b.DRAMPowerW, crowding)
+			b.Mesh.Rows, b.Mesh.Cols, b.PeakTempC, b.TotalPowerW, b.MCMCost.Total, b.DRAMPowerW)
 	}
 	cli.FailureSummary(c.stderr, ledger)
 	return quarantined(len(ledger))

@@ -37,7 +37,7 @@ func thermalCmd(c *command) func(ctx context.Context) error {
 		}
 		ev.Instrument(c.sess.Tel)
 		c.sess.Manifest.Set("point", fmt.Sprintf("%dx%d@%d", *dim, *dim, *ics))
-		e, err := ev.EvaluateFull(tesa.DesignPoint{ArrayDim: *dim, ICSUM: *ics})
+		e, err := ev.EvaluateFullContext(ctx, tesa.DesignPoint{ArrayDim: *dim, ICSUM: *ics})
 		if err != nil {
 			return err
 		}

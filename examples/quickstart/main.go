@@ -35,7 +35,7 @@ func main() {
 	// array (the SRAM capacity, 3x1,024 KB, and the 2x1 mesh are derived
 	// from the array dimension and the 1,700 um spacing).
 	point := tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700}
-	e, err := ev.EvaluateFull(point) // full: report thermals even if a constraint fails
+	e, err := ev.EvaluateFullContext(context.Background(), point) // full: report thermals even if a constraint fails
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("iso-configuration comparison at %v, 400 MHz:\n", point)
 	for _, tech := range []tesa.Tech{tesa.Tech2D, tesa.Tech3D} {
 		ev := evaluator(tech, 85)
-		e, err := ev.EvaluateFull(point)
+		e, err := ev.EvaluateFullContext(context.Background(), point)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func main() {
 			return
 		}
 		// Re-evaluate fully for the thermal map.
-		full, err := ev.EvaluateFull(res.Best.Point)
+		full, err := ev.EvaluateFullContext(context.Background(), res.Best.Point)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,16 +30,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := ev.EvaluateFull(tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	e, err := ev.EvaluateFullContext(context.Background(), tesa.DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("MCM: %v, %v grid — steady-state peak %.2f C\n", e.Point, e.Mesh, e.PeakTempC)
 
 	// Rebuild the hottest-phase stack's geometry and step it from
-	// ambient. (EvaluateFull already retains the stack.)
+	// ambient. (EvaluateFullContext already retains the stack.)
 	if e.HottestStack == nil {
-		log.Fatal("no thermal stack retained; run EvaluateFull")
+		log.Fatal("no thermal stack retained; run EvaluateFullContext")
 	}
 	tr, err := e.HottestStack.SolveTransient(0.05, 120)
 	if err != nil {

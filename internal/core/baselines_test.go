@@ -218,11 +218,11 @@ func TestW2LinearLeakageUnderestimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DesignPoint{ArrayDim: 216, ICSUM: 700}
-	evLin, err := lin.EvaluateFull(p)
+	evLin, err := lin.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evExp, err := exp.EvaluateFull(p)
+	evExp, err := exp.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

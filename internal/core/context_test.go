@@ -149,7 +149,7 @@ func TestSentinelErrInvalidSpace(t *testing.T) {
 		t.Errorf("empty space err = %v, want ErrInvalidSpace", err)
 	}
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	if _, err := e.Evaluate(DesignPoint{ArrayDim: -1}); !errors.Is(err, ErrInvalidSpace) {
+	if _, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: -1}); !errors.Is(err, ErrInvalidSpace) {
 		t.Errorf("invalid point err = %v, want ErrInvalidSpace", err)
 	}
 	if _, err := e.OptimizeContext(context.Background(), bad, 1, nil); !errors.Is(err, ErrInvalidSpace) {

@@ -177,8 +177,8 @@ type Evaluator struct {
 	visited map[DesignPoint]struct{}   // points evaluated successfully (Explored)
 	failed  map[DesignPoint]*EvalError // quarantine ledger: poisoned points and why
 	nfailed atomic.Int64               // len(failed), readable without mu
-	hits    int                        // Evaluate calls that did not run the pipeline
-	misses  int                        // Evaluate calls that ran the pipeline
+	hits    int                        // evaluations that did not run the pipeline
+	misses  int                        // evaluations that ran the pipeline
 }
 
 // Instrument attaches an observability hub: the pipeline records
@@ -186,7 +186,7 @@ type Evaluator struct {
 // hits/misses, Optimize forwards annealer progress as trace events, and
 // a per-goroutine flight recorder starts retaining recent stage events
 // for quarantine records. A nil tel (the default) disables all of it at
-// the cost of a nil check per probe. Call before the first Evaluate;
+// the cost of a nil check per probe. Call before the first evaluation;
 // the hub may be shared across evaluators.
 func (e *Evaluator) Instrument(tel *telemetry.Telemetry) {
 	e.tel = tel
@@ -207,7 +207,7 @@ func (e *Evaluator) Telemetry() *telemetry.Telemetry { return e.tel }
 // exercising exactly the recovery paths real pathological points take.
 // A nil or empty plan (the default) disables injection. An armed plan
 // switches the evaluator to a private store (see store). Call before the
-// first Evaluate.
+// first evaluation.
 func (e *Evaluator) InjectFaults(plan *faults.Plan) {
 	if plan != nil && plan.Empty() {
 		plan = nil
@@ -309,16 +309,16 @@ func (e *Evaluator) Explored() int {
 	return len(e.visited)
 }
 
-// Evaluations returns the total number of Evaluate/EvaluateFull calls.
-// The gap between Evaluations and Explored is the annealers' revisit
-// traffic.
+// Evaluations returns the total number of EvaluateContext and
+// EvaluateFullContext calls. The gap between Evaluations and Explored
+// is the annealers' revisit traffic.
 func (e *Evaluator) Evaluations() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.hits + e.misses
 }
 
-// CacheHitRate returns the fraction of Evaluate calls that did not run
+// CacheHitRate returns the fraction of evaluations that did not run
 // the pipeline — served by the memo store or the quarantine ledger (0
 // before the first call) — the single source of truth the CLIs report
 // instead of re-deriving it from Evaluations and Explored.
@@ -331,17 +331,12 @@ func (e *Evaluator) CacheHitRate() float64 {
 	return float64(e.hits) / float64(e.hits+e.misses)
 }
 
-// Evaluate runs the pipeline, short-circuiting the expensive thermal
-// stage once a cheaper constraint already fails (DSE mode).
-func (e *Evaluator) Evaluate(p DesignPoint) (*Evaluation, error) {
-	return e.evaluate(p, false)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation: it returns
-// ctx.Err() without touching the pipeline when ctx is already done. A
-// single evaluation is never interrupted mid-pipeline — cancellation
-// latency is bounded by one evaluation — which keeps the memo cache free
-// of partial results.
+// EvaluateContext runs the pipeline, short-circuiting the expensive
+// thermal stage once a cheaper constraint already fails (DSE mode). It
+// returns ctx.Err() without touching the pipeline when ctx is already
+// done. A single evaluation is never interrupted mid-pipeline —
+// cancellation latency is bounded by one evaluation — which keeps the
+// memo cache free of partial results.
 func (e *Evaluator) EvaluateContext(ctx context.Context, p DesignPoint) (*Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -349,15 +344,10 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, p DesignPoint) (*Evalua
 	return e.evaluate(p, false)
 }
 
-// EvaluateFull runs the whole pipeline including thermal analysis even
-// for constraint-violating points (reporting mode: the paper's Tables
-// III and IV show peak temperatures of infeasible MCMs).
-func (e *Evaluator) EvaluateFull(p DesignPoint) (*Evaluation, error) {
-	return e.evaluate(p, true)
-}
-
-// EvaluateFullContext is EvaluateFull with the EvaluateContext
-// cancellation contract.
+// EvaluateFullContext runs the whole pipeline including thermal
+// analysis even for constraint-violating points (reporting mode: the
+// paper's Tables III and IV show peak temperatures of infeasible MCMs),
+// under the EvaluateContext cancellation contract.
 func (e *Evaluator) EvaluateFullContext(ctx context.Context, p DesignPoint) (*Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -365,7 +355,7 @@ func (e *Evaluator) EvaluateFullContext(ctx context.Context, p DesignPoint) (*Ev
 	return e.evaluate(p, true)
 }
 
-// evaluate serves one Evaluate call and takes e.mu once to count it.
+// evaluate serves one EvaluateContext or EvaluateFullContext call and takes e.mu once to count it.
 // The quarantine ledger is consulted first, under its own lock, only
 // once it holds a point.
 func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
@@ -418,8 +408,8 @@ func (e *Evaluator) evaluate(p DesignPoint, full bool) (*Evaluation, error) {
 // quarantine records a point-local evaluation failure in the ledger
 // (first writer wins when concurrent workers race on one point) and
 // bumps the failure counters. Quarantined points do not count as
-// explored (Explored counts successful evaluations); subsequent Evaluate
-// calls return the memoized error without rerunning the pipeline.
+// explored (Explored counts successful evaluations); later evaluations of
+// the point return the memoized error without rerunning the pipeline.
 func (e *Evaluator) quarantine(ee *EvalError) {
 	e.mu.Lock()
 	if _, dup := e.failed[ee.Point]; dup {

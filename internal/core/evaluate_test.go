@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestNewEvaluatorValidation(t *testing.T) {
 // the low 70s (the paper reports 72.11 C).
 func TestPaper2DWinnerFeasible(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 75)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestPaper2DWinnerFeasible(t *testing.T) {
 func TestICSControlsChipletCount(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 30, 85)
 	at := func(ics int) int {
-		ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: ics})
+		ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: ics})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestICSControlsChipletCount(t *testing.T) {
 // 2x2 meshes at moderate spacing.
 func Test3DMeshIs2x2(t *testing.T) {
 	e := testEvaluator(t, Tech3D, 400, 30, 75)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 196, ICSUM: 1000})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 196, ICSUM: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestFrequencyHeats(t *testing.T) {
 	p := DesignPoint{ArrayDim: 200, ICSUM: 1700}
 	e400 := testEvaluator(t, Tech2D, 400, 15, 85)
 	e500 := testEvaluator(t, Tech2D, 500, 15, 85)
-	ev400, err := e400.Evaluate(p)
+	ev400, err := e400.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev500, err := e500.Evaluate(p)
+	ev500, err := e500.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFrequencyHeats(t *testing.T) {
 // the 30 fps budget by a large factor (the paper reports 36x).
 func TestTinyArrayViolatesLatency(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 30, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 16, ICSUM: 800})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 16, ICSUM: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestOversizedChipletArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 256, ICSUM: 1000})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 256, ICSUM: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestDisableThermalSkipsTemperature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestDisableThermalSkipsTemperature(t *testing.T) {
 func TestEvaluationCached(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 30, 85)
 	p := DesignPoint{ArrayDim: 100, ICSUM: 500}
-	a, err := e.Evaluate(p)
+	a, err := e.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Evaluate(p)
+	b, err := e.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,21 +206,21 @@ func TestEvaluationCached(t *testing.T) {
 func TestFullUpgradesCachedEvaluation(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 30, 85)
 	p := DesignPoint{ArrayDim: 16, ICSUM: 0} // latency-infeasible: DSE skips thermal
-	short, err := e.Evaluate(p)
+	short, err := e.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(short.PeakTempC) {
 		t.Fatal("DSE evaluation of an infeasible point ran thermal analysis")
 	}
-	full, err := e.EvaluateFull(p)
+	full, err := e.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsNaN(full.PeakTempC) {
 		t.Error("full evaluation missing temperature")
 	}
-	again, err := e.EvaluateFull(p)
+	again, err := e.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestObjectiveWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := e.Evaluate(p)
+		ev, err := e.EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func TestWeightStationaryDataflowWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestWeightStationaryDataflowWorks(t *testing.T) {
 // TestPeakOPSDefinition: peak OPS = 2 * chiplets * PEs * freq.
 func TestPeakOPSDefinition(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestPeakOPSDefinition(t *testing.T) {
 // its dynamic part for any real configuration.
 func TestLeakageIncreasesTotalPower(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +320,11 @@ func Test3DRunsHotterThanIso2D(t *testing.T) {
 	p := DesignPoint{ArrayDim: 216, ICSUM: 700}
 	e2 := testEvaluator(t, Tech2D, 500, 15, 85)
 	e3 := testEvaluator(t, Tech3D, 500, 15, 85)
-	ev2, err := e2.EvaluateFull(p)
+	ev2, err := e2.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev3, err := e3.EvaluateFull(p)
+	ev3, err := e3.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func Test3DRunsHotterThanIso2D(t *testing.T) {
 // start keeps the loop in a comparable band.
 func TestLeakIterationsBand(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,15 +99,16 @@ func (cfg *ExperimentConfig) optionsFor(c Corner) (Options, Constraints) {
 	return opts, cons
 }
 
-// reEvaluate re-runs a winner at the fine reporting grid.
-func (cfg *ExperimentConfig) reEvaluate(c Corner, p DesignPoint) (*Evaluation, error) {
+// reEvaluate re-runs a winner at the fine reporting grid; it returns
+// ctx.Err() without evaluating when ctx is already done.
+func (cfg *ExperimentConfig) reEvaluate(ctx context.Context, c Corner, p DesignPoint) (*Evaluation, error) {
 	opts, cons := cfg.optionsFor(c)
 	opts.Grid = cfg.ReportGrid
 	e, err := cfg.newEvaluator(opts, cons)
 	if err != nil {
 		return nil, err
 	}
-	return e.EvaluateFull(p)
+	return e.EvaluateFullContext(ctx, p)
 }
 
 // TableVRow is one row of the paper's Table V: a TESA output at one
@@ -177,7 +178,7 @@ func (cfg *ExperimentConfig) RunCornerContext(ctx context.Context, c Corner) (*T
 		Elapsed:   time.Since(start),
 	}
 	if opt.Found {
-		row.Eval, err = cfg.reEvaluate(c, opt.Best.Point)
+		row.Eval, err = cfg.reEvaluate(ctx, c, opt.Best.Point)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +250,7 @@ func (cfg *ExperimentConfig) TableIV(ctx context.Context) ([]*TableIVRow, error)
 					return nil, err
 				}
 				if res.Found {
-					res.Actual, err = cfg.reEvaluate(c, res.Chosen.Point)
+					res.Actual, err = cfg.reEvaluate(ctx, c, res.Chosen.Point)
 					if err != nil {
 						return nil, err
 					}
@@ -371,7 +372,7 @@ func (cfg *ExperimentConfig) Fig5(ctx context.Context) ([]*Fig5Result, error) {
 			return nil, err
 		}
 		if res.Found {
-			res.Actual, err = cfg.reEvaluate(c, res.Chosen.Point)
+			res.Actual, err = cfg.reEvaluate(ctx, c, res.Chosen.Point)
 			if err != nil {
 				return nil, err
 			}

@@ -193,7 +193,7 @@ func TestThermalMapRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.EvaluateFull(DesignPoint{ArrayDim: 196, ICSUM: 1000})
+	ev, err := e.EvaluateFullContext(context.Background(), DesignPoint{ArrayDim: 196, ICSUM: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

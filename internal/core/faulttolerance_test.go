@@ -57,7 +57,7 @@ func TestFaultMatrix(t *testing.T) {
 	// The target must complete the full pipeline on a clean evaluator,
 	// otherwise faults in late stages would never fire.
 	clean := chaosEvaluator(t)
-	ev, err := clean.Evaluate(target)
+	ev, err := clean.EvaluateContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestFailureMemoized(t *testing.T) {
 	e := chaosEvaluator(t)
 	e.InjectFaults(injectPlan(t, "panic@cost:dim=188"))
 	p := DesignPoint{ArrayDim: 188, ICSUM: 250}
-	_, err1 := e.Evaluate(p)
-	_, err2 := e.Evaluate(p)
+	_, err1 := e.EvaluateContext(context.Background(), p)
+	_, err2 := e.EvaluateContext(context.Background(), p)
 	if err1 == nil || err1 != err2 {
 		t.Fatalf("memoized failure not identical: %v vs %v", err1, err2)
 	}

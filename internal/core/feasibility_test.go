@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -43,7 +44,7 @@ func TestLooserBudgetKeepsFeasible(t *testing.T) {
 		}
 		evals[b] = map[DesignPoint]*Evaluation{}
 		for _, p := range midSpace().Enumerate() {
-			ev, err := e.Evaluate(p)
+			ev, err := e.EvaluateContext(context.Background(), p)
 			if err != nil {
 				t.Fatalf("%v under %v: %v", p, b, err)
 			}
@@ -130,11 +131,11 @@ func TestDNNOrderKeepsEvaluation(t *testing.T) {
 		}
 		e := evaluator(w)
 		for _, p := range midSpace().Enumerate() {
-			want, err := ref.Evaluate(p)
+			want, err := ref.EvaluateContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Evaluate(p)
+			got, err := e.EvaluateContext(context.Background(), p)
 			if err != nil {
 				t.Fatalf("%s: %v: %v", name, p, err)
 			}

@@ -58,10 +58,7 @@ func (cfg *ExperimentConfig) Fig1(ctx context.Context) ([]*Fig1Scenario, error) 
 		{ArrayDim: 256, ICSUM: 0},
 	}
 	for i, p := range points {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ev, err := e.EvaluateFull(p)
+		ev, err := e.EvaluateFullContext(ctx, p)
 		if err != nil {
 			return nil, err
 		}

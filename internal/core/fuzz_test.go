@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -35,7 +36,7 @@ func TestPipelineSurvivesSyntheticWorkloads(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			p := space.Random(rng)
-			ev, err := e.EvaluateFull(p)
+			ev, err := e.EvaluateFullContext(context.Background(), p)
 			if err != nil {
 				t.Fatalf("trial %d point %v: %v", trial, p, err)
 			}
@@ -148,7 +149,7 @@ func TestEvaluationsFiniteAtExtremes(t *testing.T) {
 		for _, dim := range dims {
 			for _, ics := range spacings {
 				p := DesignPoint{ArrayDim: dim, ICSUM: ics}
-				ev, err := e.EvaluateFull(p)
+				ev, err := e.EvaluateFullContext(context.Background(), p)
 				if err != nil {
 					var ee *EvalError
 					if !errors.As(err, &ee) {
@@ -176,7 +177,7 @@ func TestPipelineSingleDNNWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.EvaluateFull(DesignPoint{ArrayDim: 64, ICSUM: 500})
+	ev, err := e.EvaluateFullContext(context.Background(), DesignPoint{ArrayDim: 64, ICSUM: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ func freshEvaluation(t *testing.T, p DesignPoint, full bool) (*Evaluation, error
 	t.Helper()
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
 	if full {
-		return e.EvaluateFull(p)
+		return e.EvaluateFullContext(context.Background(), p)
 	}
-	return e.Evaluate(p)
+	return e.EvaluateContext(context.Background(), p)
 }
 
 // TestMemoEvaluationsBitIdentical: every evaluation served through a
@@ -59,7 +59,7 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	refs := make(map[DesignPoint]*Evaluation, len(pts))
 	for _, p := range pts {
 		rev, rerr := freshEvaluation(t, p, false)
-		wev, werr := warm.Evaluate(p)
+		wev, werr := warm.EvaluateContext(context.Background(), p)
 		if (rerr == nil) != (werr == nil) {
 			t.Fatalf("%v: error disagreement: fresh %v, warm store %v", p, rerr, werr)
 		}
@@ -90,7 +90,7 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	peer := testEvaluator(t, Tech2D, 400, 15, 85)
 	peer.UseMemo(store)
 	before := store.Stats().Kinds["eval"].Hits
-	pev, err := peer.Evaluate(p)
+	pev, err := peer.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	disk := testEvaluator(t, Tech2D, 400, 15, 85)
 	disk.UseMemo(replayed)
 	for p, rev := range refs {
-		dev, err := disk.Evaluate(p)
+		dev, err := disk.EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%v: replayed evaluation failed: %v", p, err)
 		}
@@ -130,7 +130,7 @@ func TestMemoEvaluationsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wfull, err := warm.EvaluateFull(p)
+	wfull, err := warm.EvaluateFullContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestFaultPlanKeepsSharedStoreClean(t *testing.T) {
 	store := memo.NewStore()
 	clean := testEvaluator(t, Tech2D, 400, 15, 85)
 	clean.UseMemo(store)
-	ev, err := clean.Evaluate(p)
+	ev, err := clean.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFaultPlanKeepsSharedStoreClean(t *testing.T) {
 	faulty := testEvaluator(t, Tech2D, 400, 15, 85)
 	faulty.UseMemo(store)
 	faulty.InjectFaults(injectPlan(t, fmt.Sprintf("panic@cost:dim=%d,ics=%d", p.ArrayDim, p.ICSUM)))
-	_, err = faulty.Evaluate(p)
+	_, err = faulty.EvaluateContext(context.Background(), p)
 	ee, ok := asEvalError(err)
 	if !ok || !errors.Is(err, ErrStagePanic) || ee.Stage != stageCost {
 		t.Fatalf("err = %v, want an injected panic at the cost stage", err)

@@ -36,7 +36,7 @@ const ModelVersion = "tesa-models-1"
 // optimizer evaluators — compute each distinct input once. Every served
 // value is one a fresh evaluator would have computed bit-identically, so
 // results are unchanged; only wall-clock drops. Call before the first
-// Evaluate.
+// evaluation.
 //
 // Sharing a store between evaluators with different workloads, options,
 // constraints or models is safe but pointless (keys are fingerprinted by
@@ -669,7 +669,7 @@ func newEvalRecord(ev *Evaluation) *evalRecord {
 
 // evaluation rebuilds the compact Evaluation a record encodes. Schedule,
 // Placement and the thermal field are nil — Compact reports that, and
-// the engines upgrade a compact winner through EvaluateFull before
+// the engines upgrade a compact winner through EvaluateFullContext before
 // reporting it.
 func (r *evalRecord) evaluation() *Evaluation {
 	return &Evaluation{

@@ -26,7 +26,7 @@ func TestPointKeysMatchMemoKey(t *testing.T) {
 	if _, _, err := e.screen(p); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.Evaluate(p)
+	ev, err := e.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -36,7 +37,7 @@ func TestMirroredPowerSamePeak(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/grid%d/%v", c.tech, grid, c.mesh), func(t *testing.T) {
 				e := testEvaluator(t, c.tech, 400, 15, 85)
 				e.Opts.Grid = grid
-				ev, err := e.EvaluateFull(c.p)
+				ev, err := e.EvaluateFullContext(context.Background(), c.p)
 				if err != nil {
 					t.Fatal(err)
 				}

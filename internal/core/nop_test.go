@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tesa/internal/nop"
@@ -20,7 +21,7 @@ func TestNoPAssumptionAcrossConfigs(t *testing.T) {
 		{ArrayDim: 96, ICSUM: 0},
 		{ArrayDim: 96, ICSUM: 1000},
 	} {
-		ev, err := e.Evaluate(p)
+		ev, err := e.EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestNoPAssumptionAcrossConfigs(t *testing.T) {
 // total DRAM bytes.
 func TestNoPTrafficAccounting(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}

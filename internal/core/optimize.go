@@ -313,7 +313,7 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 		Poisoned:     poisoned,
 	}
 	if best.Found {
-		ev, err := e.Evaluate(best.Best)
+		ev, err := e.evaluate(best.Best, false)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +322,7 @@ func (e *Evaluator) OptimizeContext(ctx context.Context, space Space, seed int64
 			// a persistent memo record (no schedule/placement); the
 			// reported incumbent must carry the full structures, so
 			// re-evaluate in reporting mode.
-			if ev, err = e.EvaluateFull(best.Best); err != nil {
+			if ev, err = e.evaluate(best.Best, true); err != nil {
 				return nil, err
 			}
 		}

@@ -114,7 +114,7 @@ func TestExhaustiveCountsFeasible(t *testing.T) {
 	}
 	count := 0
 	for _, p := range space.Enumerate() {
-		ev, err := e.Evaluate(p)
+		ev, err := e.EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestExhaustiveCountsFeasible(t *testing.T) {
 	}
 	if res.Best != nil {
 		for _, p := range space.Enumerate() {
-			ev, _ := e.Evaluate(p)
+			ev, _ := e.EvaluateContext(context.Background(), p)
 			if ev.Feasible && ev.Objective < res.Best.Objective {
 				t.Errorf("exhaustive missed better point %v (%.4f < %.4f)", p, ev.Objective, res.Best.Objective)
 			}

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestFloorplanASCII2D(t *testing.T) {
 	e := testEvaluator(t, Tech2D, 400, 15, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestFloorplanASCII2D(t *testing.T) {
 
 func TestFloorplanASCII3D(t *testing.T) {
 	e := testEvaluator(t, Tech3D, 400, 15, 85)
-	ev, err := e.Evaluate(DesignPoint{ArrayDim: 196, ICSUM: 1000})
+	ev, err := e.EvaluateContext(context.Background(), DesignPoint{ArrayDim: 196, ICSUM: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,7 +277,7 @@ func (e *Evaluator) platformFor(ev *Evaluation, sc des.Scenario) (des.Platform, 
 // point, coupling the DES engine to the transient thermal solver. ev
 // must be a structure-bearing evaluation (Fits, with Schedule and
 // Placement — compact memo rebuilds must be re-run through
-// EvaluateFull first). When logW is non-nil the deterministic event log
+// EvaluateFullContext first). When logW is non-nil the deterministic event log
 // is streamed to it. Failures are *EvalError at stage "sim", so the
 // engines' quarantine taxonomy applies unchanged. It is
 // SimulateDistribution's draw 0 alone.

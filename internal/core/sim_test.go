@@ -26,7 +26,7 @@ func simTestEvaluation(t *testing.T) (*Evaluator, *Evaluation) {
 func simTestEvaluationTech(t *testing.T, tech Tech) (*Evaluator, *Evaluation) {
 	t.Helper()
 	e := testEvaluator(t, tech, 400, 15, 75)
-	ev, err := e.EvaluateFull(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+	ev, err := e.EvaluateFullContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestSimulateDistributionFaults(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.InjectFaults(plan)
-				ev, err := e.EvaluateFull(DesignPoint{ArrayDim: 200, ICSUM: 1700})
+				ev, err := e.EvaluateFullContext(context.Background(), DesignPoint{ArrayDim: 200, ICSUM: 1700})
 				if err != nil {
 					t.Fatal(err)
 				}

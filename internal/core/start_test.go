@@ -47,7 +47,7 @@ func bruteForceStart(t *testing.T, c startCorner, seed int64, budget int) (best 
 	var bestObj float64
 	for i := 0; i < budget; i++ {
 		p := c.space.Random(rng)
-		ev, err := e.EvaluateFull(p)
+		ev, err := e.EvaluateFullContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s seed %d: %v: %v", c.name, seed, p, err)
 		}
@@ -87,7 +87,7 @@ func TestSampleFeasibleStartMatchesBruteForce(t *testing.T) {
 			tel := telemetry.New(nil)
 			e.Instrument(tel)
 			got, ok := e.sampleFeasibleStart(context.Background(), c.space, rand.New(rand.NewSource(seed)),
-				budget, 4, e.screen, e.Evaluate, feasible)
+				budget, 4, e.screen, func(p DesignPoint) (*Evaluation, error) { return e.EvaluateContext(context.Background(), p) }, feasible)
 			if got != want || ok != wantOK {
 				t.Errorf("%s seed %d: start %v (ok %v), brute force %v (ok %v)", c.name, seed, got, ok, want, wantOK)
 			}

@@ -16,6 +16,14 @@ type ExhaustiveResult struct {
 	// objective ties the lexicographically smallest design point wins
 	// (see DesignPoint.Less), so repeated sweeps agree.
 	Best *Evaluation
+	// Front is the exact non-dominated front over (MCM cost, DRAM power,
+	// peak temperature): every feasible point no other feasible point
+	// dominates, sorted by (cost, DRAM, peak) and then by
+	// DesignPoint.Less; empty when nothing is feasible. Members are the
+	// sweep's own DSE-mode evaluations, which on a feasible point carry
+	// the same scalars a reporting-mode evaluation would; a member served
+	// from a persistent memo record is Compact (scalars only).
+	Front []*Evaluation
 	// Feasible counts feasible points; Total is the space size.
 	Feasible, Total int
 	// Evaluated counts points evaluated (including points whose
@@ -49,17 +57,19 @@ type SweepOptions struct {
 }
 
 // ExhaustiveContext evaluates every design vector in the space and
-// returns the global optimum of Eq. (6). The paper uses this on a small
+// returns the global optimum of Eq. (6) and the exact cost/DRAM
+// power/peak temperature front. The paper uses this on a small
 // validation sub-space to certify the optimizer (Sec. IV-A); it is also
 // how the "an exhaustive evaluation can take multiple days" claim is
 // quantified against the annealer's <15% exploration.
 //
 // The sweep is one queue of points in Space.Enumerate order:
 // GOMAXPROCS workers drain it, and each outcome merges into the
-// result under one lock, the incumbent under the BetterPoint order, so
-// the winner does not depend on completion order. Every evaluation
-// observes ctx, so cancellation stops the sweep within one
-// evaluation's latency, joins every worker, and returns ctx.Err().
+// result under one lock, the incumbent under the BetterPoint order and
+// the front through a non-dominated archive, so neither depends on
+// completion order. Every evaluation observes ctx, so cancellation
+// stops the sweep within one evaluation's latency, joins every worker,
+// and returns ctx.Err().
 func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *SweepOptions) (*ExhaustiveResult, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -86,8 +96,9 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
-		mu       sync.Mutex // guards res, best, firstErr
+		mu       sync.Mutex // guards res, best, front, firstErr
 		best     *Evaluation
+		front    []*Evaluation
 		firstErr error
 	)
 	// merge folds one point's outcome into the result and enforces the
@@ -127,6 +138,7 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 				if best == nil || betterEval(ev, best) {
 					best, improved = ev, true
 				}
+				front = foldFront(front, ev)
 			}
 		}
 		progress.emit(res.Evaluated, best, improved, res.Quarantined)
@@ -162,6 +174,8 @@ func (e *Evaluator) ExhaustiveContext(ctx context.Context, space Space, opt *Swe
 		best = ev
 	}
 	res.Best = best
+	sortFront(front)
+	res.Front = front
 	// Workers append ledger entries in completion order; sort for a
 	// deterministic report.
 	sort.Slice(res.Poisoned, func(i, j int) bool { return res.Poisoned[i].Point.Less(res.Poisoned[j].Point) })

@@ -19,7 +19,7 @@ func TestEvaluatorHitRateAccessors(t *testing.T) {
 	}
 	p := DesignPoint{ArrayDim: 100, ICSUM: 500}
 	for i := 0; i < 4; i++ {
-		if _, err := e.Evaluate(p); err != nil {
+		if _, err := e.EvaluateContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,10 +42,10 @@ func TestPipelineTelemetry(t *testing.T) {
 		t.Fatal("Telemetry() does not return the attached hub")
 	}
 	p := DesignPoint{ArrayDim: 100, ICSUM: 500}
-	if _, err := e.Evaluate(p); err != nil {
+	if _, err := e.EvaluateContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Evaluate(p); err != nil {
+	if _, err := e.EvaluateContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	reg := tel.Registry()
@@ -66,7 +66,7 @@ func TestPipelineTelemetry(t *testing.T) {
 	e = testEvaluator(t, Tech2D, 400, 30, 85)
 	tel = telemetry.New(nil)
 	e.Instrument(tel)
-	if _, err := e.EvaluateFull(DesignPoint{ArrayDim: 250, ICSUM: 900}); err != nil {
+	if _, err := e.EvaluateFullContext(context.Background(), DesignPoint{ArrayDim: 250, ICSUM: 900}); err != nil {
 		t.Fatal(err)
 	}
 	reg = tel.Registry()

@@ -74,7 +74,7 @@ func TestThermalMemoSharesExcludedFields(t *testing.T) {
 			first.UseMemo(store)
 			solved := make(map[DesignPoint]bool, len(space))
 			for _, p := range space {
-				ev, err := first.Evaluate(p)
+				ev, err := first.EvaluateContext(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%v: %v", p, err)
 				}
@@ -88,11 +88,11 @@ func TestThermalMemoSharesExcludedFields(t *testing.T) {
 			fresh := memoCornerEvaluator(t, v.vary)
 			var shared, own int64
 			for _, p := range space {
-				got, err := second.Evaluate(p)
+				got, err := second.EvaluateContext(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%v: %v", p, err)
 				}
-				want, err := fresh.Evaluate(p)
+				want, err := fresh.EvaluateContext(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%v: fresh: %v", p, err)
 				}
@@ -231,7 +231,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 func TestThermalMemoSkipsFailures(t *testing.T) {
 	p := DesignPoint{ArrayDim: 192, ICSUM: 500}
 	clean := memoCornerEvaluator(t, nil)
-	ev, err := clean.Evaluate(p)
+	ev, err := clean.EvaluateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestThermalMemoSkipsFailures(t *testing.T) {
 		e := memoCornerEvaluator(t, nil)
 		e.InjectFaults(injectPlan(t, c.spec))
 		e.SetStageTimeout(c.timeout)
-		_, err := e.Evaluate(p)
+		_, err := e.EvaluateContext(context.Background(), p)
 		ee, ok := asEvalError(err)
 		if !ok || ee.Stage != stageThermal {
 			t.Fatalf("%s: err = %v, want a thermal-stage failure", c.spec, err)
@@ -286,7 +286,7 @@ func TestThermalMemoFromDisk(t *testing.T) {
 	}
 	first.UseMemo(store)
 	for _, p := range space {
-		if _, err := first.Evaluate(p); err != nil {
+		if _, err := first.EvaluateContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,11 +313,11 @@ func TestThermalMemoFromDisk(t *testing.T) {
 	second.Instrument(tel)
 	fresh := memoCornerEvaluator(t, at(75))
 	for _, p := range space {
-		got, err := second.Evaluate(p)
+		got, err := second.EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Evaluate(p)
+		want, err := fresh.EvaluateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,11 +363,11 @@ func TestThermalMemoConcurrentCorners(t *testing.T) {
 		}
 		fresh := memoCornerEvaluator(t, func(_ *Options, c *Constraints) { c.TempBudgetC = tempC })
 		for _, p := range space.Enumerate() {
-			got, err := evs[i].Evaluate(p)
+			got, err := evs[i].EvaluateContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Evaluate(p)
+			want, err := fresh.EvaluateContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}

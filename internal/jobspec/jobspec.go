@@ -137,16 +137,12 @@ type Space struct {
 // Pareto tunes the front engine.
 type Pareto struct {
 	// Front selects the engine: "weights" (the Eq. 6 weight sweep, the
-	// default) or "nsga2" (the true multi-objective population front
-	// over cost, DRAM power, and peak temperature).
+	// default) or "exact" (the non-dominated front over cost, DRAM
+	// power, and peak temperature, from a sweep of the whole space).
 	Front string `json:"front,omitempty"`
 	// Points is the number of weight settings to sweep (>= 2; 0 = 9).
 	// Weight fronts only.
 	Points int `json:"points,omitempty"`
-	// Pop and Gens are the NSGA-II population size and generation count
-	// (0 = the engine defaults). NSGA-II fronts only.
-	Pop  int `json:"pop,omitempty"`
-	Gens int `json:"gens,omitempty"`
 }
 
 // Sim describes a dynamic multi-tenant scenario run: the design point
@@ -293,20 +289,14 @@ func (s *Spec) Validate() error {
 	}
 	if p := s.Pareto; p != nil {
 		switch p.Front {
-		case "", "weights", "nsga2":
+		case "", "weights", "exact":
 		default:
-			return fmt.Errorf("jobspec: unknown pareto front %q (want weights or nsga2)", p.Front)
+			return fmt.Errorf("jobspec: unknown pareto front %q (want weights or exact)", p.Front)
 		}
 		if p.Points != 0 && p.Points < 2 {
 			return fmt.Errorf("jobspec: pareto needs at least 2 weight points, got %d", p.Points)
 		}
-		if p.Pop < 0 || p.Gens < 0 {
-			return fmt.Errorf("jobspec: negative pareto pop/gens %d/%d", p.Pop, p.Gens)
-		}
-		if p.Front != "nsga2" && (p.Pop != 0 || p.Gens != 0) {
-			return fmt.Errorf("jobspec: pop/gens only apply to the nsga2 front")
-		}
-		if p.Front == "nsga2" && p.Points != 0 {
+		if p.Front == "exact" && p.Points != 0 {
 			return fmt.Errorf("jobspec: points only applies to the weights front")
 		}
 	}

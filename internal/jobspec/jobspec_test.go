@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,6 +143,18 @@ func TestParseStrict(t *testing.T) {
 		{"one pareto point",
 			`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"points":1}}`,
 			"at least 2"},
+		{"removed nsga2 front",
+			`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"front":"nsga2"}}`,
+			"unknown pareto front"},
+		{"removed pareto pop",
+			`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"pop":6}}`,
+			"unknown field"},
+		{"removed pareto gens",
+			`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"gens":2}}`,
+			"unknown field"},
+		{"exact front with points",
+			`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"front":"exact","points":5}}`,
+			"points only applies"},
 		{"negative deadline",
 			`{"version":"tesa.jobspec/v1","kind":"optimize","deadline_sec":-1}`,
 			"negative deadline"},
@@ -358,13 +371,13 @@ func TestRunSweepAndPareto(t *testing.T) {
 }
 
 // TestResolveFront covers the pareto front-engine selection: front
-// defaults to the weight sweep, and the nsga2 section validates
+// defaults to the weight sweep, and the exact section validates
 // strictly.
 func TestResolveFront(t *testing.T) {
 	spec, err := Parse([]byte(`{
 	  "version": "tesa.jobspec/v1",
 	  "kind": "pareto",
-	  "pareto": {"front": "nsga2", "pop": 6, "gens": 2}
+	  "pareto": {"front": "exact"}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +386,8 @@ func TestResolveFront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ParetoFront != "nsga2" || r.ParetoPop != 6 || r.ParetoGens != 2 {
-		t.Errorf("front section lost: %q pop=%d gens=%d", r.ParetoFront, r.ParetoPop, r.ParetoGens)
+	if r.ParetoFront != "exact" {
+		t.Errorf("front section lost: %q", r.ParetoFront)
 	}
 
 	plain, err := Parse([]byte(`{"version":"tesa.jobspec/v1","kind":"pareto"}`))
@@ -391,9 +404,7 @@ func TestResolveFront(t *testing.T) {
 
 	for _, bad := range []string{
 		`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"front":"hull"}}`,
-		`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"pop":8}}`,
-		`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"front":"nsga2","points":5}}`,
-		`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"front":"nsga2","pop":-1}}`,
+		`{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{"front":"exact","points":5}}`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("accepted invalid pareto section: %s", bad)
@@ -401,42 +412,54 @@ func TestResolveFront(t *testing.T) {
 	}
 }
 
-// TestRunNSGA2Front executes an nsga2 pareto job end to end: the wire
-// result carries the engine tag and a non-empty front whose members all
-// have full projections.
-func TestRunNSGA2Front(t *testing.T) {
-	spec, err := Parse([]byte(`{
+// TestRunExactFront executes an exact pareto job end to end: the wire
+// result carries the engine tag, the sweep's tallies, and the sweep's
+// front member for member, each with a full projection and no weights.
+func TestRunExactFront(t *testing.T) {
+	const job = `{
 	  "version": "tesa.jobspec/v1",
-	  "kind": "pareto",
+	  "kind": %q,
 	  "options": {"grid": 8},
 	  "constraints": {"fps": 15, "temp_c": 85},
-	  "space": {"array_dims": [180, 200, 220], "ics_ums": [0, 1000]},
-	  "pareto": {"front": "nsga2", "pop": 4, "gens": 2},
-	  "seed": 1
-	}`))
-	if err != nil {
-		t.Fatal(err)
+	  "space": {"array_dims": [180, 200, 220], "ics_ums": [0, 1000]}%s
+	}`
+	run := func(kind, pareto string) *Outcome {
+		spec, err := Parse([]byte(fmt.Sprintf(job, kind, pareto)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := spec.Resolve("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Execute(context.Background(), r, Runtime{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	r, err := spec.Resolve("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), r, Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kind != KindPareto || res.FrontEngine != "nsga2" {
+	out := run(KindPareto, `, "pareto": {"front": "exact"}`)
+	sweep := run(KindSweep, "").Sweep
+	res := out.Result()
+	if res.Kind != KindPareto || res.FrontEngine != "exact" {
 		t.Fatalf("engine tag off: %+v", res)
 	}
-	if !res.Found || len(res.Front) == 0 {
-		t.Fatal("empty front on a feasible space")
+	if res.Feasible != sweep.Feasible || res.Evaluated != sweep.Evaluated || res.Total != sweep.Total {
+		t.Errorf("tallies %d/%d/%d, sweep %d/%d/%d", res.Feasible, res.Evaluated, res.Total,
+			sweep.Feasible, sweep.Evaluated, sweep.Total)
+	}
+	if !res.Found || len(res.Front) == 0 || len(res.Front) != len(sweep.Front) {
+		t.Fatalf("front has %d members, sweep %d", len(res.Front), len(sweep.Front))
 	}
 	for i, fp := range res.Front {
 		if !fp.Found || fp.Best == nil {
-			t.Errorf("front[%d] missing its evaluation", i)
+			t.Fatalf("front[%d] missing its evaluation", i)
 		}
 		if fp.Alpha != 0 || fp.Beta != 0 {
 			t.Errorf("front[%d] carries weight-sweep fields: %+v", i, fp)
+		}
+		if *fp.Best != *bestOf(sweep.Front[i]) {
+			t.Errorf("front[%d] = %+v, sweep %+v", i, *fp.Best, *bestOf(sweep.Front[i]))
 		}
 	}
 }

@@ -38,13 +38,10 @@ type Resolved struct {
 	// Seed is the optimizer seed (ignored by sweeps).
 	Seed int64
 	// ParetoFront is the front engine of a pareto job ("weights" or
-	// "nsga2"); ParetoPoints is the weight-setting count of a weight
-	// front, ParetoPop/ParetoGens the population shape of an NSGA-II
-	// front (0 = engine defaults).
+	// "exact"); ParetoPoints is the weight-setting count of a weight
+	// front.
 	ParetoFront  string
 	ParetoPoints int
-	ParetoPop    int
-	ParetoGens   int
 	// MaxFailures / FailFast / StageTimeout are the failure policies.
 	MaxFailures  int
 	FailFast     bool
@@ -154,8 +151,6 @@ func (s *Spec) Resolve(baseDir string) (*Resolved, error) {
 		if p.Points != 0 {
 			r.ParetoPoints = p.Points
 		}
-		r.ParetoPop = p.Pop
-		r.ParetoGens = p.Gens
 	}
 	if p := s.Policies; p != nil {
 		r.MaxFailures = p.MaxFailures

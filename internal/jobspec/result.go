@@ -22,10 +22,11 @@ type Result struct {
 	Best *Best `json:"best,omitempty"`
 	// Evaluations counts annealer evaluations including cache hits;
 	// Explored counts distinct design points actually evaluated
-	// (optimize and pareto jobs).
+	// (optimize jobs and weights fronts).
 	Evaluations int `json:"evaluations,omitempty"`
 	Explored    int `json:"explored,omitempty"`
-	// Feasible / Evaluated / Total are the sweep tallies.
+	// Feasible / Evaluated / Total are the sweep tallies (sweep jobs
+	// and exact fronts).
 	Feasible  int `json:"feasible,omitempty"`
 	Evaluated int `json:"evaluated,omitempty"`
 	Total     int `json:"total,omitempty"`
@@ -33,8 +34,8 @@ type Result struct {
 	// the engines skipped them and continued.
 	Quarantined int `json:"quarantined,omitempty"`
 	// FrontEngine says which engine traced Front: "weights" (the Eq. 6
-	// weight sweep, in weight order) or "nsga2" (the non-dominated
-	// population front, sorted by cost).
+	// weight sweep, in weight order) or "exact" (the non-dominated front
+	// of the whole space, sorted by cost, DRAM power, then peak).
 	FrontEngine string `json:"front_engine,omitempty"`
 	// Front is the traced front of a pareto job.
 	Front []FrontPoint `json:"front,omitempty"`
@@ -63,9 +64,11 @@ type Best struct {
 	DRAMPowerW  float64 `json:"dram_power_w"`
 }
 
-// FrontPoint is one weight setting of a pareto job's traced front.
+// FrontPoint is one point of a pareto job's traced front: a weight
+// setting of a weights front, or a member of an exact front.
 type FrontPoint struct {
-	// Alpha and Beta are the Eq. (6) weights of this setting.
+	// Alpha and Beta are the Eq. (6) weights of this setting (zero on
+	// an exact front).
 	Alpha float64 `json:"alpha"`
 	Beta  float64 `json:"beta"`
 	// Found is false when this weight setting had no feasible MCM.
@@ -74,10 +77,6 @@ type FrontPoint struct {
 	Best *Best `json:"best,omitempty"`
 	// Duplicate marks a winner already traced by an earlier weight.
 	Duplicate bool `json:"duplicate,omitempty"`
-	// Crowding is the NSGA-II crowding distance (nsga2 fronts only;
-	// -1 encodes the +Inf of an objective-extreme member so the result
-	// stays finite JSON). Zero on weight fronts.
-	Crowding float64 `json:"crowding,omitempty"`
 }
 
 // SimOutcome is the JSON-safe outcome of a sim job: the base-seed run's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math"
 	"sort"
 
 	"tesa/internal/core"
@@ -39,7 +38,7 @@ type Runtime struct {
 // as text. Only the fields of the job's kind are set.
 type Outcome struct {
 	// Kind is the executed job kind; FrontEngine the front engine of a
-	// pareto job ("weights" or "nsga2").
+	// pareto job ("weights" or "exact").
 	Kind        string
 	FrontEngine string
 	// Evaluator is the job's evaluator — for a weights front, the last
@@ -49,13 +48,12 @@ type Outcome struct {
 	// Optimize is an optimize job's annealer result (Found is false when
 	// no feasible configuration exists).
 	Optimize *core.OptimizeResult
-	// Sweep is a sweep job's exhaustive result.
+	// Sweep is the exhaustive result of a sweep job or an exact front
+	// (whose members are Sweep.Front).
 	Sweep *core.ExhaustiveResult
 	// Weights are a weights front's completed settings, in weight order;
 	// on cancellation they hold the settings swept before it.
 	Weights []WeightRun
-	// Front is an nsga2 front's members (empty when nothing is feasible).
-	Front []core.FrontMember
 	// Point is a sim job's static evaluation; when it fits the
 	// interposer, Base is the base-seed scenario run (draw 0) and Score
 	// the N-draw distribution score.
@@ -92,9 +90,9 @@ func Run(ctx context.Context, r *Resolved, rt Runtime) (*Result, error) {
 
 // Execute runs a resolved job on its engine and returns the engine-level
 // outcome: an optimize job is Evaluator.OptimizeContext, a sweep job
-// Evaluator.ExhaustiveContext, a pareto job the Eq. (6) weight loop or
-// Evaluator.NSGA2FrontContext, and a sim job the point's static
-// evaluation followed by Evaluator.SimulateDistribution.
+// Evaluator.ExhaustiveContext, a pareto job the Eq. (6) weight loop or,
+// for an exact front, the same sweep as a sweep job, and a sim job the
+// point's static evaluation followed by Evaluator.SimulateDistribution.
 // On error the outcome still carries what ran before it (the evaluator,
 // completed weight settings).
 func Execute(ctx context.Context, r *Resolved, rt Runtime) (*Outcome, error) {
@@ -113,8 +111,8 @@ func Execute(ctx context.Context, r *Resolved, rt Runtime) (*Outcome, error) {
 		err = out.sweep(ctx, r, rt)
 	case KindPareto:
 		out.FrontEngine = r.ParetoFront
-		if r.ParetoFront == "nsga2" {
-			err = out.nsga2(ctx, r, rt)
+		if r.ParetoFront == "exact" {
+			err = out.sweep(ctx, r, rt)
 		} else {
 			err = out.weights(ctx, r, rt)
 		}
@@ -233,26 +231,6 @@ func (o *Outcome) weights(ctx context.Context, r *Resolved, rt Runtime) error {
 	return nil
 }
 
-// nsga2 evolves one NSGA-II population over (cost, DRAM power, peak
-// temperature); the engine re-evaluates every reported member at full
-// fidelity. An empty front is a result, not an error.
-func (o *Outcome) nsga2(ctx context.Context, r *Resolved, rt Runtime) error {
-	ev, err := newEvaluator(r, r.Opts, rt)
-	if err != nil {
-		return err
-	}
-	o.Evaluator = ev
-	o.Front, err = ev.NSGA2FrontContext(ctx, r.Space, r.Seed, &core.FrontOptions{
-		Pop:      r.ParetoPop,
-		Gens:     r.ParetoGens,
-		Progress: rt.Progress,
-	})
-	if errors.Is(err, core.ErrNoFeasibleStart) {
-		err = nil
-	}
-	return err
-}
-
 // Poisoned is the job's quarantine ledger sorted by design point; a
 // weights front reports the deduplicated union over its settings.
 func (o *Outcome) Poisoned() []core.QuarantinedPoint {
@@ -290,8 +268,8 @@ func (o *Outcome) Result() *Result {
 		return &Result{Kind: KindSim}
 	case o.Kind == KindSim:
 		return FromSim(o.Point, o.Base, o.Score)
-	case o.FrontEngine == "nsga2":
-		return o.nsga2Result()
+	case o.FrontEngine == "exact":
+		return o.exactResult()
 	case o.Kind == KindPareto:
 		return o.weightsResult()
 	}
@@ -321,29 +299,22 @@ func (o *Outcome) weightsResult() *Result {
 	return out
 }
 
-// nsga2Result projects an NSGA-II front. Unlike the weight sweep there
-// is no alpha/beta per point — the front IS the trade-off surface, so
-// Alpha/Beta stay zero and Crowding carries the diversity metric.
-func (o *Outcome) nsga2Result() *Result {
-	ev := o.Evaluator
+// exactResult projects an exact front: its members in front order,
+// with the sweep's tallies. There is no alpha/beta per member and no
+// overall Best — the front is the trade-off surface.
+func (o *Outcome) exactResult() *Result {
+	res := o.Sweep
 	out := &Result{
 		Kind:        KindPareto,
-		FrontEngine: "nsga2",
-		Found:       len(o.Front) > 0,
-		Evaluations: ev.Evaluations(),
-		Explored:    ev.Explored(),
-		Quarantined: ev.QuarantinedCount(),
+		FrontEngine: "exact",
+		Found:       len(res.Front) > 0,
+		Feasible:    res.Feasible,
+		Evaluated:   res.Evaluated,
+		Total:       res.Total,
+		Quarantined: res.Quarantined,
 	}
-	for _, m := range o.Front {
-		crowding := m.Crowding
-		if math.IsInf(crowding, 1) {
-			crowding = -1 // objective-extreme member; keep the JSON finite
-		}
-		out.Front = append(out.Front, FrontPoint{
-			Found:    true,
-			Best:     bestOf(m.Eval),
-			Crowding: fin(crowding),
-		})
+	for _, ev := range res.Front {
+		out.Front = append(out.Front, FrontPoint{Found: true, Best: bestOf(ev)})
 	}
 	return out
 }

@@ -165,6 +165,12 @@ func TestServerRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("removed sweep section err = %v, want 400 unknown field", err)
 	}
+	for _, removed := range []string{`"front":"nsga2"`, `"pop":6`, `"gens":2`} {
+		spec := `{"version":"tesa.jobspec/v1","kind":"pareto","pareto":{` + removed + `}}`
+		if _, err := cl.Submit(ctx, []byte(spec)); err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("removed pareto input %s err = %v, want 400", removed, err)
+		}
+	}
 	if _, err := cl.Status(ctx, "deadbeefdeadbeef"); err == nil ||
 		!strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown id err = %v, want 404", err)
